@@ -25,12 +25,7 @@ from .exceptional import (
     is_adjacent_pair,
     parent_pair,
 )
-from .stability import (
-    CASE_EXCEPTIONAL_BUNDLE,
-    CASE_TRIANGULAR_MINUS_ONE,
-    delta,
-    min_slope,
-)
+from .stability import CASE_AT_DOT, CASE_BELOW_DOT, _delta, min_slope
 
 KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
@@ -92,22 +87,20 @@ def collapsing_wall(n: int) -> Wall:
         raise ValueError("the collapsing wall is computed for n >= 2")
     ms = min_slope(n)
     d = ms.associated
-    ideal = ChernCharacter(1, 0, -n)
-    if ms.case == CASE_EXCEPTIONAL_BUNDLE:
-        _, b = parent_pair(d)
-        destabilizer = exceptional_character(-b.value)
-    elif ms.case == CASE_TRIANGULAR_MINUS_ONE or ms.mu < d.value:
-        destabilizer = exceptional_character(-d.value)
+    if ms.position == CASE_AT_DOT:
+        destabilizer = parent_pair(d)[1].dual_twist(0)
+    elif ms.position == CASE_BELOW_DOT:
+        destabilizer = d.dual_twist(0)
     else:
-        destabilizer = exceptional_character(-d.value - 3)
-    wall = wall_between(ideal, destabilizer)
+        destabilizer = d.dual_twist(-3)
+    wall = wall_between(ChernCharacter(1, 0, -n), exceptional_character(destabilizer))
     center = -(ms.mu + Fraction(3, 2))
     assert wall.kind == KIND_SEMICIRCLE and wall.center_s == center
     assert wall.radius_sq == center * center - 2 * n
-    if ms.case == CASE_EXCEPTIONAL_BUNDLE:
+    if ms.position == CASE_AT_DOT:
         assert wall.radius_sq == 2 * d.discriminant + Fraction(1, 4)
     else:
-        assert wall.radius_sq == 2 * delta(ms.mu) + Fraction(1, 4)
+        assert wall.radius_sq == 2 * _delta(ms.mu, d) + Fraction(1, 4)
         assert wall.radius_sq > Fraction(5, 4)
     return wall
 

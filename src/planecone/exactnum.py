@@ -237,7 +237,8 @@ class QuadSurd:
     def __hash__(self) -> int:
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # a, sign b and b^2 d fix the value whatever radicand extraction left
+        return hash((self.a, self.b > 0, self.b * self.b * self.d))
 
     def __lt__(self, other: SurdLike) -> bool:
         return surd_cmp(self, other) < 0

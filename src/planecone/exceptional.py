@@ -82,6 +82,8 @@ class ExceptionalSlope:
     rank is the denominator of the slope, discriminant is (1 - 1/rank^2)/2,
     euler is rank*(P(value) - discriminant), and interval_radius is the exact
     half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.
+    Twists and duals come from address arithmetic (dual_twist), so code that
+    holds a slope never has to find -alpha + k again by tree descent.
     """
 
     value: Fraction
@@ -97,6 +99,15 @@ class ExceptionalSlope:
     def contains(self, x: SurdLike) -> bool:
         left, right = self.interval()
         return surd_cmp(left, x) < 0 and surd_cmp(x, right) < 0
+
+    def dual_twist(self, k: int) -> "ExceptionalSlope":
+        """The slope -value + k, the dual of E twisted by O(k).
+
+        The tree is symmetric under x -> -x and x -> x + 1, so the address
+        p/2^q goes to (-p + k 2^q)/2^q and the slope is one memo read.
+        """
+        p, q = self.address.p, self.address.q
+        return epsilon((-p + (k << q), q))
 
     def to_json(self) -> dict:
         left, right = self.interval()
@@ -146,23 +157,32 @@ def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
 def epsilon(addr) -> ExceptionalSlope:
     """The exceptional slope at a dyadic address; memoized by canonical address.
 
-    The memo dict only ever gains value-identical entries for a given key, so
-    concurrent readers are safe.
+    Missing ancestors are built from an explicit stack, so deep addresses do
+    not recurse.  The memo dict only ever gains value-identical entries for a
+    given key, so concurrent readers are safe.
     """
     addr = DyadicAddress.coerce(addr)
-    key = (addr.p, addr.q)
-    hit = _MEMO.get(key)
+    hit = _MEMO.get((addr.p, addr.q))
     if hit is not None:
         return hit
-    if addr.q == 0:
-        slope = _make_slope(Fraction(addr.p), addr)
-    else:
-        a = (addr.p - 1) // 2
-        left = epsilon((a, addr.q - 1))
-        right = epsilon((a + 1, addr.q - 1))
-        slope = _make_slope(dot(left, right), addr)
-    _MEMO[key] = slope
-    return slope
+    stack = [addr]
+    while stack:
+        top = stack[-1]
+        key = (top.p, top.q)
+        if key in _MEMO:
+            stack.pop()
+        elif top.q == 0:
+            _MEMO[key] = _make_slope(Fraction(top.p), top)
+        else:
+            a = (top.p - 1) // 2
+            parents = [DyadicAddress(a, top.q - 1), DyadicAddress(a + 1, top.q - 1)]
+            missing = [x for x in parents if (x.p, x.q) not in _MEMO]
+            if missing:
+                stack.extend(missing)
+            else:
+                left, right = (_MEMO[(x.p, x.q)] for x in parents)
+                _MEMO[key] = _make_slope(dot(left, right), top)
+    return _MEMO[(addr.p, addr.q)]
 
 
 def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:

@@ -18,16 +18,7 @@ from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
 from .exactnum import QuadSurd, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import (
-    CASE_EXCEPTIONAL_BUNDLE,
-    CASE_TRIANGULAR_MINUS_ONE,
-    delta,
-    min_slope,
-)
-
-CASE_BELOW_DOT = "BelowDot"
-CASE_AT_DOT = "AtDot"
-CASE_ABOVE_DOT = "AboveDot"
+from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _delta, min_slope
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -50,34 +41,21 @@ class SeqTerm:
         return out
 
 
-def _bundle_term(slope_value: Fraction, mult: int) -> SeqTerm:
-    single = exceptional_character(slope_value)
-    label = "E(%s)^%d" % (fraction_str(slope_value), mult)
-    return SeqTerm(label, mult * single, slope_value, mult)
+def _bundle_term(slope: ExceptionalSlope, mult: int) -> SeqTerm:
+    label = "E(%s)^%d" % (fraction_str(slope.value), mult)
+    return SeqTerm(label, mult * exceptional_character(slope), slope.value, mult)
 
 
 def _normalize_terms(negatives, positives):
-    """Drop zero multiplicities and flip negative ones to the other side."""
-    neg: dict = {}
-    pos: dict = {}
-
-    def put(table, other, s, m):
-        if m > 0:
-            table[s] = table.get(s, 0) + m
-        elif m < 0:
-            other[s] = other.get(s, 0) - m
-
-    for s, m in negatives:
-        put(neg, pos, s, m)
-    for s, m in positives:
-        put(pos, neg, s, m)
-    return tuple(sorted(neg.items())), tuple(sorted(pos.items()))
+    """Drop zero multiplicities and sort each side by slope."""
+    return tuple(tuple(sorted(t for t in side if t[1])) for side in (negatives, positives))
 
 
-def _terms_character(terms) -> ChernCharacter:
+def _total(terms, character) -> ChernCharacter:
+    """Sum of m * character(s) over the (s, m) pairs."""
     total = ChernCharacter(0, 0, 0)
     for s, m in terms:
-        total = total + m * exceptional_character(s)
+        total = total + m * character(s)
     return total
 
 
@@ -96,21 +74,28 @@ class ResolutionData:
     w_char: ChernCharacter
     w_sequence: tuple[SeqTerm, ...]
     iz_sequence: tuple[SeqTerm, ...]
-    negative_terms: tuple[tuple[Fraction, int], ...]
-    positive_terms: tuple[tuple[Fraction, int], ...]
+    # (slope, mult) pairs presenting I_Z, mult < 0 on the left of the complex
+    terms: tuple[tuple[ExceptionalSlope, int], ...]
 
     @property
     def k(self) -> int:
         """Exponent 3 r_D m1 - m2 shared by both exact sequences."""
         return 3 * self.dot_slope.rank * self.m1 - self.m2
 
+    @property
+    def negative_terms(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((s.value, -m) for s, m in self.terms if m < 0)
+
+    @property
+    def positive_terms(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((s.value, m) for s, m in self.terms if m > 0)
+
     def complex_terms(self):
         """Bundle terms presenting I_Z, normalized to positive multiplicities."""
         return _normalize_terms(self.negative_terms, self.positive_terms)
 
     def ideal_character(self) -> ChernCharacter:
-        neg, pos = self.complex_terms()
-        return _terms_character(pos) - _terms_character(neg)
+        return _total(self.terms, exceptional_character)
 
     def to_json(self) -> dict:
         return {
@@ -152,57 +137,45 @@ def gaeta_resolution(n: int) -> ResolutionData:
     dval = dot.value
     rd = dot.rank
     mu = ms.mu
-    if ms.case == CASE_EXCEPTIONAL_BUNDLE:
-        case = CASE_AT_DOT
-        lam = ms.lam
-        m1 = _as_int(b.rank * (b.value - lam) * (dval + 3), "m1", n)
-        m2 = _as_int(a.rank * (3 + a.value - lam) * (dval + 3), "m2", n)
-        m3 = n * rd - dot.euler
-        assert m3 == 0
-    elif ms.case == CASE_TRIANGULAR_MINUS_ONE or mu < dval:
-        case = CASE_BELOW_DOT
+    case = ms.position
+    if case == CASE_BELOW_DOT:
         m1 = _as_int(a.rank * (mu - a.value) * dval, "m1", n)
         m2 = _as_int(b.rank * (mu - b.value + 3) * dval, "m2", n)
         m3 = dot.euler - n * rd
         assert m3 > 0
     else:
-        case = CASE_ABOVE_DOT
-        m2 = _as_int(a.rank * (3 + a.value - mu) * (dval + 3), "m2", n)
-        m1 = _as_int(b.rank * (b.value - mu) * (dval + 3), "m1", n)
+        # mu = lambda above D; at D the multiplicities are still read at lambda
+        m1 = _as_int(b.rank * (b.value - ms.lam) * (dval + 3), "m1", n)
+        m2 = _as_int(a.rank * (3 + a.value - ms.lam) * (dval + 3), "m2", n)
         m3 = n * rd - dot.euler
-        assert m3 > 0
+        assert m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0
     k = 3 * rd * m1 - m2
     assert m1 > 0 and m2 > 0 and k > 0
 
-    sub_slope = -a.value - 3
-    quo_slope = -b.value
+    sub, quo = a.dual_twist(-3), b.dual_twist(0)
+    m_sub, m_quo = (m1, k) if case == CASE_BELOW_DOT else (k, m1)
+    first, second = _bundle_term(sub, m_sub), _bundle_term(quo, m_quo)
+    terms = ((sub, -m_sub), (quo, m_quo))
     iz = ChernCharacter(1, 0, -n)
     iz_term = SeqTerm("I_Z", iz)
     if case == CASE_BELOW_DOT:
-        w = m1 * exceptional_character(sub_slope) - k * exceptional_character(quo_slope)
-        w_term = SeqTerm("W", w)
-        w_seq = (w_term, _bundle_term(sub_slope, m1), _bundle_term(quo_slope, k))
-        iz_seq = (w_term, _bundle_term(-dval, m3), iz_term)
-        negs = ((sub_slope, m1),)
-        poss = ((quo_slope, k), (-dval, m3))
+        w_term = SeqTerm("W", first.char - second.char)
+        w_seq = (w_term, first, second)
+        iz_seq = (w_term, _bundle_term(dot.dual_twist(0), m3), iz_term)
+        terms += ((dot.dual_twist(0), m3),)
     elif case == CASE_ABOVE_DOT:
-        w = m1 * exceptional_character(quo_slope) - k * exceptional_character(sub_slope)
-        w_term = SeqTerm("W", w)
-        w_seq = (_bundle_term(sub_slope, k), _bundle_term(quo_slope, m1), w_term)
-        iz_seq = (_bundle_term(-dval - 3, m3), w_term, iz_term)
-        negs = ((sub_slope, k), (-dval - 3, m3))
-        poss = ((quo_slope, m1),)
+        w_term = SeqTerm("W", second.char - first.char)
+        w_seq = (first, second, w_term)
+        iz_seq = (_bundle_term(dot.dual_twist(-3), m3), w_term, iz_term)
+        terms += ((dot.dual_twist(-3), -m3),)
     else:
-        w = iz
+        w_term = SeqTerm("W", iz)
         w_seq = ()
-        iz_seq = (_bundle_term(sub_slope, k), _bundle_term(quo_slope, m1), iz_term)
-        negs = ((sub_slope, k),)
-        poss = ((quo_slope, m1),)
+        iz_seq = (first, second, iz_term)
 
     sporadic = case == CASE_BELOW_DOT and m3 * rd <= 2
     out = ResolutionData(
-        n, mu, a, b, dot, case, sporadic, m1, m2, m3, w,
-        w_seq, iz_seq, negs, poss,
+        n, mu, a, b, dot, case, sporadic, m1, m2, m3, w_term.char, w_seq, iz_seq, terms,
     )
     if out.ideal_character() != iz:
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
@@ -224,12 +197,7 @@ class ClassicalGaeta:
         return _normalize_terms(self.sub_terms, self.quot_terms)
 
     def character(self) -> ChernCharacter:
-        total = ChernCharacter(0, 0, 0)
-        for d, m in self.quot_terms:
-            total = total + m * line_bundle(d)
-        for d, m in self.sub_terms:
-            total = total - m * line_bundle(d)
-        return total
+        return _total(self.quot_terms, line_bundle) - _total(self.sub_terms, line_bundle)
 
     def to_json(self) -> dict:
         return {
@@ -317,7 +285,7 @@ def kronecker_data(n: int) -> KroneckerData:
     the case is sporadic and W only exists as a two-term complex.
     """
     res = gaeta_resolution(n)
-    if res.case == CASE_AT_DOT or res.mu == res.dot_slope.value:
+    if res.mu == res.dot_slope.value:
         raise KroneckerNotApplicableError(
             "n=%d has exceptional minimal slope, the moduli map is birational" % n
         )
@@ -338,7 +306,7 @@ def kronecker_data(n: int) -> KroneckerData:
     else:
         rank_v = (res.dot_slope.value + 3) * res.dot_slope.rank
     rank_v = int(rank_v)
-    kr_dim = rank_v * rank_v * (2 * delta(res.mu) - 1) + 1
+    kr_dim = rank_v * rank_v * (2 * _delta(res.mu, res.dot_slope) - 1) + 1
     return KroneckerData(
         n, N, a, b, psi_lower, psi_upper, in_window,
         rank_v, kr_dim, kr_dim < 2 * n,

@@ -15,11 +15,16 @@ from fractions import Fraction
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
 from .exactnum import QuadSurd, fraction_str, surd_cmp
-from .exceptional import ExceptionalSlope, associated_slope, hilbert_poly
+from .exceptional import ExceptionalSlope, associated_slope, epsilon, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
 CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
 CASE_TRIANGULAR_MINUS_ONE = "TriangularMinusOne"
+
+# MinSlopeResult.position: mu below, at or above D, the slope with lambda in I_D
+CASE_BELOW_DOT = "BelowDot"
+CASE_AT_DOT = "AtDot"
+CASE_ABOVE_DOT = "AboveDot"
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,7 @@ class MinSlopeResult:
     lam: Fraction
     associated: ExceptionalSlope
     case: str
+    position: str
 
     def to_json(self) -> dict:
         return {
@@ -43,7 +49,11 @@ class MinSlopeResult:
 def delta(mu) -> Fraction:
     """Sharp lower bound for the discriminant of a stable sheaf of slope mu."""
     mu = Fraction(mu)
-    a = associated_slope(mu)
+    return _delta(mu, associated_slope(mu))
+
+
+def _delta(mu: Fraction, a: ExceptionalSlope) -> Fraction:
+    """delta(mu) for a caller that already holds the slope a with mu in I_a."""
     return hilbert_poly(-abs(mu - a.value)) - a.discriminant
 
 
@@ -63,11 +73,16 @@ def gamma_inv(q) -> Fraction:
     the two linear branches are solved and the one landing in its own half
     is kept (the left branch wins when both succeed).
     """
+    return _gamma_inv(q)[0]
+
+
+def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
+    """gamma_inv(q) together with the slope whose interval holds it."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("gamma only takes nonnegative values")
     if q == 0:
-        return Fraction(0)
+        return Fraction(0), epsilon(0)
     den = q.denominator
     xi = QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
     a = associated_slope(xi)
@@ -85,7 +100,7 @@ def gamma_inv(q) -> Fraction:
     if mu is None:
         raise ArithmeticError("no branch of gamma on I_%s inverts %s" % (a.value, q))
     assert gamma(mu) == q
-    return mu
+    return mu, a
 
 
 def moduli_nonempty(r: int, mu, Delta) -> bool:
@@ -98,9 +113,9 @@ def moduli_nonempty(r: int, mu, Delta) -> bool:
         raise ValueError("c1 = r*mu fails to be an integer")
     if (r * (hilbert_poly(mu) - Delta)).denominator != 1:
         raise ValueError("the Euler characteristic fails to be an integer")
-    if Delta >= delta(mu):
-        return True
     a = associated_slope(mu)
+    if Delta >= _delta(mu, a):
+        return True
     return a.value == mu and Delta == a.discriminant and r % a.rank == 0
 
 
@@ -110,7 +125,7 @@ def height(ch: ChernCharacter) -> int:
         raise ValueError("height needs positive rank")
     mu = character_slope(ch)
     a = associated_slope(mu)
-    h = ch.r * a.rank * (discriminant(ch) - delta(mu))
+    h = ch.r * a.rank * (discriminant(ch) - _delta(mu, a))
     if h.denominator != 1:
         raise ValueError("height of %r is not an integer" % (ch,))
     return int(h)
@@ -124,20 +139,22 @@ def min_slope(n: int) -> MinSlopeResult:
     bundle there has chi/r >= n, and that shortcut firing is what the
     ExceptionalBundle case records.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("n must be an int, not %s" % type(n).__name__)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    lam = gamma_inv(Fraction(n))
-    a = associated_slope(lam)
+    lam, a = _gamma_inv(Fraction(n))
     if a.value <= lam and Fraction(a.euler, a.rank) >= n:
         mu = a.value
     else:
         mu = lam
     root = math.isqrt(8 * n + 9)
     if root * root == 8 * n + 9:
-        case = CASE_TRIANGULAR_MINUS_ONE
+        case, position = CASE_TRIANGULAR_MINUS_ONE, CASE_BELOW_DOT
         assert mu == lam == a.value
     elif mu != lam:
-        case = CASE_EXCEPTIONAL_BUNDLE
+        case, position = CASE_EXCEPTIONAL_BUNDLE, CASE_AT_DOT
     else:
         case = CASE_NON_EXCEPTIONAL
-    return MinSlopeResult(n, mu, lam, a, case)
+        position = CASE_BELOW_DOT if mu < a.value else CASE_ABOVE_DOT
+    return MinSlopeResult(n, mu, lam, a, case, position)

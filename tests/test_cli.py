@@ -127,3 +127,10 @@ def test_verify_all_small_depth(capsys):
     code, out, _ = run(capsys, ["verify", "gamma", "--depth", "30"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_epsilon_deep_address_reports_float_overflow(capsys):
+    # once a RecursionError traceback; the slope builds, only its float print overflows
+    code, out, err = run(capsys, ["epsilon", "--p", "1", "--q", "2000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -162,3 +162,13 @@ def test_to_json_shape():
     x = surd_value(Fraction(-3, 2), Fraction(1, 26), 1517)
     js = x.to_json()
     assert js == {"a": "-3/2", "b": "1/26", "d": 1517}
+
+
+def test_hash_agrees_with_eq_across_unextracted_squares():
+    # 1009 is past the trial-division primes, so its square stays in the radicand
+    x = QuadSurd(Fraction(0), Fraction(1), 2 * 1009**2)
+    y = QuadSurd(Fraction(0), Fraction(1009), 2)
+    assert x.d != y.d and x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert hash(-x) == hash(-y)

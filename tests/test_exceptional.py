@@ -202,3 +202,23 @@ def test_to_json_round_trips_key_fields():
     assert js["value"] == "2/5"
     assert js["rank"] == 5
     assert js["address"] == {"p": 1, "q": 2}
+
+
+def test_dual_twist_matches_lookup_by_value():
+    # -x + k by address arithmetic is the slope a tree descent finds for that value
+    # every slope in [0, 1] of depth <= 8; with the twists this reaches all
+    # slopes of depth <= 8 in [-6, 6]
+    addresses = [(0, 0), (1, 0)]
+    addresses += [(p, q) for q in range(1, 9) for p in range(1, 1 << q, 2)]
+    for addr in addresses:
+        s = epsilon(addr)
+        for k in range(-5, 6):
+            assert s.dual_twist(k) is exceptional_slope_of(-s.value + k), (addr, k)
+
+
+def test_epsilon_builds_deep_addresses_without_recursion():
+    # once raised RecursionError: each missing ancestor was a nested call
+    s = epsilon((1, 1200))
+    assert s.address == DyadicAddress(1, 1200)
+    assert s.rank == s.value.denominator
+    assert 0 < s.value < epsilon((1, 1199)).value

@@ -230,3 +230,21 @@ def test_gamma_inv_of_euler_slope_is_interval_value():
         mu = gamma_inv(q)
         lo, hi = e.interval()
         assert surd_cmp(lo, mu) < 0 < surd_cmp(hi, mu)
+
+
+def test_min_slope_rejects_non_int_before_any_arithmetic(monkeypatch):
+    import planecone.stability as stability
+    from planecone.bridgeland import collapsing_wall
+    from planecone.resolution import gaeta_resolution, kronecker_data
+
+    def refuse(q):
+        raise AssertionError("gamma_inv ran on a non-int n")
+
+    monkeypatch.setattr(stability, "_gamma_inv", refuse)
+    # True once gave a row with n=True; 2.5 failed inside math.isqrt
+    for bad in (True, 2.5, 6.0, Fraction(6)):
+        with pytest.raises(TypeError):
+            min_slope(bad)
+    for fn in (gaeta_resolution, collapsing_wall, kronecker_data):
+        with pytest.raises(TypeError):
+            fn(2.5)
