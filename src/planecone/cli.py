@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bridgeland import collapsing_wall, exceptional_pair_wall, render_walls
 from .contfrac import cf_expand_even, check_exceptional_cf

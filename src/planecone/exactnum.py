@@ -145,7 +145,13 @@ class QuadSurd:
         return _pair_sign(self.a, self.b, self.d)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        try:
+            root = math.sqrt(self.d)
+        except OverflowError:
+            # d is too large for a float; b*sqrt(d) = sign(b)*sqrt(b^2 d), and b^2 d is not
+            root_b2d = math.sqrt(float(self.b * self.b * self.d))
+            return float(self.a) + math.copysign(root_b2d, self.b)
+        return float(self.a) + float(self.b) * root
 
     def __floor__(self) -> int:
         if self.b == 0:
@@ -165,6 +171,15 @@ class QuadSurd:
 
     # -- arithmetic (within a single radicand class) ------------------------
 
+    def _coefficient_of(self, b: Fraction, d: int) -> Fraction:
+        """b*sqrt(d) as a multiple of sqrt(self.d); d*self.d must be a square."""
+        if d == self.d:
+            return b
+        s = math.isqrt(d * self.d)
+        if s * s != d * self.d:
+            raise ValueError(f"mixed radicands {self.d} and {d} in arithmetic")
+        return b * Fraction(s, self.d)
+
     def __neg__(self) -> "QuadSurd":
         return QuadSurd(-self.a, -self.b, self.d)
 
@@ -174,9 +189,7 @@ class QuadSurd:
             return QuadSurd(self.a + a, self.b, self.d)
         if self.b == 0:
             return QuadSurd(self.a + a, b, d)
-        if d != self.d:
-            raise ValueError(f"mixed radicands {self.d} and {d} in arithmetic")
-        return QuadSurd(self.a + a, self.b + b, self.d)
+        return QuadSurd(self.a + a, self.b + self._coefficient_of(b, d), self.d)
 
     def __radd__(self, other: SurdLike) -> "QuadSurd":
         return self.__add__(other)
@@ -193,10 +206,9 @@ class QuadSurd:
             return QuadSurd(self.a * a, self.b * a, self.d)
         if self.b == 0:
             return QuadSurd(self.a * a, self.a * b, d)
-        if d != self.d:
-            raise ValueError(f"mixed radicands {self.d} and {d} in arithmetic")
+        b = self._coefficient_of(b, d)
         return QuadSurd(
-            self.a * a + self.b * b * d, self.a * b + self.b * a, self.d
+            self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.d
         )
 
     def __rmul__(self, other: SurdLike) -> "QuadSurd":
@@ -208,8 +220,6 @@ class QuadSurd:
             if a == 0:
                 raise ZeroDivisionError("division by zero")
             return QuadSurd(self.a / a, self.b / a, self.d)
-        if self.b != 0 and d != self.d:
-            raise ValueError(f"mixed radicands {self.d} and {d} in arithmetic")
         norm = a * a - b * b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")

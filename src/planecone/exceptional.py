@@ -23,8 +23,10 @@ from .exactnum import QuadSurd, RationalLike, SurdLike, fraction_str, surd_cmp
 class CantorPointError(ValueError):
     """Raised when tree descent exhausts its depth bound without landing.
 
-    Only possible for irrational inputs sitting in the complement of all the
-    intervals I_alpha; rationals always land.
+    An irrational input in the complement of all the intervals I_alpha never
+    lands.  A rational always lands at some finite depth, but that depth can
+    exceed the bound: with the default max_depth=64 the first 54-digit decimal
+    above (3 - sqrt 5)/2 already raises.
     """
 
 
@@ -212,7 +214,13 @@ def is_adjacent_pair(alpha, beta) -> bool:
 
 
 def associated_slope(x: SurdLike, max_depth: int = 64) -> ExceptionalSlope:
-    """The unique exceptional slope alpha with x in I_alpha, by tree descent."""
+    """The unique exceptional slope alpha with x in I_alpha, by tree descent.
+
+    Raises CantorPointError when no interval is found within max_depth levels
+    below the integers.  That happens for irrationals in the complement of the
+    intervals, and also for rationals whose interval lies deeper than
+    max_depth, such as decimals of 54 or more digits just above (3 - sqrt 5)/2.
+    """
     if isinstance(x, QuadSurd) and x.is_rational():
         x = x.as_fraction()
     k = math.floor(x)

@@ -18,8 +18,8 @@ from .bridgeland import (
 )
 from .chern import exceptional_character, euler_pairing
 from .contfrac import check_exceptional_cf
-from .exactnum import QuadSurd, fraction_str, surd_cmp
-from .exceptional import dot, enumerate_slopes, epsilon, exceptional_slope_of, hilbert_poly
+from .exactnum import fraction_str, surd_cmp
+from .exceptional import enumerate_slopes, epsilon
 from .resolution import CASE_BELOW_DOT, classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
 from .stability import gamma, gamma_inv
@@ -111,7 +111,7 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
             assemble_failures.append("n=%d terms" % n)
         rd = res.dot_slope.rank
         pairing = euler_pairing(
-            exceptional_character(-res.dot_slope.value),
+            exceptional_character(res.dot_slope.dual_twist(0)),
             res.ideal_character(),
         )
         expected = res.m3 if res.case == CASE_BELOW_DOT else -res.m3
@@ -193,8 +193,9 @@ def _suite_walls(depth: int) -> list[CheckResult]:
             ok = r1 < -1 and r2 > 1
         if not ok:
             ratio_failures.append("triad p=%d q=%d" % (p, q))
-        mid_left = exceptional_slope_of(dot(alpha, beta.value))
-        mid_right = exceptional_slope_of(dot(beta.value, eta))
+        # alpha.beta and beta.eta are the children of the adjacent addresses
+        mid_left = epsilon((2 * p + 1, q + 1))
+        mid_right = epsilon((2 * p + 3, q + 1))
         left_ok = nested(
             exceptional_pair_wall(alpha, beta),
             exceptional_pair_wall(alpha, mid_left),
@@ -215,16 +216,14 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     chain_total = 0
     for p, q in _triad_configs(CHAIN_LENGTH):
         alpha = epsilon((p, q))
-        second = epsilon((p + 1, q))
         chain_total += 1
-        prev_sq = exceptional_pair_wall(alpha, second).radius_sq
-        for _ in range(CHAIN_LENGTH - 1):
-            second = exceptional_slope_of(dot(alpha, second.value))
-            cur_sq = exceptional_pair_wall(alpha, second).radius_sq
-            if not (prev_sq < cur_sq < bound):
-                chain_failures.append("chain at p=%d q=%d" % (p, q))
-                break
-            prev_sq = cur_sq
+        # link 0 is (p + 1, q) and link j + 1 is alpha.(link j), so link j is ((p << j) + 1, q + j)
+        radii = [
+            exceptional_pair_wall(alpha, epsilon(((p << j) + 1, q + j))).radius_sq
+            for j in range(CHAIN_LENGTH)
+        ]
+        if not all(r < s < bound for r, s in zip(radii, radii[1:])):
+            chain_failures.append("chain at p=%d q=%d" % (p, q))
     results.append(_aggregate("chain radius growth", chain_failures, chain_total))
 
     balance_failures = []
@@ -250,6 +249,8 @@ _SUITES = {
 
 def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
     """Run one named suite, or all of them, at the given (or default) depth."""
+    if depth is not None and depth < 1:
+        raise ValueError("depth must be at least 1, got %d" % depth)
     if suite == "all":
         out = []
         for name in _SUITES:

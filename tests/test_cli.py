@@ -129,8 +129,9 @@ def test_verify_all_small_depth(capsys):
     assert "FAIL" not in out
 
 
-def test_epsilon_deep_address_reports_float_overflow(capsys):
-    # once a RecursionError traceback; the slope builds, only its float print overflows
+def test_epsilon_deep_address_prints_its_interval(capsys):
+    # once a RecursionError traceback, then an OverflowError from the float print
     code, out, err = run(capsys, ["epsilon", "--p", "1", "--q", "2000"])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "address 1/2^2000"
+    assert out.splitlines()[-1] == "interval (0.3819660112501051, 0.3819660112501051)"

@@ -3,6 +3,7 @@
 associated_slope is the only tree walk; the resolution and the walls take
 every twist and dual of alpha, beta and D from their addresses, so their
 descents are the two of min_slope (gamma_inv's lookup and its self-check).
+The verify suites name every slope they build by its dyadic address.
 """
 
 import sys
@@ -13,6 +14,7 @@ import planecone.exceptional as exceptional
 from planecone.bridgeland import collapsing_wall
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
 from planecone.stability import min_slope
+from planecone.verify import run_suite
 
 
 def count_calls(monkeypatch, name):
@@ -45,3 +47,25 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
             pass
         assert len(descents) <= 2, (n, descents)
         assert lookups == [], (n, lookups)
+
+
+DEPTH = 12
+
+
+@pytest.mark.parametrize(
+    "suite, depth, bound",
+    [
+        ("cf", 6, 0),
+        ("intervals", 4, 0),
+        ("gamma", DEPTH, 3 * DEPTH),  # gamma_inv's two and gamma's one per n
+        ("resolution", DEPTH, 2 * (DEPTH - 1)),
+        ("kronecker", DEPTH, 2 * (DEPTH - 1)),
+        ("walls", DEPTH, 4 * (DEPTH - 1)),  # collapsing_wall's two and gamma_inv's two per n
+    ],
+)
+def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
+    descents = count_calls(monkeypatch, "associated_slope")
+    lookups = count_calls(monkeypatch, "exceptional_slope_of")
+    assert all(r.passed for r in run_suite(suite, depth))
+    assert lookups == []
+    assert len(descents) <= bound, len(descents)

@@ -172,3 +172,17 @@ def test_hash_agrees_with_eq_across_unextracted_squares():
     assert hash(x) == hash(y)
     assert len({x, y}) == 1
     assert hash(-x) == hash(-y)
+
+
+def test_arithmetic_across_radicands_that_differ_by_a_square():
+    # once raised "mixed radicands 2036162 and 2"
+    x = QuadSurd(Fraction(0), Fraction(1), 2 * 1009**2)
+    y = QuadSurd(Fraction(0), Fraction(1009), 2)
+    assert x + y == QuadSurd(Fraction(0), Fraction(2018), 2)
+    assert x - y == 0 and y - x == 0
+    assert x * y == 2036162 and y * x == 2036162
+    assert x / y == 1 and (3 + x) / (1 + y) * (1 + y) == 3 + x
+    for op in (QuadSurd.__add__, QuadSurd.__mul__, QuadSurd.__truediv__):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            op(QuadSurd(Fraction(0), Fraction(1), 2), QuadSurd(Fraction(1), Fraction(1), 3))
+

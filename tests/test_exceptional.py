@@ -1,5 +1,6 @@
 """Exceptional slopes: the dyadic parametrization and its invariants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,10 @@ def test_epsilon_builds_deep_addresses_without_recursion():
     assert s.address == DyadicAddress(1, 1200)
     assert s.rank == s.value.denominator
     assert 0 < s.value < epsilon((1, 1199)).value
+
+
+def test_deep_interval_ends_convert_to_float():
+    # once raised OverflowError: the radicand 9r^2 - 4 has no float
+    x0 = (3 - math.sqrt(5)) / 2
+    for end in epsilon((1, 2000)).interval():
+        assert math.isclose(float(end), x0)

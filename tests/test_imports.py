@@ -1,0 +1,46 @@
+"""Every name a package module imports is used in that module.
+
+The scan reads each module's AST: an imported name counts as used when it
+appears as a name anywhere in the module.  Deliberate re-exports are listed
+in REEXPORTS and must stay importable from the module that re-exports them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# tests and callers import the mu-versus-D positions from resolution
+REEXPORTS = {"resolution": {"CASE_ABOVE_DOT", "CASE_AT_DOT", "CASE_BELOW_DOT"}}
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
+    unused = imported_names(tree) - used_names(tree) - REEXPORTS.get(module, set())
+    assert not unused, "%s.py imports %s and never uses them" % (module, sorted(unused))
+
+
+@pytest.mark.parametrize("module", sorted(REEXPORTS))
+def test_reexports_stay_importable(module):
+    loaded = importlib.import_module("planecone." + module)
+    for name in REEXPORTS[module]:
+        assert hasattr(loaded, name), (module, name)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from planecone.cli import main
 from planecone.verify import CheckResult, format_report, run_suite
 
 
@@ -38,3 +39,14 @@ def test_format_report_lines_and_exit_code():
     assert lines[-1] == "1/2 checks passed"
     _, ok_code = format_report([CheckResult("only", True, "")])
     assert ok_code == 0
+
+
+@pytest.mark.parametrize("suite, depth", [("walls", 0), ("gamma", -5), ("cf", -1)])
+def test_depth_below_one_rejected(capsys, suite, depth):
+    # once "PASS collapsing walls (-1 checks)", "-5 checks" and "negative shift count"
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        run_suite(suite, depth)
+    assert main(["verify", suite, "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
