@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bridgeland import collapsing_wall, exceptional_pair_wall, render_walls
@@ -215,10 +216,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here so a reader that closed the pipe raises inside this try
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,9 @@ class ExceptionalSlope:
     euler is rank*(P(value) - discriminant), and interval_radius is the exact
     half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.
     Twists and duals come from address arithmetic (dual_twist), so code that
-    holds a slope never has to find -alpha + k again by tree descent.
+    holds a slope never has to find -alpha + k again by tree descent.  Where x
+    lies against I_alpha is decided by side(x) alone; contains and the tree
+    descent read it.
     """
 
     value: Fraction
@@ -98,9 +100,20 @@ class ExceptionalSlope:
     def interval(self) -> tuple[QuadSurd, QuadSurd]:
         return (self.value - self.interval_radius, self.value + self.interval_radius)
 
+    def side(self, x: SurdLike) -> int:
+        """-1, 0 or 1 as x lies left of, inside or right of the open interval I_alpha.
+
+        x is compared with value, then |x - value| with interval_radius, so
+        the endpoints are never built and a rational x builds no QuadSurd.
+        """
+        c = surd_cmp(x, self.value)
+        if c == 0:
+            return 0
+        gap = x - self.value if c > 0 else self.value - x
+        return c if surd_cmp(gap, self.interval_radius) >= 0 else 0
+
     def contains(self, x: SurdLike) -> bool:
-        left, right = self.interval()
-        return surd_cmp(left, x) < 0 and surd_cmp(x, right) < 0
+        return self.side(x) == 0
 
     def dual_twist(self, k: int) -> "ExceptionalSlope":
         """The slope -value + k, the dual of E twisted by O(k).
@@ -151,7 +164,8 @@ def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
     r = value.denominator
     disc = _disc_of_value(value)
     chi = r * (hilbert_poly(value) - disc)
-    assert chi.denominator == 1, f"euler characteristic of {value} not integral"
+    if chi.denominator != 1:
+        raise ArithmeticError(f"euler characteristic of {value} not integral")
     radius = QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
     return ExceptionalSlope(value, address, r, disc, int(chi), radius)
 
@@ -233,12 +247,10 @@ def associated_slope(x: SurdLike, max_depth: int = 64) -> ExceptionalSlope:
     a, q = k, 0
     for _ in range(max_depth):
         mid = epsilon((2 * a + 1, q + 1))
-        if mid.contains(x):
+        side = mid.side(x)
+        if side == 0:
             return mid
-        if surd_cmp(x, mid.value) < 0:
-            a, q = 2 * a, q + 1
-        else:
-            a, q = 2 * a + 1, q + 1
+        a, q = 2 * a + (side > 0), q + 1
     raise CantorPointError(
         f"no interval found for {x!r} within depth {max_depth}; "
         "the value appears to lie in the Cantor-set complement"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
-from .exactnum import QuadSurd, fraction_str, surd_cmp
+from .exactnum import QuadSurd, fraction_str
 from .exceptional import ExceptionalSlope, associated_slope, epsilon, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
@@ -86,20 +86,21 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     den = q.denominator
     xi = QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
     a = associated_slope(xi)
-    lo, hi = a.interval()
     t = q - 1 - a.discriminant + hilbert_poly(a.value)
     mu = None
     if a.value != 0:
         cand = t / a.value - 3
-        if cand <= a.value and surd_cmp(lo, cand) < 0:
+        if cand <= a.value and a.side(cand) == 0:
             mu = cand
     if mu is None:
         cand = t / (a.value + 3)
-        if cand >= a.value and surd_cmp(cand, hi) < 0:
+        if cand >= a.value and a.side(cand) == 0:
             mu = cand
     if mu is None:
         raise ArithmeticError("no branch of gamma on I_%s inverts %s" % (a.value, q))
-    assert gamma(mu) == q
+    # mu lies in I_a, so this is gamma(mu) without a second descent
+    if hilbert_poly(mu) - _delta(mu, a) != q:
+        raise ArithmeticError("gamma_inv(%s) = %s fails the round trip" % (q, mu))
     return mu, a
 
 
@@ -151,7 +152,8 @@ def min_slope(n: int) -> MinSlopeResult:
     root = math.isqrt(8 * n + 9)
     if root * root == 8 * n + 9:
         case, position = CASE_TRIANGULAR_MINUS_ONE, CASE_BELOW_DOT
-        assert mu == lam == a.value
+        if not mu == lam == a.value:
+            raise ArithmeticError("n + 1 = %d is triangular, but mu %s is not alpha" % (n + 1, mu))
     elif mu != lam:
         case, position = CASE_EXCEPTIONAL_BUNDLE, CASE_AT_DOT
     else:

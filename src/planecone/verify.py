@@ -177,7 +177,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     nest_failures = []
     pair_total = 0
     bound = Fraction(5, 4)
-    for p, q in _triad_configs(PAIR_DEPTH):
+    for p, q in _triad_configs(min(depth, PAIR_DEPTH)):
         alpha = epsilon((p, q))
         beta = epsilon((p + 1, q))
         eta = epsilon((p + 2, q))
@@ -214,7 +214,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
 
     chain_failures = []
     chain_total = 0
-    for p, q in _triad_configs(CHAIN_LENGTH):
+    for p, q in _triad_configs(min(depth, CHAIN_LENGTH)):
         alpha = epsilon((p, q))
         chain_total += 1
         # link 0 is (p + 1, q) and link j + 1 is alpha.(link j), so link j is ((p << j) + 1, q + j)
@@ -228,7 +228,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
 
     balance_failures = []
     balance_total = 0
-    for p, q in _triad_configs(min(PAIR_DEPTH, 6)):
+    for p, q in _triad_configs(min(depth, 6)):
         balance_total += 1
         triad = kernel_cokernel_slopes(p, q)
         if not (triad.balance_first and triad.balance_second):
@@ -236,6 +236,9 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     results.append(_aggregate("triad character balances", balance_failures, balance_total))
     return results
 
+
+# these suites check n = 2..depth, so a smaller depth would pass on no input
+_FROM_N_TWO = ("resolution", "kronecker", "walls")
 
 _SUITES = {
     "cf": _suite_cf,
@@ -258,7 +261,11 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
         return out
     if suite not in _SUITES:
         raise ValueError("unknown suite %r" % suite)
-    return _SUITES[suite](depth if depth is not None else DEFAULT_DEPTHS[suite])
+    if depth is None:
+        depth = DEFAULT_DEPTHS[suite]
+    if depth < 2 and suite in _FROM_N_TWO:
+        raise ValueError("%s checks n = 2..depth, so depth must be at least 2" % suite)
+    return _SUITES[suite](depth)
 
 
 def format_report(results: list[CheckResult]) -> tuple[str, int]:

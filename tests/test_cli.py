@@ -1,9 +1,14 @@
 """Command line surface: table formats, JSON output, SVG writing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planecone
 from planecone.cli import cmd_table, main
 
 
@@ -135,3 +140,21 @@ def test_epsilon_deep_address_prints_its_interval(capsys):
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "address 1/2^2000"
     assert out.splitlines()[-1] == "interval (0.3819660112501051, 0.3819660112501051)"
+
+
+def test_reader_closing_the_pipe_gets_exit_one_and_no_traceback():
+    # `planecone table 2 5000 | head -1` once printed a BrokenPipeError traceback.
+    # The table is 81 kB, more than a pipe holds, so the writer is still
+    # blocked when the reader closes after one unbuffered line.
+    src = str(Path(planecone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "planecone.cli", "table", "2", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert proc.stdout.readline() == b"n,alpha,mu\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

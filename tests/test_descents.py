@@ -2,8 +2,9 @@
 
 associated_slope is the only tree walk; the resolution and the walls take
 every twist and dual of alpha, beta and D from their addresses, so their
-descents are the two of min_slope (gamma_inv's lookup and its self-check).
-The verify suites name every slope they build by its dyadic address.
+one descent is min_slope's: gamma_inv's lookup, whose round-trip check
+reads delta from the slope it found.  The verify suites name every slope
+they build by its dyadic address.
 """
 
 import sys
@@ -45,7 +46,7 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
             fn(n)
         except KroneckerNotApplicableError:
             pass
-        assert len(descents) <= 2, (n, descents)
+        assert len(descents) <= 1, (n, descents)
         assert lookups == [], (n, lookups)
 
 
@@ -57,10 +58,10 @@ DEPTH = 12
     [
         ("cf", 6, 0),
         ("intervals", 4, 0),
-        ("gamma", DEPTH, 3 * DEPTH),  # gamma_inv's two and gamma's one per n
-        ("resolution", DEPTH, 2 * (DEPTH - 1)),
-        ("kronecker", DEPTH, 2 * (DEPTH - 1)),
-        ("walls", DEPTH, 4 * (DEPTH - 1)),  # collapsing_wall's two and gamma_inv's two per n
+        ("gamma", DEPTH, 2 * DEPTH),  # gamma_inv's one and gamma's one per n
+        ("resolution", DEPTH, DEPTH - 1),
+        ("kronecker", DEPTH, DEPTH - 1),
+        ("walls", DEPTH, 2 * (DEPTH - 1)),  # collapsing_wall's one and gamma_inv's one per n
     ],
 )
 def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):

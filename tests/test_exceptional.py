@@ -1,13 +1,14 @@
 """Exceptional slopes: the dyadic parametrization and its invariants."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecone.exactnum import surd_cmp
+from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
     DyadicAddress,
@@ -139,6 +140,37 @@ def test_contains_is_strict():
     assert not e.contains(Fraction(2, 5))
     lo_half, hi_half = interval(Fraction(1, 2))
     assert surd_cmp(lo_half, Fraction(1, 2)) < 0 < surd_cmp(hi_half, Fraction(1, 2))
+
+
+def side_by_endpoints(slope, x):
+    """The reference for side: x against both ends of I_alpha."""
+    lo, hi = slope.interval()
+    if surd_cmp(x, lo) <= 0:
+        return -1
+    return 1 if surd_cmp(x, hi) >= 0 else 0
+
+
+def test_side_matches_the_interval_endpoints():
+    rng = random.Random(6)
+    tiny = Fraction(1, 10**30)
+    probes_run = 0
+    for slope in enumerate_slopes(6, -2, 2):
+        lo, hi = slope.interval()
+        assert slope.side(slope.value) == 0
+        assert slope.side(lo) == -1 and slope.side(hi) == 1
+        probes = [lo - tiny, lo + tiny, hi - tiny, hi + tiny]
+        probes += [slope.value + Fraction(rng.randint(-10**6, 10**6), 10**6) for _ in range(8)]
+        # other radicands, straddling each end and the value at several scales
+        for centre in (lo, slope.value, hi):
+            near = Fraction(float(centre))
+            for d in (2, 7, 2 * 1009**2):
+                for k in (3, 12, 20):
+                    w = Fraction(1, 10**k)
+                    probes += [QuadSurd(near, w, d), QuadSurd(near, -w, d)]
+        for x in probes:
+            assert slope.side(x) == side_by_endpoints(slope, x), (slope.value, x)
+        probes_run += len(probes) + 3
+    assert probes_run > 17000
 
 
 def test_associated_slope_examples():

@@ -248,3 +248,13 @@ def test_min_slope_rejects_non_int_before_any_arithmetic(monkeypatch):
     for fn in (gaeta_resolution, collapsing_wall, kronecker_data):
         with pytest.raises(TypeError):
             fn(2.5)
+
+
+def test_gamma_inv_round_trip_failure_raises_arithmetic_error(monkeypatch):
+    # once an assert, so an AssertionError that vanished under python -O
+    import planecone.stability as stability
+
+    true_delta = stability._delta
+    monkeypatch.setattr(stability, "_delta", lambda mu, a: true_delta(mu, a) + 1)
+    with pytest.raises(ArithmeticError, match="round trip"):
+        gamma_inv(5)

@@ -50,3 +50,29 @@ def test_depth_below_one_rejected(capsys, suite, depth):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_walls_triad_levels_follow_depth():
+    # once 1146 triad checks at every depth, so --depth 1 passed on the default triads
+    details = {r.name: r.detail for r in run_suite("walls", 3)}
+    assert details == {
+        "collapsing walls": "2 checks",
+        "pair wall radius bound": "14 checks",
+        "center ratio estimates": "7 checks",
+        "pair wall nesting": "7 checks",
+        "chain radius growth": "7 checks",
+        "triad character balances": "7 checks",
+    }
+    counts = [r.detail for r in run_suite("walls", 8)][1:]
+    assert counts == ["510 checks", "255 checks", "255 checks", "63 checks", "63 checks"]
+
+
+@pytest.mark.parametrize("suite", ["resolution", "kronecker", "walls", "all"])
+def test_suites_over_n_from_two_reject_depth_one(capsys, suite):
+    # once "PASS ... (0 checks)": n = 2..1 is empty
+    with pytest.raises(ValueError, match="depth must be at least 2"):
+        run_suite(suite, 1)
+    assert main(["verify", suite, "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
