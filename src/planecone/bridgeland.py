@@ -95,13 +95,15 @@ def collapsing_wall(n: int) -> Wall:
         destabilizer = d.dual_twist(-3)
     wall = wall_between(ChernCharacter(1, 0, -n), exceptional_character(destabilizer))
     center = -(ms.mu + Fraction(3, 2))
-    assert wall.kind == KIND_SEMICIRCLE and wall.center_s == center
-    assert wall.radius_sq == center * center - 2 * n
-    if ms.position == CASE_AT_DOT:
-        assert wall.radius_sq == 2 * d.discriminant + Fraction(1, 4)
-    else:
-        assert wall.radius_sq == 2 * _delta(ms.mu, d) + Fraction(1, 4)
-        assert wall.radius_sq > Fraction(5, 4)
+    if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
+        raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
+    if wall.radius_sq != center * center - 2 * n:
+        raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
+    at_dot = ms.position == CASE_AT_DOT
+    if wall.radius_sq != 2 * (d.discriminant if at_dot else _delta(ms.mu, d)) + Fraction(1, 4):
+        raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
+    if not at_dot and wall.radius_sq <= Fraction(5, 4):
+        raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
     return wall
 
 
@@ -151,7 +153,7 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
 
     The center always matches the closed formula
     (alpha+beta)/2 + (D_beta - D_alpha)/(alpha-beta); the closed radius
-    formula additionally needs adjacency, and is asserted only then.
+    formula additionally needs adjacency, and is checked only then.
     """
     a = alpha if isinstance(alpha, ExceptionalSlope) else exceptional_slope_of(alpha)
     b = beta if isinstance(beta, ExceptionalSlope) else exceptional_slope_of(beta)
@@ -159,11 +161,14 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
         raise ValueError("a wall needs two distinct slopes")
     wall = wall_between(exceptional_character(a), exceptional_character(b))
     ratio = (b.discriminant - a.discriminant) / (a.value - b.value)
-    assert wall.kind == KIND_SEMICIRCLE
-    assert wall.center_s == (a.value + b.value) / 2 + ratio
+    if wall.kind != KIND_SEMICIRCLE or wall.center_s != (a.value + b.value) / 2 + ratio:
+        raise ArithmeticError("pair wall of %s, %s misses its closed center" % (a.value, b.value))
     if is_adjacent_pair(a, b):
         gap = -abs(a.value - b.value)
-        assert wall.radius_sq == (gap / 2) ** 2 - hilbert_poly(gap) + ratio * ratio
+        if wall.radius_sq != (gap / 2) ** 2 - hilbert_poly(gap) + ratio * ratio:
+            raise ArithmeticError(
+                "pair wall of %s, %s misses its closed radius" % (a.value, b.value)
+            )
     return wall
 
 
@@ -209,7 +214,8 @@ class TriadSlopes:
 
 def _integer_pairing(ch1, ch2) -> int:
     value = euler_pairing(ch1, ch2)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("euler pairing %s of %r, %r is not an integer" % (value, ch1, ch2))
     return int(value)
 
 
@@ -223,7 +229,8 @@ def kernel_cokernel_slopes(p: int, q: int) -> TriadSlopes:
     alpha = epsilon((p, q))
     beta = epsilon((p + 1, q))
     eta = epsilon((p + 2, q))
-    assert beta.value == dot(alpha, eta)
+    if beta.value != dot(alpha, eta):
+        raise ArithmeticError("slope at (%d, %d) is not its neighbours' product" % (p + 1, q))
     branch = p % 4
     if branch == 0:
         zeta = epsilon((p + 4 - 3 * pow2, q))

@@ -51,21 +51,17 @@ def cf_expand_even(x) -> ContinuedFraction:
         terms.append(a)
         frac -= a
     if len(terms) % 2:
-        if terms[-1] > 1:
-            terms[-1] -= 1
-            terms.append(1)
-        else:
-            # a trailing 1 never comes out of the floor recursion above, but
-            # the canonical form is still defined if one ever shows up
-            terms.pop()
-            terms[-1] += 1
+        # the floor recursion never ends on a 1: its last term is >= 2
+        terms[-1] -= 1
+        terms.append(1)
     ps = [1, a0]
     qs = [0, 1]
     for a in terms:
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
     out = ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
-    assert out.value() == x, "expansion did not reconstruct its input"
+    if out.value() != x:
+        raise ArithmeticError("expansion of %s did not reconstruct its input" % x)
     return out
 
 

@@ -7,13 +7,15 @@ slopes one level up, via the modified mean
     alpha.beta = (alpha+beta)/2 + (D_beta - D_alpha)/(3 + alpha - beta).
 
 Every rational slope lies in exactly one interval I_alpha = (alpha - x_alpha,
-alpha + x_alpha); associated_slope finds that alpha by walking down the tree
-with exact surd comparisons.
+alpha + x_alpha).  One walk down the tree, _walk, serves every search:
+epsilon steers it by address, associated_slope by exact surd comparisons,
+and stability's gamma_inv by rational ones.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +47,10 @@ class DyadicAddress:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 0:
+        # operator.index rejects 1.5 and 2.0 alike, so no float reaches the memo keys
+        p, q = operator.index(self.p), operator.index(self.q)
+        if q < 0:
             raise ValueError("exponent must be nonnegative")
-        p, q = self.p, self.q
         while q > 0 and p % 2 == 0:
             p //= 2
             q -= 1
@@ -63,7 +66,7 @@ class DyadicAddress:
         if isinstance(x, DyadicAddress):
             return x
         if isinstance(x, tuple) and len(x) == 2:
-            return cls(int(x[0]), int(x[1]))
+            return cls(x[0], x[1])
         if isinstance(x, int):
             return cls(x, 0)
         if isinstance(x, Fraction):
@@ -170,35 +173,56 @@ def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
     return ExceptionalSlope(value, address, r, disc, int(chi), radius)
 
 
-def epsilon(addr) -> ExceptionalSlope:
-    """The exceptional slope at a dyadic address; memoized by canonical address.
+def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
+    """Walk down the slope tree between the integers k and k + 1 to where choose stops.
 
-    Missing ancestors are built from an explicit stack, so deep addresses do
-    not recurse.  The memo dict only ever gains value-identical entries for a
-    given key, so concurrent readers are safe.
+    choose(slope) returns 0 to stop at slope, or a negative or positive number
+    to go on left or right of it.  The walk asks about k, then about k + 1 only
+    if k is rejected, and then about the slope between the two neighbours it
+    holds, read from the memo or built as their product.  So it builds exactly
+    the ancestors of the slope where it stops.  It raises CantorPointError
+    rather than go below level max_depth, and builds nothing below it.
+    """
+    ends = []
+    for p in (k, k + 1):
+        end = _MEMO.get((p, 0))
+        if end is None:
+            end = _MEMO[(p, 0)] = _make_slope(Fraction(p), DyadicAddress(p, 0))
+        if choose(end) == 0:
+            return end
+        ends.append(end)
+    lo, hi = ends
+    a = k
+    for q in range(1, max_depth + 1):
+        p = 2 * a + 1
+        mid = _MEMO.get((p, q))
+        if mid is None:
+            mid = _MEMO[(p, q)] = _make_slope(dot(lo, hi), DyadicAddress(p, q))
+        side = choose(mid)
+        if side == 0:
+            return mid
+        if side > 0:
+            lo, a = mid, p
+        else:
+            hi, a = mid, p - 1
+    raise CantorPointError("no slope between %d and %d within depth %d" % (k, k + 1, max_depth))
+
+
+def epsilon(addr) -> ExceptionalSlope:
+    """The exceptional slope at a dyadic address p/2^q; memoized by canonical address.
+
+    A memo hit is one dict read.  A miss walks down the tree towards p/2^q,
+    steered by comparing p/2^q with each address on the way, and builds the
+    missing ancestors; the walk is q levels deep and does not recurse.  The
+    memo only ever gains value-identical entries for a given key, so
+    concurrent readers are safe.
     """
     addr = DyadicAddress.coerce(addr)
-    hit = _MEMO.get((addr.p, addr.q))
+    p, q = addr.p, addr.q
+    hit = _MEMO.get((p, q))
     if hit is not None:
         return hit
-    stack = [addr]
-    while stack:
-        top = stack[-1]
-        key = (top.p, top.q)
-        if key in _MEMO:
-            stack.pop()
-        elif top.q == 0:
-            _MEMO[key] = _make_slope(Fraction(top.p), top)
-        else:
-            a = (top.p - 1) // 2
-            parents = [DyadicAddress(a, top.q - 1), DyadicAddress(a + 1, top.q - 1)]
-            missing = [x for x in parents if (x.p, x.q) not in _MEMO]
-            if missing:
-                stack.extend(missing)
-            else:
-                left, right = (_MEMO[(x.p, x.q)] for x in parents)
-                _MEMO[key] = _make_slope(dot(left, right), top)
-    return _MEMO[(addr.p, addr.q)]
+    return _walk(p >> q, lambda s: p - (s.address.p << (q - s.address.q)), q)
 
 
 def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:
@@ -228,8 +252,9 @@ def is_adjacent_pair(alpha, beta) -> bool:
 
 
 def associated_slope(x: SurdLike, max_depth: int = 64) -> ExceptionalSlope:
-    """The unique exceptional slope alpha with x in I_alpha, by tree descent.
+    """The unique exceptional slope alpha with x in I_alpha, by a walk down the tree.
 
+    The walk starts at floor(x) and steers by side(x) of each slope it meets.
     Raises CantorPointError when no interval is found within max_depth levels
     below the integers.  That happens for irrationals in the complement of the
     intervals, and also for rationals whose interval lies deeper than
@@ -237,24 +262,7 @@ def associated_slope(x: SurdLike, max_depth: int = 64) -> ExceptionalSlope:
     """
     if isinstance(x, QuadSurd) and x.is_rational():
         x = x.as_fraction()
-    k = math.floor(x)
-    lo = epsilon((k, 0))
-    if lo.contains(x):
-        return lo
-    hi = epsilon((k + 1, 0))
-    if hi.contains(x):
-        return hi
-    a, q = k, 0
-    for _ in range(max_depth):
-        mid = epsilon((2 * a + 1, q + 1))
-        side = mid.side(x)
-        if side == 0:
-            return mid
-        a, q = 2 * a + (side > 0), q + 1
-    raise CantorPointError(
-        f"no interval found for {x!r} within depth {max_depth}; "
-        "the value appears to lie in the Cantor-set complement"
-    )
+    return _walk(math.floor(x), lambda s: s.side(x), max_depth)
 
 
 def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:

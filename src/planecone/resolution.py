@@ -142,15 +142,18 @@ def gaeta_resolution(n: int) -> ResolutionData:
         m1 = _as_int(a.rank * (mu - a.value) * dval, "m1", n)
         m2 = _as_int(b.rank * (mu - b.value + 3) * dval, "m2", n)
         m3 = dot.euler - n * rd
-        assert m3 > 0
+        if m3 <= 0:
+            raise ArithmeticError("m3 = %d is not positive below D for n=%d" % (m3, n))
     else:
         # mu = lambda above D; at D the multiplicities are still read at lambda
         m1 = _as_int(b.rank * (b.value - ms.lam) * (dval + 3), "m1", n)
         m2 = _as_int(a.rank * (3 + a.value - ms.lam) * (dval + 3), "m2", n)
         m3 = n * rd - dot.euler
-        assert m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0
+        if not (m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0):
+            raise ArithmeticError("m3 = %d has the wrong sign for %s, n=%d" % (m3, case, n))
     k = 3 * rd * m1 - m2
-    assert m1 > 0 and m2 > 0 and k > 0
+    if not (m1 > 0 and m2 > 0 and k > 0):
+        raise ArithmeticError("m1, m2, k = %d, %d, %d for n=%d not all positive" % (m1, m2, k, n))
 
     sub, quo = a.dual_twist(-3), b.dual_twist(0)
     m_sub, m_quo = (m1, k) if case == CASE_BELOW_DOT else (k, m1)
@@ -216,7 +219,8 @@ def classical_gaeta(n: int) -> ClassicalGaeta:
         raise ValueError("n must be a positive integer")
     r = (isqrt(8 * n + 1) - 1) // 2
     s = n - r * (r + 1) // 2
-    assert 0 <= s <= r
+    if not 0 <= s <= r:
+        raise ArithmeticError("s = %d is outside 0..%d for n=%d" % (s, r, n))
     if 2 * s <= r:
         case = CASE_TWO_S_LEQ
         sub = ((Fraction(-r - 1), r - 2 * s), (Fraction(-r - 2), s))
@@ -226,7 +230,8 @@ def classical_gaeta(n: int) -> ClassicalGaeta:
         sub = ((Fraction(-r - 2), s),)
         quot = ((Fraction(-r), r - s + 1), (Fraction(-r - 1), 2 * s - r))
     out = ClassicalGaeta(n, r, s, case, sub, quot)
-    assert out.character().astuple() == (1, 0, -n)
+    if out.character().astuple() != (1, 0, -n):
+        raise ArithmeticError("classical resolution for n=%d does not assemble to I_Z" % n)
     return out
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
-from .exactnum import QuadSurd, fraction_str
-from .exceptional import ExceptionalSlope, associated_slope, epsilon, hilbert_poly
+from .exactnum import fraction_str
+from .exceptional import ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
 CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
@@ -68,10 +68,13 @@ def gamma(mu) -> Fraction:
 def gamma_inv(q) -> Fraction:
     """Invert gamma exactly at a nonnegative rational.
 
-    The irrational solution of P(x) = q + 1/2 locates the interval I_alpha
-    containing the answer; gamma is affine on each half of that interval, so
-    the two linear branches are solved and the one landing in its own half
-    is kept (the left branch wins when both succeed).
+    gamma is affine on each half of every interval I_a, with slope a on the
+    left half and a + 3 on the right, and gamma(a) = P(a) - 1 + D_a.  So at
+    each slope a the walk down the tree solves the affine piece facing q:
+    the solution lies in I_a exactly when the answer does, and otherwise on
+    the side of I_a where the answer lies.  The walk starts at the integer m
+    with gamma(m) = m(m + 3)/2 <= q < gamma(m + 1), and every decision in it
+    compares rationals.
     """
     return _gamma_inv(q)[0]
 
@@ -81,24 +84,19 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     q = Fraction(q)
     if q < 0:
         raise ValueError("gamma only takes nonnegative values")
-    if q == 0:
-        return Fraction(0), epsilon(0)
-    den = q.denominator
-    xi = QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
-    a = associated_slope(xi)
-    t = q - 1 - a.discriminant + hilbert_poly(a.value)
-    mu = None
-    if a.value != 0:
-        cand = t / a.value - 3
-        if cand <= a.value and a.side(cand) == 0:
-            mu = cand
-    if mu is None:
-        cand = t / (a.value + 3)
-        if cand >= a.value and a.side(cand) == 0:
-            mu = cand
-    if mu is None:
-        raise ArithmeticError("no branch of gamma on I_%s inverts %s" % (a.value, q))
-    # mu lies in I_a, so this is gamma(mu) without a second descent
+
+    def branch(a: ExceptionalSlope) -> Fraction:
+        """The point where the affine piece of gamma on the half of I_a facing q takes q."""
+        g = hilbert_poly(a.value) - 1 + a.discriminant
+        if q == g:
+            return a.value
+        return a.value + (q - g) / (a.value + 3 if q > g else a.value)
+
+    # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1); 64 is associated_slope's depth cap
+    m = (math.isqrt(9 + math.floor(8 * q)) - 3) // 2
+    a = _walk(m, lambda s: s.side(branch(s)), 64)
+    mu = branch(a)
+    # mu lies in I_a, so this is gamma(mu) without a second walk
     if hilbert_poly(mu) - _delta(mu, a) != q:
         raise ArithmeticError("gamma_inv(%s) = %s fails the round trip" % (q, mu))
     return mu, a

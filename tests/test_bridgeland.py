@@ -267,3 +267,14 @@ def test_delta_consistency_of_collapsing_radius():
     assert w.radius_sq == 2 * delta(Fraction(1)) + Fraction(1, 4)
     w = collapsing_wall(25)
     assert w.radius_sq == 2 * delta(Fraction(17, 3)) + Fraction(1, 4)
+
+
+@pytest.mark.parametrize("n", [2, 11])  # BelowDot and AboveDot
+def test_collapsing_wall_radius_failure_raises_arithmetic_error(monkeypatch, n):
+    # once an assert, so an AssertionError that vanished under python -O
+    import planecone.bridgeland as bridgeland
+
+    true_delta = bridgeland._delta
+    monkeypatch.setattr(bridgeland, "_delta", lambda mu, a: true_delta(mu, a) + 1)
+    with pytest.raises(ArithmeticError, match="radius"):
+        collapsing_wall(n)

@@ -1,10 +1,13 @@
-"""Tree descents per answer: each slope is looked up once and then carried.
+"""Walks down the slope tree per answer: each slope is looked up once and carried.
 
-associated_slope is the only tree walk; the resolution and the walls take
-every twist and dual of alpha, beta and D from their addresses, so their
-one descent is min_slope's: gamma_inv's lookup, whose round-trip check
-reads delta from the slope it found.  The verify suites name every slope
-they build by its dyadic address.
+exceptional._walk is the only loop that goes down the tree; epsilon,
+associated_slope and gamma_inv each steer one.  The resolution and the walls
+take every twist and dual of alpha, beta and D from their addresses, so on a
+warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
+reads delta from the slope it found.  gamma_inv steers by rationals, so no
+answer of min_slope builds a surd.  The verify suites name every slope they
+build by its dyadic address.  Each count is taken on a warm memo, because an
+epsilon that misses the memo walks too.
 """
 
 import sys
@@ -13,6 +16,7 @@ import pytest
 
 import planecone.exceptional as exceptional
 from planecone.bridgeland import collapsing_wall
+from planecone.exactnum import QuadSurd
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
 from planecone.stability import min_slope
 from planecone.verify import run_suite
@@ -33,21 +37,54 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "fn", [min_slope, gaeta_resolution, collapsing_wall, kronecker_data],
-    ids=lambda fn: fn.__name__,
-)
+def count_surds(monkeypatch):
+    """Record every QuadSurd built from now on."""
+    original = QuadSurd.__post_init__
+    built = []
+
+    def counted(self):
+        original(self)
+        built.append(self)
+
+    monkeypatch.setattr(QuadSurd, "__post_init__", counted)
+    return built
+
+
+def answer(fn, n):
+    try:
+        return fn(n)
+    except KroneckerNotApplicableError:
+        return None
+
+
+ANSWERS = [min_slope, gaeta_resolution, collapsing_wall, kronecker_data]
+
+
+@pytest.mark.parametrize("fn", ANSWERS, ids=lambda fn: fn.__name__)
 def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
-    descents = count_calls(monkeypatch, "associated_slope")
+    walks = count_calls(monkeypatch, "_walk")
     lookups = count_calls(monkeypatch, "exceptional_slope_of")
     for n in range(2, 201):
-        descents.clear()
-        try:
-            fn(n)
-        except KroneckerNotApplicableError:
-            pass
-        assert len(descents) <= 1, (n, descents)
+        answer(fn, n)
+        walks.clear()
+        answer(fn, n)
+        assert len(walks) <= 1, (n, walks)
         assert lookups == [], (n, lookups)
+
+
+@pytest.mark.parametrize(
+    "fn, bound",
+    [(min_slope, 0), (gaeta_resolution, 0), (collapsing_wall, 0), (kronecker_data, 2)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
+    """kronecker_data's only surds are the two ends of its window."""
+    built = count_surds(monkeypatch)
+    for n in range(2, 201):
+        answer(fn, n)
+        built.clear()
+        out = answer(fn, n)
+        assert len(built) <= (bound if out is not None else 0), (n, built)
 
 
 DEPTH = 12
@@ -65,8 +102,9 @@ DEPTH = 12
     ],
 )
 def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
-    descents = count_calls(monkeypatch, "associated_slope")
+    run_suite(suite, depth)
+    walks = count_calls(monkeypatch, "_walk")
     lookups = count_calls(monkeypatch, "exceptional_slope_of")
     assert all(r.passed for r in run_suite(suite, depth))
     assert lookups == []
-    assert len(descents) <= bound, len(descents)
+    assert len(walks) <= bound, len(walks)

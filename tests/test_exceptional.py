@@ -1,5 +1,6 @@
 """Exceptional slopes: the dyadic parametrization and its invariants."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecone.exceptional as exceptional
 from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
@@ -262,3 +264,35 @@ def test_deep_interval_ends_convert_to_float():
     x0 = (3 - math.sqrt(5)) / 2
     for end in epsilon((1, 2000)).interval():
         assert math.isclose(float(end), x0)
+
+
+def _ancestors(p, q):
+    """Every address whose slope the product formula needs to reach p/2^q."""
+    out = {(p, q)}
+    if q > 0:
+        a = (p - 1) // 2
+        for parent in (DyadicAddress(a, q - 1), DyadicAddress(a + 1, q - 1)):
+            out |= _ancestors(parent.p, parent.q)
+    return out
+
+
+@pytest.mark.parametrize("addr", [(2731, 12), (-1365, 12), (7, 0)])
+def test_epsilon_on_empty_memo_builds_exactly_its_ancestors(monkeypatch, addr):
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    s = epsilon(addr)
+    assert s.address == DyadicAddress(*addr)
+    assert set(exceptional._MEMO) == _ancestors(*addr)
+
+
+def test_dyadic_address_rejects_non_integers(monkeypatch):
+    # epsilon((1.5, 2)) once returned the slope 2/5, and DyadicAddress(1.5, 2)
+    # put float keys into the memo, so epsilon(1).to_json() printed "p": 1.0
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    for bad in ((1.5, 2), (1, 2.0), (2.0, 0)):
+        with pytest.raises(TypeError):
+            epsilon(bad)
+        with pytest.raises(TypeError):
+            epsilon(DyadicAddress(*bad))
+    assert json.dumps(epsilon(1).to_json()["address"]) == '{"p": 1, "q": 0}'
+    epsilon((3, 2))
+    assert all(type(p) is int and type(q) is int for p, q in exceptional._MEMO)

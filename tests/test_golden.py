@@ -1,0 +1,80 @@
+"""Golden outputs: one sha256 per section of the command line and library output.
+
+Each digest was recorded from the code before the slope-tree walk was shared
+by epsilon, associated_slope and gamma_inv, so a refactor of the exact core
+that changes any printed answer fails here.  The sections cover the cone
+table, the resolutions, walls and Kronecker reductions for n <= 300, the
+exceptional slopes of depth <= 6 in [-2, 2), and the six verify suites at
+the depths the benchmark runs them.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from planecone.cli import main
+from planecone.resolution import kronecker_data
+from planecone.verify import format_report, run_suite
+
+
+def cli(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return "%d\n%s%s" % (code, out.getvalue(), err.getvalue())
+
+
+def table():
+    yield cli(["table", "2", "1000", "--format", "json"])
+
+
+def resolutions():
+    for n in range(2, 301):
+        yield cli(["resolution", "--n", str(n), "--json"])
+
+
+def walls():
+    for n in range(2, 301):
+        yield cli(["walls", "--n", str(n), "--json"])
+
+
+def kronecker():
+    for n in range(1, 301):
+        try:
+            yield json.dumps(kronecker_data(n).to_json(), sort_keys=True)
+        except (ValueError, ArithmeticError) as exc:
+            yield "%s: %s" % (type(exc).__name__, exc)
+
+
+def slopes():
+    for q in range(1, 7):
+        for p in range(-2 << q, 2 << q):
+            yield cli(["epsilon", "--p", str(p), "--q", str(q), "--json"])
+
+
+def suites():
+    depths = {"cf": 9, "intervals": 4, "gamma": 250, "resolution": 150,
+              "kronecker": 150, "walls": 50}
+    for suite, depth in depths.items():
+        yield format_report(run_suite(suite, depth))[0]
+
+
+GOLDEN = {
+    table: "3fb7a1f3bc05c55e262470b975b0260d73e48ec02e3e185d94037f78be4f420b",
+    resolutions: "eb98bf482680ae9ec3a9d9f73604b0a449e0ee5c8cace91c47dd5ecd59858653",
+    walls: "84bb7bebb09829c324825ccc4710c93a599b7b258c1641f62525f2da7bd31196",
+    kronecker: "d5956335695df3bc186aa5252a5f32f94a2b20cad185a488328a3d2f2ab0e069",
+    slopes: "aa3f397599a39789e9494e672587174b417b420e872f52efb6a84f7450ee776c",
+    suites: "5427fb08bbae27e92e83d0e1e5a54806002a8375d277c1c87d23be038b956ad4",
+}
+
+
+@pytest.mark.parametrize("section", list(GOLDEN), ids=lambda fn: fn.__name__)
+def test_output_matches_its_recorded_digest(section):
+    digest = hashlib.sha256()
+    for chunk in section():
+        digest.update(chunk.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == GOLDEN[section]

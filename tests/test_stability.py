@@ -1,5 +1,6 @@
 """The delta and gamma functions, nonemptiness, heights, and minimal slopes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecone.chern import ChernCharacter, exceptional_character
-from planecone.exactnum import surd_cmp
-from planecone.exceptional import associated_slope, enumerate_slopes, epsilon, hilbert_poly
+from planecone.exactnum import QuadSurd, surd_cmp
+from planecone.exceptional import (
+    CantorPointError,
+    associated_slope,
+    enumerate_slopes,
+    epsilon,
+    hilbert_poly,
+)
 from planecone.stability import (
     CASE_EXCEPTIONAL_BUNDLE,
     CASE_NON_EXCEPTIONAL,
     CASE_TRIANGULAR_MINUS_ONE,
+    _gamma_inv,
     delta,
     gamma,
     gamma_inv,
@@ -258,3 +266,31 @@ def test_gamma_inv_round_trip_failure_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(stability, "_delta", lambda mu, a: true_delta(mu, a) + 1)
     with pytest.raises(ArithmeticError, match="round trip"):
         gamma_inv(5)
+
+
+def _gamma_inv_by_xi(q):
+    """The slope whose interval holds the irrational root xi of P(x) = q + 1/2.
+
+    This is how gamma_inv once found its interval, kept as a reference.
+    """
+    den = q.denominator
+    xi = QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
+    return associated_slope(xi)
+
+
+def test_gamma_inv_walk_finds_the_slope_of_xi():
+    rng = random.Random(20)
+    qs = [Fraction(rng.randrange(1, 10 ** rng.randrange(1, 31))) for _ in range(150)]
+    qs += [Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
+    for q in qs:
+        assert _gamma_inv(q)[1] is _gamma_inv_by_xi(q), q
+
+
+def test_gamma_inv_gives_up_below_depth_64():
+    # gamma at a slope is P(alpha) - 1 + D_alpha; gamma() itself would walk too deep
+    def gamma_at(s):
+        return hilbert_poly(s.value) - 1 + s.discriminant
+
+    assert gamma_inv(gamma_at(epsilon((1, 64)))) == epsilon((1, 64)).value
+    with pytest.raises(CantorPointError):
+        gamma_inv(gamma_at(epsilon((1, 65))))
