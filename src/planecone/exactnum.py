@@ -9,6 +9,7 @@ anywhere in a correctness path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +31,12 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 _PRIMES = _small_primes(1000)
 
 
+@functools.lru_cache(maxsize=4096)
 def _extract_square(d: int) -> tuple[int, int]:
-    """Return (m, d') with d = m^2 * d', pulling out small square factors."""
+    """Return (m, d') with d = m^2 * d', pulling out small square factors.
+
+    Memoized: the slope arithmetic meets each radicand, one per rank, many times.
+    """
     m = 1
     for p in _PRIMES:
         pp = p * p

@@ -8,8 +8,11 @@ slopes one level up, via the modified mean
 
 Every rational slope lies in exactly one interval I_alpha = (alpha - x_alpha,
 alpha + x_alpha).  One walk down the tree, _walk, serves every search:
-epsilon steers it by address, associated_slope by exact surd comparisons,
-and stability's gamma_inv by rational ones.
+epsilon steers it by address, associated_slope by side(x), and stability's
+gamma_inv by side of a rational branch point.  Slopes, their products and
+side(x) for a rational x are computed in integers, and the surd radius x_alpha
+is only built when something asks for it, so a walk steered by rationals
+builds no QuadSurd.
 """
 
 from __future__ import annotations
@@ -17,9 +20,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactnum import QuadSurd, RationalLike, SurdLike, fraction_str, surd_cmp
+
+
+# levels below the integers that associated_slope and gamma_inv walk before giving up
+MAX_DEPTH = 64
 
 
 class CantorPointError(ValueError):
@@ -27,7 +35,7 @@ class CantorPointError(ValueError):
 
     An irrational input in the complement of all the intervals I_alpha never
     lands.  A rational always lands at some finite depth, but that depth can
-    exceed the bound: with the default max_depth=64 the first 54-digit decimal
+    exceed the bound: with max_depth=MAX_DEPTH the first 54-digit decimal
     above (3 - sqrt 5)/2 already raises.
     """
 
@@ -86,11 +94,12 @@ class ExceptionalSlope:
 
     rank is the denominator of the slope, discriminant is (1 - 1/rank^2)/2,
     euler is rank*(P(value) - discriminant), and interval_radius is the exact
-    half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.
-    Twists and duals come from address arithmetic (dual_twist), so code that
-    holds a slope never has to find -alpha + k again by tree descent.  Where x
-    lies against I_alpha is decided by side(x) alone; contains and the tree
-    descent read it.
+    half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.  The
+    radius is a QuadSurd built on first use and then kept on the slope; side(x)
+    for a rational x never needs it.  Twists and duals come from address
+    arithmetic (dual_twist), so code that holds a slope never has to find
+    -alpha + k again by tree descent.  Where x lies against I_alpha is decided
+    by side(x) alone; contains and the tree descent read it.
     """
 
     value: Fraction
@@ -98,7 +107,11 @@ class ExceptionalSlope:
     rank: int
     discriminant: Fraction
     euler: int
-    interval_radius: QuadSurd
+
+    @cached_property
+    def interval_radius(self) -> QuadSurd:
+        r = self.rank
+        return QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
 
     def interval(self) -> tuple[QuadSurd, QuadSurd]:
         return (self.value - self.interval_radius, self.value + self.interval_radius)
@@ -106,9 +119,23 @@ class ExceptionalSlope:
     def side(self, x: SurdLike) -> int:
         """-1, 0 or 1 as x lies left of, inside or right of the open interval I_alpha.
 
-        x is compared with value, then |x - value| with interval_radius, so
-        the endpoints are never built and a rational x builds no QuadSurd.
+        A rational x = u/v is decided in integers.  With value = c/r and
+        w = ur - cv, x - value = w/(rv), and |x - value| < x_alpha reads
+        v sqrt(9r^2 - 4) < t for t = 3rv - 2|w|, that is t > 0 and
+        (9r^2 - 4) v^2 < t^2.  The ends of I_alpha are irrational, so no
+        rational x meets them.  A QuadSurd x is compared with value, then
+        |x - value| with interval_radius, so the endpoints are never built.
         """
+        if isinstance(x, (int, Fraction)):
+            u, v = x.numerator, x.denominator
+            c, r = self.value.numerator, self.rank
+            w = u * r - c * v
+            if w == 0:
+                return 0
+            t = 3 * r * v - 2 * abs(w)
+            if t > 0 and (9 * r * r - 4) * v * v < t * t:
+                return 0
+            return 1 if w > 0 else -1
         c = surd_cmp(x, self.value)
         if c == 0:
             return 0
@@ -139,11 +166,6 @@ class ExceptionalSlope:
         }
 
 
-def _disc_of_value(v: Fraction) -> Fraction:
-    r = v.denominator
-    return Fraction(r * r - 1, 2 * r * r)
-
-
 def _slope_value(x) -> Fraction:
     if isinstance(x, ExceptionalSlope):
         return x.value
@@ -151,26 +173,32 @@ def _slope_value(x) -> Fraction:
 
 
 def dot(alpha, beta) -> Fraction:
-    """The slope product alpha.beta = (alpha+beta)/2 + (D_beta-D_alpha)/(3+alpha-beta)."""
+    """The slope product alpha.beta = (alpha+beta)/2 + (D_beta-D_alpha)/(3+alpha-beta).
+
+    D_x is (1 - 1/rank^2)/2 for x of denominator rank.  With alpha = c/r and
+    beta = d/s, den = 3rs + cs - dr is rs(3 + alpha - beta) and the product is
+    ((cs + dr) den + s^2 - r^2) / (2rs den), reduced once.
+    """
     a = _slope_value(alpha)
     b = _slope_value(beta)
-    den = 3 + a - b
+    c, r = a.numerator, a.denominator
+    d, s = b.numerator, b.denominator
+    den = 3 * r * s + c * s - d * r
     if den == 0:
         raise ValueError("degenerate slope product: 3 + alpha - beta = 0")
-    return (a + b) / 2 + (_disc_of_value(b) - _disc_of_value(a)) / den
+    return Fraction((c * s + d * r) * den + s * s - r * r, 2 * r * s * den)
 
 
 _MEMO: dict[tuple[int, int], ExceptionalSlope] = {}
 
 
 def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
-    r = value.denominator
-    disc = _disc_of_value(value)
-    chi = r * (hilbert_poly(value) - disc)
-    if chi.denominator != 1:
+    # for value = c/r, chi = r (P(value) - D) = (c^2 + 3cr + r^2 + 1)/(2r)
+    c, r = value.numerator, value.denominator
+    chi, rem = divmod(c * c + 3 * c * r + r * r + 1, 2 * r)
+    if rem != 0:
         raise ArithmeticError(f"euler characteristic of {value} not integral")
-    radius = QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
-    return ExceptionalSlope(value, address, r, disc, int(chi), radius)
+    return ExceptionalSlope(value, address, r, Fraction(r * r - 1, 2 * r * r), chi)
 
 
 def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
@@ -181,7 +209,10 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
     if k is rejected, and then about the slope between the two neighbours it
     holds, read from the memo or built as their product.  So it builds exactly
     the ancestors of the slope where it stops.  It raises CantorPointError
-    rather than go below level max_depth, and builds nothing below it.
+    rather than go below level max_depth, and builds nothing below it.  Each
+    new slope costs one integer product and one integer Euler characteristic;
+    when choose steers by side of a rational, every level is decided in
+    integers and the walk builds no QuadSurd.
     """
     ends = []
     for p in (k, k + 1):
@@ -251,7 +282,7 @@ def is_adjacent_pair(alpha, beta) -> bool:
     return abs((a.p << (q - a.q)) - (b.p << (q - b.q))) == 1
 
 
-def associated_slope(x: SurdLike, max_depth: int = 64) -> ExceptionalSlope:
+def associated_slope(x: SurdLike, max_depth: int = MAX_DEPTH) -> ExceptionalSlope:
     """The unique exceptional slope alpha with x in I_alpha, by a walk down the tree.
 
     The walk starts at floor(x) and steers by side(x) of each slope it meets.

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
 from .exactnum import fraction_str
-from .exceptional import ExceptionalSlope, _walk, associated_slope, hilbert_poly
+from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
 CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
@@ -92,9 +92,9 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
             return a.value
         return a.value + (q - g) / (a.value + 3 if q > g else a.value)
 
-    # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1); 64 is associated_slope's depth cap
+    # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1)
     m = (math.isqrt(9 + math.floor(8 * q)) - 3) // 2
-    a = _walk(m, lambda s: s.side(branch(s)), 64)
+    a = _walk(m, lambda s: s.side(branch(s)), MAX_DEPTH)
     mu = branch(a)
     # mu lies in I_a, so this is gamma(mu) without a second walk
     if hilbert_poly(mu) - _delta(mu, a) != q:

@@ -71,13 +71,14 @@ def _suite_cf(depth: int) -> list[CheckResult]:
 
 def _suite_intervals(depth: int) -> list[CheckResult]:
     slopes = enumerate_slopes(depth, 0, 3)
+    ends = [s.interval() for s in slopes]
     failures = []
     total = 0
     for i, lo in enumerate(slopes):
-        hi_edge = lo.value + lo.interval_radius
-        for hi in slopes[i + 1 :]:
+        right = ends[i][1]
+        for hi, (left, _) in zip(slopes[i + 1 :], ends[i + 1 :]):
             total += 1
-            if surd_cmp(hi_edge, hi.value - hi.interval_radius) > 0:
+            if surd_cmp(right, left) > 0:
                 failures.append(
                     "overlap I_%s and I_%s"
                     % (fraction_str(lo.value), fraction_str(hi.value))

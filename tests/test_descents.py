@@ -7,10 +7,14 @@ warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
 reads delta from the slope it found.  gamma_inv steers by rationals, so no
 answer of min_slope builds a surd.  The verify suites name every slope they
 build by its dyadic address.  Each count is taken on a warm memo, because an
-epsilon that misses the memo walks too.
+epsilon that misses the memo walks too.  The surd count of a walk steered by a
+rational is also taken cold: it decides every level in integers and builds no
+slope's radius.
 """
 
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +89,24 @@ def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
         built.clear()
         out = answer(fn, n)
         assert len(built) <= (bound if out is not None else 0), (n, built)
+
+
+def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    built = count_surds(monkeypatch)
+    # the least 40-digit decimal above (3 - sqrt 5)/2, which lands deep in the tree
+    n = 10**40
+    x = Fraction((3 * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
+    a = exceptional.associated_slope(x)
+    assert a.address.q > 40
+    assert built == []
+    for n in (2, 5, 1000, 10**15 + 7):
+        min_slope(n)
+    assert len(exceptional._MEMO) > a.address.q
+    assert built == []
+    # the radius is built on first use, once
+    radius = a.interval_radius
+    assert built == [radius] and a.interval_radius is radius
 
 
 DEPTH = 12

@@ -114,6 +114,50 @@ def test_parent_pair_and_dot_round_trip():
 def test_dot_rejects_degenerate_pair():
     with pytest.raises(ValueError):
         dot(Fraction(0), Fraction(3))
+    with pytest.raises(ValueError):
+        dot(Fraction(-5, 2), Fraction(1, 2))
+
+
+def dot_by_fractions(a, b):
+    """The reference for dot: the modified mean, term by term in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+
+    def disc(x):
+        return (1 - Fraction(1, x.denominator**2)) / 2
+
+    return (a + b) / 2 + (disc(b) - disc(a)) / (3 + a - b)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 2])
+def test_dot_matches_the_fraction_formula_on_slopes(k):
+    slopes = enumerate_slopes(10, k, k + 1)
+    assert len(slopes) == 1025
+    pairs = list(zip(slopes, slopes[1:]))  # adjacent at level 10
+    pairs += list(zip(slopes, slopes[::-1]))
+    pairs += [(s, epsilon(k + 2)) for s in slopes]
+    for a, b in pairs:
+        assert dot(a, b) == dot_by_fractions(a.value, b.value), (a.value, b.value)
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_the_fraction_formula_on_rationals(a, b):
+    if 3 + a - b == 0:
+        with pytest.raises(ValueError):
+            dot(a, b)
+    else:
+        assert dot(a, b) == dot_by_fractions(a, b)
+
+
+def test_make_slope_rejects_a_value_with_no_integral_euler_characteristic():
+    # rank 3 never occurs: chi of 1/3 would be 20/6
+    with pytest.raises(ArithmeticError):
+        exceptional._make_slope(Fraction(1, 3), DyadicAddress(1, 1))
+    with pytest.raises(ArithmeticError):
+        exceptional._make_slope(Fraction(7, 4), DyadicAddress(7, 2))
 
 
 def test_interval_radius_defining_identity():
@@ -173,6 +217,76 @@ def test_side_matches_the_interval_endpoints():
             assert slope.side(x) == side_by_endpoints(slope, x), (slope.value, x)
         probes_run += len(probes) + 3
     assert probes_run > 17000
+
+
+def first_decimal_above_golden(e):
+    """The least e-digit decimal above (3 - sqrt 5)/2, the slopes' accumulation point."""
+    n = 10**e
+    # sqrt(5 n^2) lies strictly between s and s + 1, so this is floor(n (3 - sqrt 5)/2)
+    s = math.isqrt(5 * n * n)
+    return Fraction((3 * n - s - 1) // 2 + 1, n)
+
+
+def convergents(x, count):
+    """The first count continued-fraction convergents of a positive irrational QuadSurd."""
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    out = []
+    for _ in range(count):
+        a = math.floor(x)
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        out.append(Fraction(h, k))
+        x = 1 / (x - a)
+    return out
+
+
+def best_approximations(end, count=14):
+    """The two last convergents of end below it and the two last above it."""
+    shift = math.floor(end) - 1  # expand a positive number, shift back after
+    near = convergents(end - shift, count)
+    return [c + shift for c in near[-4:]]
+
+
+def rational_side_probes(slope):
+    v = slope.value
+    probes = [v, math.floor(v) - 1, math.floor(v), math.ceil(v) + 1, -v, -v - 1]
+    for k in (1, 2, 5, 12, 40):
+        probes += [v + Fraction(1, 10**k), v - Fraction(1, 10**k)]
+    for end in slope.interval():
+        probes += best_approximations(end)
+    return probes
+
+
+def deep_walk_slopes():
+    """The landing slope of a depth-50+ walk and its ancestors of rank over 10^20."""
+    todo = [associated_slope(first_decimal_above_golden(42))]
+    assert todo[0].address.q >= 50
+    out = {}
+    while todo:
+        slope = todo.pop()
+        if slope.rank > 10**20 and slope.address not in out:
+            out[slope.address] = slope
+            todo.extend(parent_pair(slope))
+    return list(out.values())
+
+
+def test_rational_side_matches_the_interval_endpoints():
+    deep = deep_walk_slopes()
+    assert len(deep) >= 3
+    probes_run = 0
+    for slope in enumerate_slopes(6, -2, 3) + deep:
+        for x in rational_side_probes(slope):
+            assert isinstance(x, (int, Fraction))
+            assert slope.side(x) == side_by_endpoints(slope, x), (slope.value, x)
+            probes_run += 1
+    # each end is approached from both sides by its best approximations
+    slope = epsilon((1, 2))
+    lo, hi = slope.interval()
+    near = best_approximations(hi)
+    assert [slope.side(x) for x in sorted(near)] == [0, 0, 1, 1]
+    near = best_approximations(lo)
+    assert [slope.side(x) for x in sorted(near)] == [-1, -1, 0, 0]
+    assert probes_run > 7000
 
 
 def test_associated_slope_examples():
