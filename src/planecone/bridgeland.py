@@ -18,9 +18,9 @@ from .chern import ChernCharacter, euler_pairing, exceptional_character
 from .exactnum import fraction_str
 from .exceptional import (
     ExceptionalSlope,
+    _as_slope,
     dot,
     epsilon,
-    exceptional_slope_of,
     hilbert_poly,
     is_adjacent_pair,
     parent_pair,
@@ -155,8 +155,7 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
     (alpha+beta)/2 + (D_beta - D_alpha)/(alpha-beta); the closed radius
     formula additionally needs adjacency, and is checked only then.
     """
-    a = alpha if isinstance(alpha, ExceptionalSlope) else exceptional_slope_of(alpha)
-    b = beta if isinstance(beta, ExceptionalSlope) else exceptional_slope_of(beta)
+    a, b = _as_slope(alpha), _as_slope(beta)
     if a.value == b.value:
         raise ValueError("a wall needs two distinct slopes")
     wall = wall_between(exceptional_character(a), exceptional_character(b))

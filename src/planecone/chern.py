@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import fraction_str
-from .exceptional import ExceptionalSlope, exceptional_slope_of, hilbert_poly
+from .exceptional import _as_slope, hilbert_poly
 
 
 class ZeroRankError(ValueError):
@@ -108,8 +108,7 @@ def exceptional_character(alpha) -> ChernCharacter:
     The rank is the denominator of the slope, so the character is
     (r, r*alpha, r*(alpha^2/2 - Delta_alpha)).
     """
-    if not isinstance(alpha, ExceptionalSlope):
-        alpha = exceptional_slope_of(alpha)
+    alpha = _as_slope(alpha)
     r = alpha.rank
     v = alpha.value
     return ChernCharacter(r, r * v, r * (v * v / 2 - alpha.discriminant))

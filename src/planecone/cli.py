@@ -220,14 +220,15 @@ def main(argv=None) -> int:
         # flush here so a reader that closed the pipe raises inside this try
         sys.stdout.flush()
         return code
-    except (ValueError, ArithmeticError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; send that to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # OSError, such as an unwritable --svg path, comes after its subclass BrokenPipeError
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

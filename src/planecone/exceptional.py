@@ -256,10 +256,20 @@ def epsilon(addr) -> ExceptionalSlope:
     return _walk(p >> q, lambda s: p - (s.address.p << (q - s.address.q)), q)
 
 
+def _as_slope(x) -> ExceptionalSlope:
+    """A slope as it is, a DyadicAddress or (p, q) by epsilon, an int or Fraction by value."""
+    if isinstance(x, ExceptionalSlope):
+        return x
+    if isinstance(x, (DyadicAddress, tuple)):
+        return epsilon(x)
+    if isinstance(x, (int, Fraction)):
+        return exceptional_slope_of(x)
+    raise TypeError(f"cannot read {x!r} as an exceptional slope")
+
+
 def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     """The adjacent pair whose product is alpha; integers k get (k-1, k+1)."""
-    if not isinstance(alpha, ExceptionalSlope):
-        alpha = epsilon(DyadicAddress.coerce(alpha))
+    alpha = _as_slope(alpha)
     p, q = alpha.address.p, alpha.address.q
     if q == 0:
         return epsilon((p - 1, 0)), epsilon((p + 1, 0))
@@ -269,15 +279,12 @@ def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:
 
 def interval(alpha) -> tuple[QuadSurd, QuadSurd]:
     """Exact open endpoints of I_alpha."""
-    if not isinstance(alpha, ExceptionalSlope):
-        alpha = epsilon(DyadicAddress.coerce(alpha))
-    return alpha.interval()
+    return _as_slope(alpha).interval()
 
 
 def is_adjacent_pair(alpha, beta) -> bool:
     """True when the addresses are consecutive at some common dyadic level."""
-    a = alpha.address if isinstance(alpha, ExceptionalSlope) else DyadicAddress.coerce(alpha)
-    b = beta.address if isinstance(beta, ExceptionalSlope) else DyadicAddress.coerce(beta)
+    a, b = _as_slope(alpha).address, _as_slope(beta).address
     q = max(a.q, b.q)
     return abs((a.p << (q - a.q)) - (b.p << (q - b.q))) == 1
 

@@ -108,13 +108,11 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
     classical_total = 0
     for n in range(2, depth + 1):
         res = gaeta_resolution(n)
-        if res.ideal_character().astuple() != (1, 0, -n):
+        ideal = res.ideal_character()
+        if ideal.astuple() != (1, 0, -n):
             assemble_failures.append("n=%d terms" % n)
         rd = res.dot_slope.rank
-        pairing = euler_pairing(
-            exceptional_character(res.dot_slope.dual_twist(0)),
-            res.ideal_character(),
-        )
+        pairing = euler_pairing(exceptional_character(res.dot_slope.dual_twist(0)), ideal)
         expected = res.m3 if res.case == CASE_BELOW_DOT else -res.m3
         if pairing != expected:
             m3_failures.append("n=%d m3 vs pairing" % n)
@@ -176,15 +174,28 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     radius_failures = []
     ratio_failures = []
     nest_failures = []
+    chain_failures = []
+    balance_failures = []
     pair_total = 0
+    chain_total = 0
     bound = Fraction(5, 4)
+    # the chains and balances take the triads of level <= CHAIN_LENGTH, a prefix
+    # of this loop's because CHAIN_LENGTH <= PAIR_DEPTH
     for p, q in _triad_configs(min(depth, PAIR_DEPTH)):
         alpha = epsilon((p, q))
         beta = epsilon((p + 1, q))
         eta = epsilon((p + 2, q))
         pair_total += 1
-        for x, y in ((alpha, beta), (beta, eta)):
-            if exceptional_pair_wall(x, y).radius_sq >= bound:
+        chained = q <= CHAIN_LENGTH
+        # link 0 of alpha's chain is beta and link j + 1 is alpha.(link j), so link j
+        # is ((p << j) + 1, q + j); links 0 and 1 are also the left nesting pair
+        links = [
+            exceptional_pair_wall(alpha, epsilon(((p << j) + 1, q + j)))
+            for j in range(CHAIN_LENGTH if chained else 2)
+        ]
+        right = exceptional_pair_wall(beta, eta)
+        for x, y, wall in ((alpha, beta, links[0]), (beta, eta, right)):
+            if wall.radius_sq >= bound:
                 radius_failures.append("pair (%s, %s)" % (x.value, y.value))
         r1 = (beta.discriminant - alpha.discriminant) / (alpha.value - beta.value)
         r2 = (eta.discriminant - beta.discriminant) / (beta.value - eta.value)
@@ -194,47 +205,27 @@ def _suite_walls(depth: int) -> list[CheckResult]:
             ok = r1 < -1 and r2 > 1
         if not ok:
             ratio_failures.append("triad p=%d q=%d" % (p, q))
-        # alpha.beta and beta.eta are the children of the adjacent addresses
-        mid_left = epsilon((2 * p + 1, q + 1))
-        mid_right = epsilon((2 * p + 3, q + 1))
-        left_ok = nested(
-            exceptional_pair_wall(alpha, beta),
-            exceptional_pair_wall(alpha, mid_left),
-            alpha.value,
-        )
+        # beta.eta is the child of the adjacent addresses (p + 1, q) and (p + 2, q)
+        left_ok = nested(links[0], links[1], alpha.value)
         right_ok = nested(
-            exceptional_pair_wall(eta, beta),
-            exceptional_pair_wall(eta, mid_right),
-            eta.value,
+            right, exceptional_pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
         )
         if not (left_ok and right_ok and 2 * beta.discriminant < 1):
             nest_failures.append("triad p=%d q=%d" % (p, q))
-    results.append(_aggregate("pair wall radius bound", radius_failures, 2 * pair_total))
-    results.append(_aggregate("center ratio estimates", ratio_failures, pair_total))
-    results.append(_aggregate("pair wall nesting", nest_failures, pair_total))
-
-    chain_failures = []
-    chain_total = 0
-    for p, q in _triad_configs(min(depth, CHAIN_LENGTH)):
-        alpha = epsilon((p, q))
+        if not chained:
+            continue
         chain_total += 1
-        # link 0 is (p + 1, q) and link j + 1 is alpha.(link j), so link j is ((p << j) + 1, q + j)
-        radii = [
-            exceptional_pair_wall(alpha, epsilon(((p << j) + 1, q + j))).radius_sq
-            for j in range(CHAIN_LENGTH)
-        ]
+        radii = [w.radius_sq for w in links]
         if not all(r < s < bound for r, s in zip(radii, radii[1:])):
             chain_failures.append("chain at p=%d q=%d" % (p, q))
-    results.append(_aggregate("chain radius growth", chain_failures, chain_total))
-
-    balance_failures = []
-    balance_total = 0
-    for p, q in _triad_configs(min(depth, 6)):
-        balance_total += 1
         triad = kernel_cokernel_slopes(p, q)
         if not (triad.balance_first and triad.balance_second):
             balance_failures.append("triad p=%d q=%d" % (p, q))
-    results.append(_aggregate("triad character balances", balance_failures, balance_total))
+    results.append(_aggregate("pair wall radius bound", radius_failures, 2 * pair_total))
+    results.append(_aggregate("center ratio estimates", ratio_failures, pair_total))
+    results.append(_aggregate("pair wall nesting", nest_failures, pair_total))
+    results.append(_aggregate("chain radius growth", chain_failures, chain_total))
+    results.append(_aggregate("triad character balances", balance_failures, chain_total))
     return results
 
 

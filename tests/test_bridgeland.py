@@ -79,6 +79,14 @@ def test_exceptional_pair_wall_anchors():
     assert (w.center_s, w.radius_sq) == (Fraction(3, 2), Fraction(1, 4))
 
 
+def test_exceptional_pair_wall_reads_values_and_addresses():
+    by_value = exceptional_pair_wall(Fraction(2, 5), Fraction(1, 2))
+    assert exceptional_pair_wall((1, 2), (1, 1)) == by_value
+    assert exceptional_pair_wall(epsilon((1, 2)), Fraction(1, 2)) == by_value
+    with pytest.raises(ValueError, match="not an exceptional slope"):
+        exceptional_pair_wall(0, Fraction(1, 4))
+
+
 def test_exceptional_pair_wall_argument_order_irrelevant():
     a, b = Fraction(5, 13), Fraction(2, 5)
     w1 = exceptional_pair_wall(a, b)

@@ -57,6 +57,12 @@ def test_exceptional_character_accepts_slope_objects():
     assert discriminant(ch) == Fraction(12, 25)
 
 
+def test_exceptional_character_reads_a_pair_as_an_address():
+    assert exceptional_character((1, 2)) == exceptional_character(Fraction(2, 5))
+    with pytest.raises(ValueError, match="not an exceptional slope"):
+        exceptional_character(Fraction(1, 4))
+
+
 def test_ideal_sheaf_character():
     iz = ChernCharacter(1, 0, -7)
     assert euler_char(iz) == 1 - 7

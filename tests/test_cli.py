@@ -114,6 +114,15 @@ def test_walls_subcommand_with_svg(tmp_path, capsys):
     assert target.read_text() == document
 
 
+def test_walls_unwritable_svg_path_is_one_error_line(tmp_path, capsys):
+    # once a FileNotFoundError traceback and exit 1
+    target = tmp_path / "missing" / "walls.svg"
+    code, out, err = run(capsys, ["walls", "--n", "5", "--svg", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(target) in err
+
+
 def test_walls_bad_pair_argument(capsys):
     code, _, err = run(capsys, ["walls", "--n", "2", "--pairs", "0:1/2"])
     assert code == 2 and "error" in err

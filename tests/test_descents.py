@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 import planecone.exceptional as exceptional
-from planecone.bridgeland import collapsing_wall
+from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
+from planecone.chern import exceptional_character
 from planecone.exactnum import QuadSurd
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
 from planecone.stability import min_slope
@@ -74,6 +75,19 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
         answer(fn, n)
         assert len(walks) <= 1, (n, walks)
         assert lookups == [], (n, lookups)
+
+
+def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
+    lookups = count_calls(monkeypatch, "exceptional_slope_of")
+    alpha, beta = exceptional.epsilon((1, 2)), exceptional.epsilon((1, 1))
+    exceptional.interval(alpha)
+    exceptional.parent_pair(alpha)
+    exceptional.is_adjacent_pair(alpha, beta)
+    exceptional_character(alpha)
+    exceptional_pair_wall(alpha, beta)
+    assert lookups == []
+    exceptional_pair_wall(alpha, Fraction(1, 2))
+    assert lookups == [(Fraction(1, 2),)]
 
 
 @pytest.mark.parametrize(

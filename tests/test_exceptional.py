@@ -330,13 +330,33 @@ def test_enumerate_slopes_window_and_order():
 
 
 def test_is_adjacent_pair():
-    # arguments are addresses or slopes, not values
+    # an argument is a slope, an address, or a slope's value; an integer is both
     assert is_adjacent_pair(epsilon(0), epsilon((1, 1)))
     assert is_adjacent_pair(epsilon((1, 2)), epsilon((1, 1)))
     assert is_adjacent_pair(epsilon(0), epsilon((1, 2)))
     assert is_adjacent_pair(0, 1)  # consecutive integers sit at level zero
     assert not is_adjacent_pair(epsilon(0), epsilon((3, 2)))
     assert not is_adjacent_pair(0, 2)
+
+
+def test_a_number_is_a_slope_value_and_a_pair_is_an_address():
+    # once interval(Fraction(1, 4)) gave the ends of I_{2/5}, reading 1/4 as an
+    # address, and interval(Fraction(2, 5)) raised "not a dyadic rational"
+    two_fifths = epsilon((1, 2))
+    assert two_fifths.value == Fraction(2, 5)
+    ends = two_fifths.interval()
+    assert interval(Fraction(2, 5)) == interval((1, 2)) == interval(DyadicAddress(1, 2)) == ends
+    parents = (epsilon(0), epsilon((1, 1)))
+    assert parent_pair(Fraction(2, 5)) == parent_pair((1, 2)) == parent_pair(two_fifths) == parents
+    assert parent_pair(3) == parent_pair(Fraction(3)) == (epsilon(2), epsilon(4))
+    for read in (interval, parent_pair):
+        with pytest.raises(ValueError, match="1/4 is not an exceptional slope"):
+            read(Fraction(1, 4))
+        with pytest.raises(TypeError):
+            read(0.4)
+    assert is_adjacent_pair(Fraction(2, 5), Fraction(1, 2))
+    assert is_adjacent_pair((1, 2), Fraction(1, 2))
+    assert not is_adjacent_pair(Fraction(2, 5), 1)
 
 
 def test_exceptional_slope_of_integer():

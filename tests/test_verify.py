@@ -1,8 +1,13 @@
 """The self-check suites: dispatch, reporting, and small-depth runs."""
 
+import dataclasses
+
 import pytest
 
+import planecone.verify as verify
+from planecone.bridgeland import Wall, exceptional_pair_wall
 from planecone.cli import main
+from planecone.exceptional import epsilon
 from planecone.verify import CheckResult, format_report, run_suite
 
 
@@ -53,18 +58,79 @@ def test_depth_below_one_rejected(capsys, suite, depth):
 
 
 def test_walls_triad_levels_follow_depth():
-    # once 1146 triad checks at every depth, so --depth 1 passed on the default triads
-    details = {r.name: r.detail for r in run_suite("walls", 3)}
-    assert details == {
-        "collapsing walls": "2 checks",
-        "pair wall radius bound": "14 checks",
-        "center ratio estimates": "7 checks",
-        "pair wall nesting": "7 checks",
-        "chain radius growth": "7 checks",
-        "triad character balances": "7 checks",
-    }
-    counts = [r.detail for r in run_suite("walls", 8)][1:]
-    assert counts == ["510 checks", "255 checks", "255 checks", "63 checks", "63 checks"]
+    # once 1146 triad checks at every depth, so --depth 1 passed on the default triads;
+    # the triads go to level PAIR_DEPTH = 8, the chains and balances to CHAIN_LENGTH = 6
+    for depth in range(2, 10):
+        triads = (1 << min(depth, 8)) - 1
+        chains = (1 << min(depth, 6)) - 1
+        details = {r.name: r.detail for r in run_suite("walls", depth)}
+        assert details == {
+            "collapsing walls": "%d checks" % (depth - 1),
+            "pair wall radius bound": "%d checks" % (2 * triads),
+            "center ratio estimates": "%d checks" % triads,
+            "pair wall nesting": "%d checks" % triads,
+            "chain radius growth": "%d checks" % chains,
+            "triad character balances": "%d checks" % chains,
+        }, depth
+
+
+@pytest.mark.parametrize("depth, built", [(3, 56), (8, 1272), (9, 1272)])
+def test_walls_build_each_pair_wall_of_a_triad_once(monkeypatch, depth, built):
+    # once 84 and 1908: the chain rebuilt W(alpha, beta) and W(alpha, alpha.beta),
+    # and the nesting check rebuilt W(beta, eta)
+    calls = []
+
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return exceptional_pair_wall(alpha, beta)
+
+    monkeypatch.setattr(verify, "exceptional_pair_wall", counted)
+    run_suite("walls", depth)
+    assert len(calls) == built
+
+
+def test_walls_failures_report_in_triad_order(monkeypatch):
+    """Break two nestings, two chains and two balances; each report line names the first in triad order.
+
+    The expected lines were recorded when the suite still walked the triads in
+    three loops.  A nesting is broken by its inner wall and reference slope,
+    because different triads can share a wall.
+    """
+    left_nestings = [
+        (exceptional_pair_wall(epsilon((p, q)), epsilon((p + 1, q))), epsilon((p, q)).value)
+        for p, q in ((4, 5), (2, 3))
+    ]
+    # the last links of the chains at p = 0 and p = 6 on level 6; no other check reaches level 11
+    last_links = {epsilon((1, 11)).value, epsilon((193, 11)).value}
+    nested, pair_wall, triad = (
+        verify.nested, verify.exceptional_pair_wall, verify.kernel_cokernel_slopes
+    )
+
+    def broken_nested(inner, outer, ref):
+        return (inner, ref) not in left_nestings and nested(inner, outer, ref)
+
+    def broken_wall(alpha, beta):
+        wall = pair_wall(alpha, beta)
+        return Wall.semicircle(wall.center_s, 2) if beta.value in last_links else wall
+
+    def broken_triad(p, q):
+        out = triad(p, q)
+        return dataclasses.replace(out, balance_first=False) if (p, q) in ((2, 4), (0, 2)) else out
+
+    monkeypatch.setattr(verify, "nested", broken_nested)
+    monkeypatch.setattr(verify, "exceptional_pair_wall", broken_wall)
+    monkeypatch.setattr(verify, "kernel_cokernel_slopes", broken_triad)
+    text, code = format_report(run_suite("walls", 8))
+    assert code == 1
+    assert text.splitlines() == [
+        "PASS collapsing walls (7 checks)",
+        "PASS pair wall radius bound (510 checks)",
+        "PASS center ratio estimates (255 checks)",
+        "FAIL pair wall nesting (2/255 failed, first: triad p=2 q=3)",
+        "FAIL chain radius growth (2/63 failed, first: chain at p=0 q=6)",
+        "FAIL triad character balances (2/63 failed, first: triad p=0 q=2)",
+        "3/6 checks passed",
+    ]
 
 
 @pytest.mark.parametrize("suite", ["resolution", "kronecker", "walls", "all"])
