@@ -25,7 +25,7 @@ from .exceptional import (
     is_adjacent_pair,
     parent_pair,
 )
-from .stability import CASE_AT_DOT, CASE_BELOW_DOT, _delta, min_slope
+from .stability import CASE_AT_DOT, CASE_BELOW_DOT, _delta, _min_slope_for
 
 KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
@@ -76,17 +76,16 @@ def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
     return Wall.semicircle(x, x * x - 2 * y_cross / denom)
 
 
-def collapsing_wall(n: int) -> Wall:
+def collapsing_wall(n) -> Wall:
     """Innermost wall, where the ideal sheaf of n general points collapses.
 
-    The destabilizing bundle is read off from the minimal-slope case: E_{-D}
-    from below, E_{-D-3} from above, and E_{-beta} when the minimum is the
-    exceptional slope D itself.
+    n is an int or the MinSlopeResult of min_slope(n).  The destabilizing
+    bundle is read off from the minimal-slope case: E_{-D} from below, E_{-D-3}
+    from above, and E_{-beta} when the minimum is the exceptional slope D
+    itself.
     """
-    if n < 2:
-        raise ValueError("the collapsing wall is computed for n >= 2")
-    ms = min_slope(n)
-    d = ms.associated
+    ms = _min_slope_for(n, "collapsing wall")
+    n, d = ms.n, ms.associated
     if ms.position == CASE_AT_DOT:
         destabilizer = parent_pair(d)[1].dual_twist(0)
     elif ms.position == CASE_BELOW_DOT:
@@ -275,12 +274,13 @@ def _fmt(x) -> str:
     return format(q.normalize(), "f")
 
 
-def render_walls(n: int, extra=()) -> str:
+def render_walls(n, extra=()) -> str:
     """Deterministic SVG of the collapsing wall for n plus any extra walls.
 
-    Geometry is computed exactly and only formatted at 12 decimal places, so
-    identical inputs give byte-identical documents.  Empty walls are skipped
-    with a comment node.
+    n is an int or a MinSlopeResult, as for collapsing_wall.  Geometry is
+    computed exactly and only formatted at 12 decimal places, so identical
+    inputs give byte-identical documents.  Empty walls are skipped with a
+    comment node.
     """
     walls = [collapsing_wall(n)]
     walls.extend(extra)

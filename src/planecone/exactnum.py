@@ -19,6 +19,15 @@ RationalLike = Union[int, Fraction]
 SurdLike = Union[int, Fraction, "QuadSurd"]
 
 
+def _as_rational(x: RationalLike) -> Fraction:
+    """An int or a Fraction as a Fraction, a Fraction as it is; anything else raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot read {x!r} as a rational")
+
+
 def _small_primes(limit: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -299,5 +308,8 @@ def fraction_str(x: RationalLike) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into an exact Fraction; a bad text raises ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("invalid rational %r: zero denominator" % text) from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactnum import QuadSurd, RationalLike, SurdLike, fraction_str, surd_cmp
+from .exactnum import QuadSurd, RationalLike, SurdLike, _as_rational, fraction_str, surd_cmp
 
 
 # levels below the integers that associated_slope and gamma_inv walk before giving up
@@ -42,8 +42,8 @@ class CantorPointError(ValueError):
 
 def hilbert_poly(x):
     """Euler characteristic polynomial of O(x) on the plane: (x^2 + 3x + 2)/2."""
-    if isinstance(x, int):
-        x = Fraction(x)
+    if not isinstance(x, QuadSurd):
+        x = _as_rational(x)
     return (x * x + 3 * x + 2) / 2
 
 
@@ -169,7 +169,7 @@ class ExceptionalSlope:
 def _slope_value(x) -> Fraction:
     if isinstance(x, ExceptionalSlope):
         return x.value
-    return Fraction(x)
+    return _as_rational(x)
 
 
 def dot(alpha, beta) -> Fraction:
@@ -305,7 +305,7 @@ def associated_slope(x: SurdLike, max_depth: int = MAX_DEPTH) -> ExceptionalSlop
 
 def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:
     """Look up the ExceptionalSlope whose slope equals value, or raise."""
-    value = Fraction(value)
+    value = _as_rational(value)
     slope = associated_slope(value)
     if slope.value != value:
         raise ValueError(f"{value} is not an exceptional slope")
@@ -314,8 +314,7 @@ def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:
 
 def enumerate_slopes(depth: int, lo: RationalLike, hi: RationalLike) -> list[ExceptionalSlope]:
     """All exceptional slopes of dyadic depth <= depth with value in [lo, hi], ascending."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo, hi = _as_rational(lo), _as_rational(hi)
     if lo > hi:
         raise ValueError("empty slope range")
     scale = 1 << depth

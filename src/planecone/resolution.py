@@ -18,7 +18,7 @@ from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
 from .exactnum import QuadSurd, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _delta, min_slope
+from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _delta, _min_slope_for
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -121,18 +121,17 @@ def _as_int(x: Fraction, what: str, n: int) -> int:
     return int(x)
 
 
-def gaeta_resolution(n: int) -> ResolutionData:
+def gaeta_resolution(n) -> ResolutionData:
     """Resolution of the ideal sheaf of n >= 2 general points.
 
-    The slope D = alpha.beta of the minimal-slope computation sorts n into
-    three cases by the position of mu relative to D.  In the AtDot case the
-    ideal sheaf is resolved directly by the parent bundles and W degenerates
-    to I_Z itself, so w_sequence is empty there.
+    n is an int or the MinSlopeResult of min_slope(n).  The slope D =
+    alpha.beta of the minimal-slope computation sorts n into three cases by the
+    position of mu relative to D.  In the AtDot case the ideal sheaf is
+    resolved directly by the parent bundles and W degenerates to I_Z itself, so
+    w_sequence is empty there.
     """
-    if n < 2:
-        raise ValueError("the resolution is computed for n >= 2")
-    ms = min_slope(n)
-    dot = ms.associated
+    ms = _min_slope_for(n, "resolution")
+    n, dot = ms.n, ms.associated
     a, b = parent_pair(dot)
     dval = dot.value
     rd = dot.rank
@@ -282,21 +281,22 @@ def kronecker_euler(N: int, e, f) -> int:
     return b * bp + a * ap - N * b * ap
 
 
-def kronecker_data(n: int) -> KroneckerData:
+def kronecker_data(n) -> KroneckerData:
     """Kronecker-module invariants of the W bundle for n general points.
 
-    Raises KroneckerNotApplicableError when the minimal slope is exceptional
-    (the quiver moduli map is birational rather than fibered there) or when
-    the case is sporadic and W only exists as a two-term complex.
+    n is an int, a MinSlopeResult or a ResolutionData.  Raises
+    KroneckerNotApplicableError when the minimal slope is exceptional (the
+    quiver moduli map is birational rather than fibered there) or when the case
+    is sporadic and W only exists as a two-term complex.
     """
-    res = gaeta_resolution(n)
+    res = n if isinstance(n, ResolutionData) else gaeta_resolution(n)
     if res.mu == res.dot_slope.value:
         raise KroneckerNotApplicableError(
-            "n=%d has exceptional minimal slope, the moduli map is birational" % n
+            "n=%d has exceptional minimal slope, the moduli map is birational" % res.n
         )
     if res.sporadic:
         raise KroneckerNotApplicableError(
-            "n=%d is sporadic, W exists only as a two-term complex" % n
+            "n=%d is sporadic, W exists only as a two-term complex" % res.n
         )
     N = 3 * res.dot_slope.rank
     a = res.m1
@@ -313,6 +313,6 @@ def kronecker_data(n: int) -> KroneckerData:
     rank_v = int(rank_v)
     kr_dim = rank_v * rank_v * (2 * _delta(res.mu, res.dot_slope) - 1) + 1
     return KroneckerData(
-        n, N, a, b, psi_lower, psi_upper, in_window,
-        rank_v, kr_dim, kr_dim < 2 * n,
+        res.n, N, a, b, psi_lower, psi_upper, in_window,
+        rank_v, kr_dim, kr_dim < 2 * res.n,
     )

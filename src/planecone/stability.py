@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
-from .exactnum import fraction_str
+from .exactnum import _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
@@ -48,7 +48,7 @@ class MinSlopeResult:
 
 def delta(mu) -> Fraction:
     """Sharp lower bound for the discriminant of a stable sheaf of slope mu."""
-    mu = Fraction(mu)
+    mu = _as_rational(mu)
     return _delta(mu, associated_slope(mu))
 
 
@@ -59,7 +59,7 @@ def _delta(mu: Fraction, a: ExceptionalSlope) -> Fraction:
 
 def gamma(mu) -> Fraction:
     """P(mu) - delta(mu), a strictly increasing bijection on rationals >= 0."""
-    mu = Fraction(mu)
+    mu = _as_rational(mu)
     if mu < 0:
         raise ValueError("gamma is defined on nonnegative slopes")
     return hilbert_poly(mu) - delta(mu)
@@ -81,7 +81,7 @@ def gamma_inv(q) -> Fraction:
 
 def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     """gamma_inv(q) together with the slope whose interval holds it."""
-    q = Fraction(q)
+    q = _as_rational(q)
     if q < 0:
         raise ValueError("gamma only takes nonnegative values")
 
@@ -104,8 +104,7 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
 
 def moduli_nonempty(r: int, mu, Delta) -> bool:
     """Decide nonemptiness of the moduli space with the given invariants."""
-    mu = Fraction(mu)
-    Delta = Fraction(Delta)
+    mu, Delta = _as_rational(mu), _as_rational(Delta)
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if (r * mu).denominator != 1:
@@ -158,3 +157,10 @@ def min_slope(n: int) -> MinSlopeResult:
         case = CASE_NON_EXCEPTIONAL
         position = CASE_BELOW_DOT if mu < a.value else CASE_ABOVE_DOT
     return MinSlopeResult(n, mu, lam, a, case, position)
+
+
+def _min_slope_for(n, what: str) -> MinSlopeResult:
+    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2."""
+    if (n.n if isinstance(n, MinSlopeResult) else n) < 2:
+        raise ValueError("the %s is computed for n >= 2" % what)
+    return n if isinstance(n, MinSlopeResult) else min_slope(n)

@@ -22,16 +22,7 @@ from .exactnum import fraction_str, surd_cmp
 from .exceptional import enumerate_slopes, epsilon
 from .resolution import CASE_BELOW_DOT, classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
-from .stability import gamma, gamma_inv
-
-DEFAULT_DEPTHS = {
-    "cf": 10,
-    "intervals": 8,
-    "gamma": 1000,
-    "resolution": 500,
-    "kronecker": 500,
-    "walls": 500,
-}
+from .stability import gamma, gamma_inv, min_slope
 
 PAIR_DEPTH = 8
 CHAIN_LENGTH = 6
@@ -163,9 +154,9 @@ def _triad_configs(depth: int):
 def _suite_walls(depth: int) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
-        wall = collapsing_wall(n)
-        lam = gamma_inv(Fraction(n))
-        if (lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
+        ms = min_slope(n)
+        wall = collapsing_wall(ms)
+        if (ms.lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
             collapse_failures.append("n=%d radius bound" % n)
         if wall.is_empty():
             collapse_failures.append("n=%d empty collapsing wall" % n)
@@ -229,17 +220,17 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     return results
 
 
-# these suites check n = 2..depth, so a smaller depth would pass on no input
-_FROM_N_TWO = ("resolution", "kronecker", "walls")
-
+# name: (suite, default depth, least depth); the suites that check n = 2..depth
+# would pass on no input below depth 2
 _SUITES = {
-    "cf": _suite_cf,
-    "intervals": _suite_intervals,
-    "gamma": _suite_gamma,
-    "resolution": _suite_resolution,
-    "kronecker": _suite_kronecker,
-    "walls": _suite_walls,
+    "cf": (_suite_cf, 10, 1),
+    "intervals": (_suite_intervals, 8, 1),
+    "gamma": (_suite_gamma, 1000, 1),
+    "resolution": (_suite_resolution, 500, 2),
+    "kronecker": (_suite_kronecker, 500, 2),
+    "walls": (_suite_walls, 500, 2),
 }
+DEFAULT_DEPTHS = {name: default for name, (_, default, _) in _SUITES.items()}
 
 
 def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
@@ -253,11 +244,12 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
         return out
     if suite not in _SUITES:
         raise ValueError("unknown suite %r" % suite)
-    if depth is None:
-        depth = DEFAULT_DEPTHS[suite]
-    if depth < 2 and suite in _FROM_N_TWO:
-        raise ValueError("%s checks n = 2..depth, so depth must be at least 2" % suite)
-    return _SUITES[suite](depth)
+    check, default, least = _SUITES[suite]
+    depth = default if depth is None else depth
+    if depth < least:
+        message = "%s checks n = %d..depth, so depth must be at least %d"
+        raise ValueError(message % (suite, least, least))
+    return check(depth)
 
 
 def format_report(results: list[CheckResult]) -> tuple[str, int]:

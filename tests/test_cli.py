@@ -123,6 +123,24 @@ def test_walls_unwritable_svg_path_is_one_error_line(tmp_path, capsys):
     assert str(target) in err
 
 
+@pytest.mark.parametrize(
+    "command, what", [("resolution", "resolution"), ("walls", "collapsing wall")]
+)
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_n_below_two_is_one_error_line(capsys, command, what, n):
+    code, out, err = run(capsys, [command, "--n", n])
+    assert (code, out, err) == (2, "", "error: the %s is computed for n >= 2\n" % what)
+
+
+@pytest.mark.parametrize(
+    "argv", [["cf", "--value", "1/0"], ["walls", "--n", "5", "--pairs", "1/0,1"]]
+)
+def test_zero_denominator_names_the_text(capsys, argv):
+    # once "error: Fraction(1, 0)"
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: invalid rational '1/0': zero denominator\n")
+
+
 def test_walls_bad_pair_argument(capsys):
     code, _, err = run(capsys, ["walls", "--n", "2", "--pairs", "0:1/2"])
     assert code == 2 and "error" in err

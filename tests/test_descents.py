@@ -4,12 +4,14 @@ exceptional._walk is the only loop that goes down the tree; epsilon,
 associated_slope and gamma_inv each steer one.  The resolution and the walls
 take every twist and dual of alpha, beta and D from their addresses, so on a
 warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
-reads delta from the slope it found.  gamma_inv steers by rationals, so no
-answer of min_slope builds a surd.  The verify suites name every slope they
-build by its dyadic address.  Each count is taken on a warm memo, because an
-epsilon that misses the memo walks too.  The surd count of a walk steered by a
-rational is also taken cold: it decides every level in integers and builds no
-slope's radius.
+reads delta from the slope it found.  A caller that holds min_slope(n) passes
+it on, so the resolution, the collapsing wall and the Kronecker data of one n
+cost one walk together.  gamma_inv steers by rationals, so no answer of
+min_slope builds a surd.  The verify suites name every slope they build by its
+dyadic address.  Each count is taken on a warm memo, because an epsilon that
+misses the memo walks too.  The surd count of a walk steered by a rational is
+also taken cold: it decides every level in integers and builds no slope's
+radius.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 import planecone.exceptional as exceptional
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
 from planecone.chern import exceptional_character
+from planecone.cli import main
 from planecone.exactnum import QuadSurd
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
 from planecone.stability import min_slope
@@ -75,6 +78,37 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
         answer(fn, n)
         assert len(walks) <= 1, (n, walks)
         assert lookups == [], (n, lookups)
+
+
+def all_three(n):
+    """Resolution, collapsing wall and Kronecker data, each passed what is already known."""
+    ms = min_slope(n)
+    res = gaeta_resolution(ms)
+    collapsing_wall(ms)
+    try:
+        kronecker_data(res)
+    except KroneckerNotApplicableError:
+        pass
+
+
+def test_results_passed_along_cost_one_walk(monkeypatch):
+    # by n, the three cost three walks: each of them calls min_slope
+    walks = count_calls(monkeypatch, "_walk")
+    for n in range(2, 201):
+        all_three(n)
+        walks.clear()
+        all_three(n)
+        assert len(walks) == 1, (n, walks)
+
+
+def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
+    # once two walks: the printed wall and the SVG each called collapsing_wall(n)
+    argv = ["walls", "--n", "25", "--svg", str(tmp_path / "walls.svg")]
+    assert main(argv) == 0
+    walks = count_calls(monkeypatch, "_walk")
+    assert main(argv) == 0
+    assert len(walks) == 1, walks
+    capsys.readouterr()
 
 
 def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
@@ -134,7 +168,7 @@ DEPTH = 12
         ("gamma", DEPTH, 2 * DEPTH),  # gamma_inv's one and gamma's one per n
         ("resolution", DEPTH, DEPTH - 1),
         ("kronecker", DEPTH, DEPTH - 1),
-        ("walls", DEPTH, 2 * (DEPTH - 1)),  # collapsing_wall's one and gamma_inv's one per n
+        ("walls", DEPTH, DEPTH - 1),  # min_slope's one per n, passed on to collapsing_wall
     ],
 )
 def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):

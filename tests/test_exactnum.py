@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from planecone.exactnum import (
     QuadSurd,
+    _as_rational,
     fraction_str,
     parse_fraction,
     sqrt_rational,
@@ -156,6 +157,18 @@ def test_fraction_str_and_parse_round_trip():
     assert parse_fraction("4") == Fraction(4)
     with pytest.raises(ValueError):
         parse_fraction("three halves")
+    # once a ZeroDivisionError, which the CLI printed as "error: Fraction(1, 0)"
+    with pytest.raises(ValueError, match="^invalid rational '1/0': zero denominator$"):
+        parse_fraction("1/0")
+
+
+def test_a_rational_is_an_int_or_a_fraction():
+    x = Fraction(-17, 6)
+    assert _as_rational(x) is x
+    assert _as_rational(4) == Fraction(4)
+    for bad in (0.5, "1/2", Decimal("0.5"), surd_value(0, 1, 2)):
+        with pytest.raises(TypeError, match="as a rational"):
+            _as_rational(bad)
 
 
 def test_to_json_shape():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
 from planecone.exactnum import surd_cmp
 from planecone.resolution import (
@@ -161,6 +162,44 @@ def test_gaeta_resolution_input_validation():
         gaeta_resolution(1)
     with pytest.raises(ValueError):
         gaeta_resolution(0)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, min_slope(1)], ids=["-1", "0", "1", "min_slope(1)"])
+def test_n_below_two_gets_one_message_by_n_or_passed_along(n):
+    # the n < 2 guard runs before min_slope, whose own message for n <= 0 differs
+    for fn, what in [
+        (gaeta_resolution, "resolution"),
+        (kronecker_data, "resolution"),
+        (collapsing_wall, "collapsing wall"),
+    ]:
+        with pytest.raises(ValueError, match="^the %s is computed for n >= 2$" % what):
+            fn(n)
+
+
+def kronecker_outcome(arg):
+    try:
+        return kronecker_data(arg).to_json()
+    except KroneckerNotApplicableError as exc:
+        return str(exc)
+
+
+def test_results_passed_along_give_the_answers_by_n():
+    seen = set()
+    for n in range(2, 301):
+        ms = min_slope(n)
+        res = gaeta_resolution(ms)
+        seen.add((res.case, res.sporadic))
+        assert res.to_json() == gaeta_resolution(n).to_json(), n
+        assert collapsing_wall(ms).to_json() == collapsing_wall(n).to_json(), n
+        by_n = kronecker_outcome(n)
+        assert kronecker_outcome(res) == kronecker_outcome(ms) == by_n, n
+    # every position of mu against D, and the sporadic case
+    assert seen == {
+        (CASE_BELOW_DOT, False),
+        (CASE_BELOW_DOT, True),
+        (CASE_AT_DOT, False),
+        (CASE_ABOVE_DOT, False),
+    }
 
 
 def test_classical_gaeta_examples():

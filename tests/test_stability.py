@@ -12,8 +12,10 @@ from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
     associated_slope,
+    dot,
     enumerate_slopes,
     epsilon,
+    exceptional_slope_of,
     hilbert_poly,
 )
 from planecone.stability import (
@@ -32,6 +34,26 @@ from planecone.stability import (
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(8), max_denominator=120
 )
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (hilbert_poly, (0.5,)),  # once the float 1.875
+        (delta, (0.1,)),  # once delta of the binary float 0.1000000000000000055...
+        (delta, ("1/2",)),
+        (gamma, (0.5,)),
+        (gamma_inv, (2.5,)),
+        (dot, (0.5, 1)),
+        (moduli_nonempty, (1, 0.0, 0.0)),
+        (exceptional_slope_of, (0.5,)),
+        (enumerate_slopes, (2, 0.0, 1)),
+    ],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_a_rational_argument_is_an_int_or_a_fraction(fn, args):
+    with pytest.raises(TypeError, match="as a rational"):
+        fn(*args)
 
 
 def test_delta_examples():
