@@ -1,16 +1,18 @@
 """Continued fractions for rationals.
 
-Expansions are kept in the even-length canonical form (an odd-length raw
-expansion is renormalized by merging or splitting the last term), with the
-full convergent list carried along so structural predicates stay cheap.
+A rational is read as an int or a Fraction and expanded by the integer Euclid
+on its numerator and denominator.  Expansions are kept in the even-length
+canonical form (an odd-length raw expansion is renormalized by merging or
+splitting the last term), with the full convergent list carried along so
+structural predicates stay cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
+from .exactnum import RationalLike, _as_rational
 from .exceptional import ExceptionalSlope
 
 
@@ -39,19 +41,17 @@ class ContinuedFraction:
         }
 
 
-def cf_expand_even(x) -> ContinuedFraction:
-    """Expand a rational into the even-length canonical continued fraction."""
-    x = Fraction(x)
-    a0 = floor(x)
-    frac = x - a0
+def _expand(num: int, den: int) -> ContinuedFraction:
+    """Even-length expansion of num/den, den > 0, by the integer Euclid on (num, den)."""
+    a0, rem = divmod(num, den)
     terms: list[int] = []
-    while frac:
-        frac = 1 / frac
-        a = floor(frac)
+    u, v = den, rem
+    while v:
+        a, rem = divmod(u, v)
         terms.append(a)
-        frac -= a
+        u, v = v, rem
     if len(terms) % 2:
-        # the floor recursion never ends on a 1: its last term is >= 2
+        # Euclid never ends on a 1: its last quotient is >= 2
         terms[-1] -= 1
         terms.append(1)
     ps = [1, a0]
@@ -59,10 +59,18 @@ def cf_expand_even(x) -> ContinuedFraction:
     for a in terms:
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
-    out = ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
-    if out.value() != x:
-        raise ArithmeticError("expansion of %s did not reconstruct its input" % x)
-    return out
+    # the last convergent is in lowest terms with a positive denominator, as num/den is
+    if (ps[-1], qs[-1]) != (num, den):
+        raise ArithmeticError(
+            "expansion of %s did not reconstruct its input" % Fraction(num, den)
+        )
+    return ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
+
+
+def cf_expand_even(x: RationalLike) -> ContinuedFraction:
+    """Expand an int or a Fraction into the even-length canonical continued fraction."""
+    x = _as_rational(x)
+    return _expand(x.numerator, x.denominator)
 
 
 def is_palindrome(cf: ContinuedFraction) -> bool:
@@ -90,8 +98,9 @@ def check_exceptional_cf(alpha) -> dict:
     All four flags are true for every exceptional slope; the checks run on
     the fractional part so any representative of the slope may be passed.
     """
-    value = alpha.value if isinstance(alpha, ExceptionalSlope) else Fraction(alpha)
-    cf = cf_expand_even(value - floor(value))
+    value = alpha.value if isinstance(alpha, ExceptionalSlope) else _as_rational(alpha)
+    num, den = value.numerator, value.denominator
+    cf = _expand(num % den, den)
     terms = cf.terms
     return {
         "palindrome": is_palindrome(cf),
@@ -103,12 +112,14 @@ def check_exceptional_cf(alpha) -> dict:
     }
 
 
-def is_convergent_of_inverse_golden(x) -> bool:
+def is_convergent_of_inverse_golden(x: RationalLike) -> bool:
     """True when x is a ratio of consecutive Fibonacci numbers."""
-    x = Fraction(x)
+    x = _as_rational(x)
+    num, den = x.numerator, x.denominator
+    # consecutive Fibonacci numbers are coprime, so a/b is in lowest terms
     a, b = 0, 1
-    while b <= x.denominator:
-        if Fraction(a, b) == x:
+    while b <= den:
+        if a == num and b == den:
             return True
         a, b = b, a + b
     return False

@@ -9,6 +9,7 @@ integer to find the minimal slope attached to n general points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +105,8 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
 
 def moduli_nonempty(r: int, mu, Delta) -> bool:
     """Decide nonemptiness of the moduli space with the given invariants."""
+    # operator.index rejects 1.5 and 2.0 alike with a TypeError
+    r = operator.index(r)
     mu, Delta = _as_rational(mu), _as_rational(Delta)
     if r < 1:
         raise ValueError("rank must be a positive integer")

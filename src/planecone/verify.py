@@ -51,7 +51,8 @@ def _suite_cf(depth: int) -> list[CheckResult]:
         report = check_exceptional_cf(s)
         if not all(report.values()):
             flag_failures.append("slope %s: %s" % (fraction_str(s.value), report))
-        num = (s.value * s.rank).numerator
+        # rank is the denominator of the slope, so rank * value is its numerator
+        num = s.value.numerator
         if (num * num + 1) % s.rank != 0:
             congruence_failures.append("slope %s" % fraction_str(s.value))
     return [
@@ -170,6 +171,17 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     pair_total = 0
     chain_total = 0
     bound = Fraction(5, 4)
+    # W(x, y) = W(y, x), and neighbouring triads and chains share walls
+    built = {}
+
+    def pair_wall(x, y):
+        a, b = (x.address.p, x.address.q), (y.address.p, y.address.q)
+        key = (a, b) if a <= b else (b, a)
+        wall = built.get(key)
+        if wall is None:
+            wall = built[key] = exceptional_pair_wall(x, y)
+        return wall
+
     # the chains and balances take the triads of level <= CHAIN_LENGTH, a prefix
     # of this loop's because CHAIN_LENGTH <= PAIR_DEPTH
     for p, q in _triad_configs(min(depth, PAIR_DEPTH)):
@@ -181,10 +193,10 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         # link 0 of alpha's chain is beta and link j + 1 is alpha.(link j), so link j
         # is ((p << j) + 1, q + j); links 0 and 1 are also the left nesting pair
         links = [
-            exceptional_pair_wall(alpha, epsilon(((p << j) + 1, q + j)))
+            pair_wall(alpha, epsilon(((p << j) + 1, q + j)))
             for j in range(CHAIN_LENGTH if chained else 2)
         ]
-        right = exceptional_pair_wall(beta, eta)
+        right = pair_wall(beta, eta)
         for x, y, wall in ((alpha, beta, links[0]), (beta, eta, right)):
             if wall.radius_sq >= bound:
                 radius_failures.append("pair (%s, %s)" % (x.value, y.value))
@@ -199,7 +211,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         # beta.eta is the child of the adjacent addresses (p + 1, q) and (p + 2, q)
         left_ok = nested(links[0], links[1], alpha.value)
         right_ok = nested(
-            right, exceptional_pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
+            right, pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
         )
         if not (left_ok and right_ok and 2 * beta.discriminant < 1):
             nest_failures.append("triad p=%d q=%d" % (p, q))

@@ -1,11 +1,14 @@
 """Even-length continued fractions and the exceptional structure flags."""
 
 from fractions import Fraction
+from math import floor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecone.contfrac import (
+    ContinuedFraction,
     cf_expand_even,
     check_exceptional_cf,
     is_convergent_of_inverse_golden,
@@ -133,3 +136,50 @@ def test_epsilon_values_satisfy_all_flags_deeper():
     for q in range(1, 9):
         slope = epsilon((1, q))
         assert all(check_exceptional_cf(slope).values())
+
+
+def reference_expand_even(x):
+    """The floor recursion on Fractions that cf_expand_even once ran, kept as a reference."""
+    x = Fraction(x)
+    a0 = floor(x)
+    frac = x - a0
+    terms = []
+    while frac:
+        frac = 1 / frac
+        a = floor(frac)
+        terms.append(a)
+        frac -= a
+    if len(terms) % 2:
+        terms[-1] -= 1
+        terms.append(1)
+    ps = [1, a0]
+    qs = [0, 1]
+    for a in terms:
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    return ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
+
+
+def test_integer_euclid_matches_the_fraction_recursion_on_slopes():
+    slopes = enumerate_slopes(9, 0, 1)
+    assert len(slopes) == 513
+    for slope in slopes:
+        assert cf_expand_even(slope.value) == reference_expand_even(slope.value), slope.value
+
+
+@given(st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**9))
+@settings(max_examples=400, deadline=None)
+def test_integer_euclid_matches_the_fraction_recursion(x):
+    assert cf_expand_even(x) == reference_expand_even(x)
+    assert cf_expand_even(x.numerator) == reference_expand_even(x.numerator)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [cf_expand_even, check_exceptional_cf, is_convergent_of_inverse_golden],
+    ids=lambda fn: fn.__name__,
+)
+def test_a_float_is_not_read_as_a_rational(fn):
+    # once each answered for the float 0.5 as for 1/2
+    with pytest.raises(TypeError, match="as a rational"):
+        fn(0.5)

@@ -1,5 +1,7 @@
 """Exact quadratic-surd arithmetic against a high-precision Decimal oracle."""
 
+import hashlib
+import json
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -17,6 +19,7 @@ from planecone.exactnum import (
     surd_cmp,
     surd_value,
 )
+from planecone.exceptional import enumerate_slopes
 
 
 def decimal_of(x, prec=80):
@@ -199,3 +202,90 @@ def test_arithmetic_across_radicands_that_differ_by_a_square():
         with pytest.raises(ValueError, match="mixed radicands"):
             op(QuadSurd(Fraction(0), Fraction(1), 2), QuadSurd(Fraction(1), Fraction(1), 3))
 
+
+# radicand classes for the integer-backed arithmetic: 2 also meets 2*1009^2,
+# which trial division leaves unextracted
+RADICANDS = (2, 3, 5, 2 * 1009**2)
+coefficients = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
+
+
+@st.composite
+def surds_over(draw, radicands=RADICANDS):
+    return QuadSurd(draw(coefficients), draw(coefficients), draw(st.sampled_from(radicands)))
+
+
+def same_class(d):
+    return (2, 2 * 1009**2) if d in (2, 2 * 1009**2) else (d,)
+
+
+@given(surds_over(), surds_over())
+@settings(max_examples=300, deadline=None)
+def test_integer_cmp_matches_decimal_oracle_across_radicands(x, y):
+    # for these sizes a nonzero difference is above 1e-41 (a norm bound), far
+    # above the oracle's rounding, so the oracle decides every pair
+    diff = decimal_of(x, prec=120) - decimal_of(y, prec=120)
+    expect = 0 if abs(diff) < Decimal("1e-50") else (1 if diff > 0 else -1)
+    assert surd_cmp(x, y) == expect
+    assert surd_cmp(y, x) == -expect
+    assert (x == y) == (expect == 0)
+    if expect == 0:
+        assert hash(x) == hash(y)
+
+
+@given(st.sampled_from((2, 3, 5)).flatmap(
+    lambda d: st.tuples(surds_over(same_class(d)), surds_over(same_class(d)))))
+@settings(max_examples=200, deadline=None)
+def test_integer_field_operations_match_decimal_oracle(pair):
+    x, y = pair
+    dx, dy = decimal_of(x, prec=120), decimal_of(y, prec=120)
+    tolerance = Decimal("1e-50")
+    for z, expect in ((x + y, dx + dy), (x - y, dx - dy), (x * y, dx * dy)):
+        assert abs(decimal_of(z, prec=120) - expect) <= tolerance * (1 + abs(expect))
+    assert (x + y) - y == x and x - y == -(y - x)
+    if y == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    q = x / y
+    expect = dx / dy
+    assert abs(decimal_of(q, prec=120) - expect) <= tolerance * (1 + abs(expect))
+    assert q * y == x
+    assert (1 / y) * x == q
+
+
+@given(coefficients, coefficients, st.sampled_from((2, 3, 5)), st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_hash_and_eq_across_square_factor_radicands(a, b, d, k):
+    x = QuadSurd(a, b, d)
+    for y in (QuadSurd(a, b / k, d * k * k), QuadSurd(a, b / 1009, d * 1009**2)):
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert -x == -y and hash(-x) == hash(-y)
+    # a rational surd hashes like its Fraction
+    for r in (QuadSurd(a, b, k * k), QuadSurd(a, 0, d), x - b * QuadSurd(0, 1, d)):
+        assert r.is_rational() and r == r.as_fraction() and hash(r) == hash(r.as_fraction())
+
+
+def test_interval_end_text_is_unchanged():
+    # digest of repr and to_json for both ends of every I_alpha of depth <= 6 in
+    # [-2, 3], recorded when QuadSurd still held Fraction coefficients
+    lines = []
+    for s in enumerate_slopes(6, -2, 3):
+        for end in s.interval():
+            lines.append(repr(end) + " " + json.dumps(end.to_json(), sort_keys=True))
+    assert len(lines) == 642
+    assert lines[0] == 'QuadSurd(-7/2 + 1/2*sqrt(5)) {"a": "-7/2", "b": "1/2", "d": 5}'
+    assert lines[321] == 'QuadSurd(2 + -1*sqrt(2)) {"a": "2", "b": "-1", "d": 2}'
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fa2a67fbbdca489330996b7fba6bb08cccb5663741a5f1e6f8fe2c37f9ef7e7c"
+
+
+def test_value_is_held_as_integers_in_lowest_terms():
+    x = QuadSurd(Fraction(6, 4), Fraction(-9, 12), 8)  # 3/2 - (3/2)sqrt 2 = (3 - 3 sqrt 2)/2
+    assert (x._A, x._B, x._C, x.d) == (3, -3, 2, 2)
+    assert (x.a, x.b) == (Fraction(3, 2), Fraction(-3, 2))
+    y = x / QuadSurd(0, -3, 2)  # (3 - 3 sqrt 2)/(-6 sqrt 2) = (2 - sqrt 2)/4
+    assert (y._A, y._B, y._C, y.d) == (2, -1, 4, 2)
+    with pytest.raises(AttributeError):
+        x.d = 3
+    with pytest.raises(TypeError, match="as rationals"):
+        QuadSurd(0.5, 0, 2)

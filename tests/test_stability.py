@@ -56,6 +56,13 @@ def test_a_rational_argument_is_an_int_or_a_fraction(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, Fraction(2), "2"], ids=repr)
+def test_moduli_nonempty_rank_is_an_int(r):
+    # once AttributeError: 'float' object has no attribute 'denominator' for 1.5
+    with pytest.raises(TypeError):
+        moduli_nonempty(r, Fraction(0), Fraction(0))
+
+
 def test_delta_examples():
     assert delta(Fraction(0)) == 1
     assert delta(Fraction(1)) == 1

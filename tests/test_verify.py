@@ -31,6 +31,15 @@ def test_all_runs_every_suite():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def test_intervals_at_the_default_depth(capsys):
+    # every pair of the 769 slopes of depth <= 8 in [0, 3], compared in integers
+    assert main(["verify", "intervals"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS interval disjointness (295296 checks)",
+        "1/1 checks passed",
+    ]
+
+
 def test_format_report_lines_and_exit_code():
     results = [
         CheckResult("first", True, "10 checks"),
@@ -74,10 +83,11 @@ def test_walls_triad_levels_follow_depth():
         }, depth
 
 
-@pytest.mark.parametrize("depth, built", [(3, 56), (8, 1272), (9, 1272)])
+@pytest.mark.parametrize("depth, built", [(3, 38), (8, 830), (9, 830)])
 def test_walls_build_each_pair_wall_of_a_triad_once(monkeypatch, depth, built):
     # once 84 and 1908: the chain rebuilt W(alpha, beta) and W(alpha, alpha.beta),
-    # and the nesting check rebuilt W(beta, eta)
+    # and the nesting check rebuilt W(beta, eta); then 56 and 1272, one per ordered
+    # use, with neighbouring triads and chains still building a shared wall again
     calls = []
 
     def counted(alpha, beta):
@@ -87,6 +97,7 @@ def test_walls_build_each_pair_wall_of_a_triad_once(monkeypatch, depth, built):
     monkeypatch.setattr(verify, "exceptional_pair_wall", counted)
     run_suite("walls", depth)
     assert len(calls) == built
+    assert len({frozenset((x.address, y.address)) for x, y in calls}) == built
 
 
 def test_walls_failures_report_in_triad_order(monkeypatch):
