@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .chern import ChernCharacter, euler_pairing, exceptional_character
-from .exactnum import fraction_str
+from .exactnum import _as_rational, fraction_str
 from .exceptional import (
     ExceptionalSlope,
     _as_slope,
@@ -40,11 +40,11 @@ class Wall:
 
     @classmethod
     def semicircle(cls, center, radius_sq) -> "Wall":
-        return cls(KIND_SEMICIRCLE, Fraction(center), Fraction(radius_sq))
+        return cls(KIND_SEMICIRCLE, _as_rational(center), _as_rational(radius_sq))
 
     @classmethod
     def vertical(cls, s) -> "Wall":
-        return cls(KIND_VERTICAL, vertical_s=Fraction(s))
+        return cls(KIND_VERTICAL, vertical_s=_as_rational(s))
 
     def is_empty(self) -> bool:
         return self.kind == KIND_SEMICIRCLE and self.radius_sq <= 0
@@ -126,7 +126,7 @@ def nested(inner: Wall, outer: Wall, reference_slope) -> bool:
     is strictly to the right; mirrored on the right side.  Identical centers
     give False, and walls on opposite sides raise.
     """
-    ref = Fraction(reference_slope)
+    ref = _as_rational(reference_slope)
     side = _wall_side(inner, ref)
     if side != _wall_side(outer, ref):
         raise ValueError("walls lie on opposite sides of s = %s" % ref)
@@ -139,12 +139,12 @@ def nested(inner: Wall, outer: Wall, reference_slope) -> bool:
 
 def mori_from_bridgeland(x) -> Fraction:
     """Conjectural Mori coordinate y = x + 3/2 of the wall centered at x."""
-    return Fraction(x) + Fraction(3, 2)
+    return _as_rational(x) + Fraction(3, 2)
 
 
 def bridgeland_from_mori(y) -> Fraction:
     """Inverse map x = y - 3/2."""
-    return Fraction(y) - Fraction(3, 2)
+    return _as_rational(y) - Fraction(3, 2)
 
 
 def exceptional_pair_wall(alpha, beta) -> Wall:

@@ -1,9 +1,12 @@
 """Chern character arithmetic on the plane.
 
-Characters are triples (r, c1, ch2) of exact rationals.  Slope and
-discriminant, the Euler characteristic by Riemann-Roch, the asymmetric Euler
-pairing, twisting by line bundles, duals, and the characters of exceptional
-bundles all live here.
+Characters are triples (r, c1, ch2) of exact rationals, and everything here is
+polynomial arithmetic in them.  The Euler pairing is Riemann-Roch,
+chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1', and
+chi(E) = r + 3 c1/2 + ch2 is its value against O; both answer at rank zero.
+Slope and discriminant, twisting by line bundles, duals, and the characters of
+exceptional bundles, (r, c, (c^2 - r^2 + 1)/(2r)) for the slope c/r, also live
+here.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import fraction_str
-from .exceptional import _as_slope, hilbert_poly
+from .exactnum import _as_rational, fraction_str
+from .exceptional import _as_slope
 
 
 class ZeroRankError(ValueError):
@@ -26,9 +29,9 @@ class ChernCharacter:
     ch2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "ch2", Fraction(self.ch2))
+        object.__setattr__(self, "r", _as_rational(self.r))
+        object.__setattr__(self, "c1", _as_rational(self.c1))
+        object.__setattr__(self, "ch2", _as_rational(self.ch2))
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         return ChernCharacter(self.r + other.r, self.c1 + other.c1, self.ch2 + other.ch2)
@@ -40,7 +43,7 @@ class ChernCharacter:
         return ChernCharacter(-self.r, -self.c1, -self.ch2)
 
     def __mul__(self, k) -> "ChernCharacter":
-        k = Fraction(k)
+        k = _as_rational(k)
         return ChernCharacter(k * self.r, k * self.c1, k * self.ch2)
 
     __rmul__ = __mul__
@@ -61,7 +64,7 @@ class ChernCharacter:
 
 def line_bundle(k) -> ChernCharacter:
     """Character (1, k, k^2/2) of the line bundle of degree k."""
-    k = Fraction(k)
+    k = _as_rational(k)
     return ChernCharacter(1, k, k * k / 2)
 
 
@@ -80,21 +83,23 @@ def discriminant(ch: ChernCharacter) -> Fraction:
 
 
 def euler_char(ch: ChernCharacter) -> Fraction:
-    """chi(E) = r(P(mu) - Delta) by Riemann-Roch."""
-    return ch.r * (hilbert_poly(slope(ch)) - discriminant(ch))
+    """chi(E) = r + 3 c1/2 + ch2 by Riemann-Roch; at nonzero rank it is r(P(mu) - Delta)."""
+    return ch.r + 3 * ch.c1 / 2 + ch.ch2
 
 
 def euler_pairing(ch_e: ChernCharacter, ch_f: ChernCharacter) -> Fraction:
-    """chi(E, F) = r(E) r(F) (P(mu_F - mu_E) - Delta_E - Delta_F)."""
-    mu_gap = slope(ch_f) - slope(ch_e)
-    return ch_e.r * ch_f.r * (
-        hilbert_poly(mu_gap) - discriminant(ch_e) - discriminant(ch_f)
-    )
+    """chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1' by Riemann-Roch.
+
+    At nonzero ranks it is r r' (P(mu_F - mu_E) - Delta_E - Delta_F).
+    """
+    r, c, d = ch_e.r, ch_e.c1, ch_e.ch2
+    rp, cp, dp = ch_f.r, ch_f.c1, ch_f.ch2
+    return r * rp + 3 * (r * cp - rp * c) / 2 + r * dp + rp * d - c * cp
 
 
 def twist(ch: ChernCharacter, k) -> ChernCharacter:
     """Character of E(k), i.e. the tensor with the degree-k line bundle."""
-    k = Fraction(k)
+    k = _as_rational(k)
     return ChernCharacter(ch.r, ch.c1 + k * ch.r, ch.ch2 + k * ch.c1 + k * k * ch.r / 2)
 
 
@@ -105,10 +110,10 @@ def dual(ch: ChernCharacter) -> ChernCharacter:
 def exceptional_character(alpha) -> ChernCharacter:
     """Character of the exceptional bundle of slope alpha.
 
-    The rank is the denominator of the slope, so the character is
-    (r, r*alpha, r*(alpha^2/2 - Delta_alpha)).
+    The rank r is the denominator of the slope c/r, and with
+    Delta_alpha = (1 - 1/r^2)/2 the character r(1, alpha, alpha^2/2 - Delta_alpha)
+    is (r, c, (c^2 - r^2 + 1)/(2r)) in integers.
     """
     alpha = _as_slope(alpha)
-    r = alpha.rank
-    v = alpha.value
-    return ChernCharacter(r, r * v, r * (v * v / 2 - alpha.discriminant))
+    r, c = alpha.rank, alpha.value.numerator
+    return ChernCharacter(r, c, Fraction(c * c - r * r + 1, 2 * r))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import RationalLike, _as_rational
-from .exceptional import ExceptionalSlope
+from .exceptional import _slope_value
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def check_exceptional_cf(alpha) -> dict:
     All four flags are true for every exceptional slope; the checks run on
     the fractional part so any representative of the slope may be passed.
     """
-    value = alpha.value if isinstance(alpha, ExceptionalSlope) else _as_rational(alpha)
+    value = _slope_value(alpha)
     num, den = value.numerator, value.denominator
     cf = _expand(num % den, den)
     terms = cf.terms

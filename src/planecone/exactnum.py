@@ -1,13 +1,15 @@
 """Exact scalars: arbitrary-precision rationals and quadratic surds (A + B*sqrt(d))/C.
 
-Rationals are fractions.Fraction throughout the package.  QuadSurd adds a single
-square root of a nonnegative integer, which is all the irrationality the slope
-arithmetic ever needs.  A QuadSurd holds its value as (A + B*sqrt(d))/C in
-Python ints, with C > 0 and gcd(A, B, C) = 1, so its arithmetic and its
-comparisons are integer formulas; a rational operand enters as its numerator
-and denominator.  Comparisons between surds over different radicands are
-decided by sign-tracked squaring over exact integers; no floating point is used
-anywhere in a correctness path.
+Rationals are fractions.Fraction throughout the package, and every rational
+argument in it is read by _as_rational: an int or a Fraction, a Fraction kept
+as it is, while a float, a string or a Decimal raises TypeError.  QuadSurd
+adds a single square root of a nonnegative integer, which is all the
+irrationality the slope arithmetic ever needs.  A QuadSurd holds its value as
+(A + B*sqrt(d))/C in Python ints, with C > 0 and gcd(A, B, C) = 1, so its
+arithmetic and its comparisons are integer formulas; a rational operand enters
+as its numerator and denominator.  Comparisons between surds over different
+radicands are decided by sign-tracked squaring over exact integers; no floating
+point is used anywhere in a correctness path.
 """
 
 from __future__ import annotations
@@ -184,8 +186,7 @@ class QuadSurd:
     __slots__ = ("_A", "_B", "_C", "_d")
 
     def __init__(self, a: RationalLike, b: RationalLike, d: int) -> None:
-        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
-            raise TypeError(f"cannot read {a!r} and {b!r} as rationals")
+        a, b = _as_rational(a), _as_rational(b)
         an, ad = a.numerator, a.denominator
         bn, bd = b.numerator, b.denominator
         self._A, self._B, self._C, self._d = an * bd, bn * ad, ad * bd, d
@@ -331,12 +332,12 @@ class QuadSurd:
 
 def surd_value(a: RationalLike, b: RationalLike, d: int) -> QuadSurd:
     """Build the normalized exact value a + b*sqrt(d)."""
-    return QuadSurd(Fraction(a), Fraction(b), d)
+    return QuadSurd(a, b, d)
 
 
 def sqrt_rational(x: RationalLike) -> QuadSurd:
     """Exact square root of a nonnegative rational, as a QuadSurd."""
-    x = Fraction(x)
+    x = _as_rational(x)
     if x < 0:
         raise ValueError("square root of a negative rational")
     # sqrt(p/q) = sqrt(p*q)/q
@@ -345,7 +346,7 @@ def sqrt_rational(x: RationalLike) -> QuadSurd:
 
 def fraction_str(x: RationalLike) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    x = _as_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

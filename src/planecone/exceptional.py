@@ -315,6 +315,8 @@ def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:
 def enumerate_slopes(depth: int, lo: RationalLike, hi: RationalLike) -> list[ExceptionalSlope]:
     """All exceptional slopes of dyadic depth <= depth with value in [lo, hi], ascending."""
     lo, hi = _as_rational(lo), _as_rational(hi)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, not %d" % depth)
     if lo > hi:
         raise ValueError("empty slope range")
     scale = 1 << depth

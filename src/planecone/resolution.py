@@ -18,7 +18,7 @@ from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
 from .exactnum import QuadSurd, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _delta, _min_slope_for
+from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _as_n, _delta, _min_slope_for
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -116,7 +116,7 @@ class ResolutionData:
 
 
 def _as_int(x: Fraction, what: str, n: int) -> int:
-    if Fraction(x).denominator != 1:
+    if x.denominator != 1:
         raise ArithmeticError("%s is not an integer for n=%d" % (what, n))
     return int(x)
 
@@ -214,8 +214,7 @@ class ClassicalGaeta:
 
 def classical_gaeta(n: int) -> ClassicalGaeta:
     """Resolution of n general points by line bundles in degrees -r..-r-2."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _as_n(n)
     r = (isqrt(8 * n + 1) - 1) // 2
     s = n - r * (r + 1) // 2
     if not 0 <= s <= r:

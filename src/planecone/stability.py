@@ -132,6 +132,15 @@ def height(ch: ChernCharacter) -> int:
     return int(h)
 
 
+def _as_n(n) -> int:
+    """A number of points n >= 1 as an int; a bool, a float or a string raises TypeError."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("n must be an int, not %s" % type(n).__name__)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def min_slope(n: int) -> MinSlopeResult:
     """Minimal slope mu of the effective-cone computation for n points.
 
@@ -140,11 +149,8 @@ def min_slope(n: int) -> MinSlopeResult:
     bundle there has chi/r >= n, and that shortcut firing is what the
     ExceptionalBundle case records.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an int, not %s" % type(n).__name__)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    lam, a = _gamma_inv(Fraction(n))
+    n = _as_n(n)
+    lam, a = _gamma_inv(n)
     if a.value <= lam and Fraction(a.euler, a.rank) >= n:
         mu = a.value
     else:

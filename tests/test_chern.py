@@ -19,7 +19,7 @@ from planecone.chern import (
     slope,
     twist,
 )
-from planecone.exceptional import epsilon
+from planecone.exceptional import enumerate_slopes, epsilon, hilbert_poly
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=24
@@ -69,6 +69,55 @@ def test_ideal_sheaf_character():
     assert discriminant(iz) == 7
 
 
+def reference_pairing(e, f):
+    """The slope form chi(E, F) = r r' (P(mu_F - mu_E) - Delta_E - Delta_F), nonzero ranks only."""
+    return e.r * f.r * (hilbert_poly(slope(f) - slope(e)) - discriminant(e) - discriminant(f))
+
+
+def reference_char(e):
+    """The slope form chi(E) = r (P(mu) - Delta), nonzero rank only."""
+    return e.r * (hilbert_poly(slope(e)) - discriminant(e))
+
+
+def reference_exceptional_character(alpha):
+    """r (1, alpha, alpha^2/2 - Delta_alpha) in Fraction arithmetic."""
+    r, v = alpha.rank, alpha.value
+    return ChernCharacter(r, r * v, r * (v * v / 2 - alpha.discriminant))
+
+
+@given(characters(), characters())
+@settings(max_examples=200, deadline=None)
+def test_riemann_roch_matches_the_slope_form(e, f):
+    assert euler_pairing(e, f) == reference_pairing(e, f)
+    assert euler_char(e) == reference_char(e)
+
+
+def test_exceptional_characters_match_the_fraction_form():
+    slopes = enumerate_slopes(8, -3, 3)
+    assert len(slopes) == 1537
+    chars = [exceptional_character(s) for s in slopes]
+    for s, ch in zip(slopes, chars):
+        ref = reference_exceptional_character(s)
+        assert ch == ref and ch.astuple() == ref.astuple()
+        assert euler_char(ch) == reference_char(ch) == s.euler
+        assert euler_pairing(ch, ch) == 1
+    for ch, nxt in zip(chars, chars[1:]):
+        assert euler_pairing(ch, nxt) == reference_pairing(ch, nxt)
+        assert euler_pairing(nxt, ch) == reference_pairing(nxt, ch)
+
+
+def test_euler_characteristic_at_rank_zero():
+    # once each raised ZeroRankError through slope and discriminant
+    point = ChernCharacter(0, 0, 1)  # O_p
+    line = ChernCharacter(0, 1, Fraction(-1, 2))  # O_L = O - O(-1)
+    o = line_bundle(0)
+    assert line == o - line_bundle(-1)
+    assert euler_char(point) == euler_pairing(o, point) == euler_pairing(point, o) == 1
+    assert euler_pairing(point, point) == 0
+    assert euler_char(line) == 1
+    assert euler_pairing(line, line) == -1
+
+
 def test_zero_rank_raises():
     torsion = ChernCharacter(0, 1, Fraction(1, 2))
     with pytest.raises(ZeroRankError):
@@ -103,12 +152,9 @@ def test_serre_shadow(e, f):
 @given(characters(), characters(), characters())
 @settings(max_examples=150, deadline=None)
 def test_pairing_bilinear(e, f, g):
-    fg = f + g
-    if fg.r != 0:
-        assert euler_pairing(e, fg) == euler_pairing(e, f) + euler_pairing(e, g)
-    ef = e + f
-    if ef.r != 0:
-        assert euler_pairing(ef, g) == euler_pairing(e, g) + euler_pairing(f, g)
+    # f + g and e + f may have rank zero, where the pairing answers too
+    assert euler_pairing(e, f + g) == euler_pairing(e, f) + euler_pairing(e, g)
+    assert euler_pairing(e + f, g) == euler_pairing(e, g) + euler_pairing(f, g)
 
 
 @given(characters())

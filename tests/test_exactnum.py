@@ -287,5 +287,5 @@ def test_value_is_held_as_integers_in_lowest_terms():
     assert (y._A, y._B, y._C, y.d) == (2, -1, 4, 2)
     with pytest.raises(AttributeError):
         x.d = 3
-    with pytest.raises(TypeError, match="as rationals"):
+    with pytest.raises(TypeError, match="as a rational"):
         QuadSurd(0.5, 0, 2)

@@ -327,6 +327,9 @@ def test_enumerate_slopes_window_and_order():
     assert values[0] == 0 and values[-1] == 1
     assert Fraction(5, 13) in values and Fraction(12, 29) in values
     assert len(values) == 9
+    # once a bare "negative shift count" from 1 << depth
+    with pytest.raises(ValueError, match="depth must be nonnegative, not -1"):
+        enumerate_slopes(-1, 0, 1)
 
 
 def test_is_adjacent_pair():

@@ -1,5 +1,6 @@
 """The delta and gamma functions, nonemptiness, heights, and minimal slopes."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecone.chern import ChernCharacter, exceptional_character
-from planecone.exactnum import QuadSurd, surd_cmp
+from planecone.bridgeland import Wall, bridgeland_from_mori, mori_from_bridgeland, nested
+from planecone.chern import ChernCharacter, exceptional_character, line_bundle, twist
+from planecone.exactnum import QuadSurd, fraction_str, sqrt_rational, surd_cmp, surd_value
 from planecone.exceptional import (
     CantorPointError,
     associated_slope,
@@ -18,6 +20,7 @@ from planecone.exceptional import (
     exceptional_slope_of,
     hilbert_poly,
 )
+from planecone.resolution import classical_gaeta, classical_w_stable
 from planecone.stability import (
     CASE_EXCEPTIONAL_BUNDLE,
     CASE_NON_EXCEPTIONAL,
@@ -48,6 +51,20 @@ small_rationals = st.fractions(
         (moduli_nonempty, (1, 0.0, 0.0)),
         (exceptional_slope_of, (0.5,)),
         (enumerate_slopes, (2, 0.0, 1)),
+        # once each of these answered for the float or the string as for 1/2
+        (ChernCharacter, (0.5, 0, 0)),
+        (ChernCharacter, ("1/2", 0, 0)),
+        (line_bundle, (0.5,)),
+        (twist, (ChernCharacter(1, 0, 0), 0.5)),
+        (operator.mul, (ChernCharacter(1, 0, 0), 0.5)),
+        (Wall.semicircle, (0.5, 1)),
+        (Wall.vertical, (0.5,)),
+        (nested, (Wall.semicircle(-3, 1), Wall.semicircle(-4, 1), 0.5)),
+        (mori_from_bridgeland, (0.5,)),
+        (bridgeland_from_mori, (0.5,)),
+        (surd_value, (0.5, 1, 2)),
+        (sqrt_rational, (0.5,)),
+        (fraction_str, (0.5,)),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )
@@ -239,6 +256,15 @@ def test_min_slope_exceptional_euler_justification():
 def test_min_slope_rejects_nonpositive():
     with pytest.raises(ValueError):
         min_slope(0)
+
+
+@pytest.mark.parametrize("fn", [min_slope, classical_gaeta, classical_w_stable],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("n", [True, 2.0, "3"], ids=repr)
+def test_n_is_an_int_and_not_a_bool(fn, n):
+    # once classical_gaeta(True) answered with "n": true, and "3" failed on '<'
+    with pytest.raises(TypeError, match="^n must be an int, not %s$" % type(n).__name__):
+        fn(n)
 
 
 def test_min_slope_to_json():
