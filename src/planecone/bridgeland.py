@@ -93,7 +93,8 @@ def collapsing_wall(n) -> Wall:
     else:
         destabilizer = d.dual_twist(-3)
     wall = wall_between(ChernCharacter(1, 0, -n), exceptional_character(destabilizer))
-    center = -(ms.mu + Fraction(3, 2))
+    # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
+    center = bridgeland_from_mori(-ms.mu)
     if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
         raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
     if wall.radius_sq != center * center - 2 * n:
@@ -193,22 +194,6 @@ class TriadSlopes:
     balance_first: bool
     balance_second: bool
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "branch": self.branch,
-            "zeta": fraction_str(self.zeta.value),
-            "alpha": fraction_str(self.alpha.value),
-            "beta": fraction_str(self.beta.value),
-            "eta": fraction_str(self.eta.value),
-            "omega": fraction_str(self.omega.value),
-            "hom_alpha_beta": self.hom_alpha_beta,
-            "hom_beta_eta": self.hom_beta_eta,
-            "balance_first": self.balance_first,
-            "balance_second": self.balance_second,
-        }
-
 
 def _integer_pairing(ch1, ch2) -> int:
     value = euler_pairing(ch1, ch2)
@@ -274,16 +259,13 @@ def _fmt(x) -> str:
     return format(q.normalize(), "f")
 
 
-def render_walls(n, extra=()) -> str:
-    """Deterministic SVG of the collapsing wall for n plus any extra walls.
+def render_walls(walls) -> str:
+    """Deterministic SVG of the given walls, such as a collapsing wall and pair walls.
 
-    n is an int or a MinSlopeResult, as for collapsing_wall.  Geometry is
-    computed exactly and only formatted at 12 decimal places, so identical
-    inputs give byte-identical documents.  Empty walls are skipped with a
-    comment node.
+    Geometry is computed exactly and only formatted at 12 decimal places, so
+    identical inputs give byte-identical documents.  Empty walls are skipped
+    with a comment node.
     """
-    walls = [collapsing_wall(n)]
-    walls.extend(extra)
     arcs = []
     verticals = [Decimal(0)]
     comments = []

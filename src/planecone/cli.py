@@ -12,7 +12,7 @@ from .contfrac import cf_expand_even, check_exceptional_cf
 from .exactnum import fraction_str, parse_fraction
 from .exceptional import epsilon
 from .resolution import gaeta_resolution
-from .stability import _min_slope_for, min_slope
+from .stability import min_slope
 from .verify import DEFAULT_DEPTHS, format_report, run_suite
 
 
@@ -124,8 +124,7 @@ def _cmd_walls(args) -> int:
         extras.append(
             exceptional_pair_wall(parse_fraction(parts[0]), parse_fraction(parts[1]))
         )
-    ms = _min_slope_for(args.n, "collapsing wall")
-    wall = collapsing_wall(ms)
+    wall = collapsing_wall(args.n)
     lines = [
         "collapsing wall center %s radius_sq %s"
         % (fraction_str(wall.center_s), fraction_str(wall.radius_sq))
@@ -140,7 +139,7 @@ def _cmd_walls(args) -> int:
         "pairs": [w.to_json() for w in extras],
     }
     if args.svg:
-        document = render_walls(ms, extras)
+        document = render_walls([wall, *extras])
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(document)
         lines.append("wrote %s" % args.svg)

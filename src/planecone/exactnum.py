@@ -330,20 +330,6 @@ class QuadSurd:
         return {"a": fraction_str(self.a), "b": fraction_str(self.b), "d": self._d}
 
 
-def surd_value(a: RationalLike, b: RationalLike, d: int) -> QuadSurd:
-    """Build the normalized exact value a + b*sqrt(d)."""
-    return QuadSurd(a, b, d)
-
-
-def sqrt_rational(x: RationalLike) -> QuadSurd:
-    """Exact square root of a nonnegative rational, as a QuadSurd."""
-    x = _as_rational(x)
-    if x < 0:
-        raise ValueError("square root of a negative rational")
-    # sqrt(p/q) = sqrt(p*q)/q
-    return QuadSurd(0, Fraction(1, x.denominator), x.numerator * x.denominator)
-
-
 def fraction_str(x: RationalLike) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     x = _as_rational(x)

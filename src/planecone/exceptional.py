@@ -99,7 +99,7 @@ class ExceptionalSlope:
     for a rational x never needs it.  Twists and duals come from address
     arithmetic (dual_twist), so code that holds a slope never has to find
     -alpha + k again by tree descent.  Where x lies against I_alpha is decided
-    by side(x) alone; contains and the tree descent read it.
+    by side(x) alone; the tree descent reads it.
     """
 
     value: Fraction
@@ -141,9 +141,6 @@ class ExceptionalSlope:
             return 0
         gap = x - self.value if c > 0 else self.value - x
         return c if surd_cmp(gap, self.interval_radius) >= 0 else 0
-
-    def contains(self, x: SurdLike) -> bool:
-        return self.side(x) == 0
 
     def dual_twist(self, k: int) -> "ExceptionalSlope":
         """The slope -value + k, the dual of E twisted by O(k).
@@ -277,11 +274,6 @@ def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     return epsilon((a, q - 1)), epsilon((a + 1, q - 1))
 
 
-def interval(alpha) -> tuple[QuadSurd, QuadSurd]:
-    """Exact open endpoints of I_alpha."""
-    return _as_slope(alpha).interval()
-
-
 def is_adjacent_pair(alpha, beta) -> bool:
     """True when the addresses are consecutive at some common dyadic level."""
     a, b = _as_slope(alpha).address, _as_slope(beta).address
@@ -314,7 +306,7 @@ def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:
 
 def enumerate_slopes(depth: int, lo: RationalLike, hi: RationalLike) -> list[ExceptionalSlope]:
     """All exceptional slopes of dyadic depth <= depth with value in [lo, hi], ascending."""
-    lo, hi = _as_rational(lo), _as_rational(hi)
+    depth, lo, hi = operator.index(depth), _as_rational(lo), _as_rational(hi)
     if depth < 0:
         raise ValueError("depth must be nonnegative, not %d" % depth)
     if lo > hi:

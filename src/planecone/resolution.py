@@ -18,7 +18,7 @@ from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
 from .exactnum import QuadSurd, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _as_n, _delta, _min_slope_for
+from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _as_n, _min_slope_for
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -201,16 +201,6 @@ class ClassicalGaeta:
     def character(self) -> ChernCharacter:
         return _total(self.quot_terms, line_bundle) - _total(self.sub_terms, line_bundle)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "s": self.s,
-            "case": self.case,
-            "sub_terms": [[fraction_str(d), m] for d, m in self.sub_terms],
-            "quot_terms": [[fraction_str(d), m] for d, m in self.quot_terms],
-        }
-
 
 def classical_gaeta(n: int) -> ClassicalGaeta:
     """Resolution of n general points by line bundles in degrees -r..-r-2."""
@@ -257,7 +247,7 @@ class KroneckerData:
     psi_upper: QuadSurd
     slope_in_window: bool
     rank_v: int
-    kr_dim: Fraction
+    kr_dim: int
     hilb_dim_excess: bool
 
     def to_json(self) -> dict:
@@ -310,7 +300,8 @@ def kronecker_data(n) -> KroneckerData:
     else:
         rank_v = (res.dot_slope.value + 3) * res.dot_slope.rank
     rank_v = int(rank_v)
-    kr_dim = rank_v * rank_v * (2 * _delta(res.mu, res.dot_slope) - 1) + 1
+    # dimension of the moduli of Kronecker modules of dimension vector (b, a)
+    kr_dim = 1 - kronecker_euler(N, (b, a), (b, a))
     return KroneckerData(
         res.n, N, a, b, psi_lower, psi_upper, in_window,
         rank_v, kr_dim, kr_dim < 2 * res.n,

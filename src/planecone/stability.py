@@ -169,7 +169,12 @@ def min_slope(n: int) -> MinSlopeResult:
 
 
 def _min_slope_for(n, what: str) -> MinSlopeResult:
-    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2."""
-    if (n.n if isinstance(n, MinSlopeResult) else n) < 2:
+    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2.
+
+    Any other n, a bool among them, is not compared with 2: min_slope reads it
+    through _as_n, which raises TypeError.
+    """
+    k = n.n if isinstance(n, MinSlopeResult) else n
+    if isinstance(k, int) and not isinstance(k, bool) and k < 2:
         raise ValueError("the %s is computed for n >= 2" % what)
     return n if isinstance(n, MinSlopeResult) else min_slope(n)

@@ -233,18 +233,18 @@ def test_triad_rejects_odd_p():
 
 
 def test_render_walls_anchor_arc():
-    doc = render_walls(2)
+    doc = render_walls([collapsing_wall(2)])
     assert "<svg" in doc and "</svg>" in doc
     assert "M -1 0 A 1.5 1.5 0 0 0 -4 0" in doc
-    assert doc == render_walls(2)  # byte-for-byte deterministic
+    assert doc == render_walls([collapsing_wall(2)])  # byte-for-byte deterministic
 
 
 def test_render_walls_includes_extra_pairs_and_axis():
     extra = exceptional_pair_wall(0, Fraction(1, 2))
-    doc = render_walls(4, [extra])
+    doc = render_walls([collapsing_wall(4), extra])
     assert doc.count("<path") == 2
     assert "line" in doc
-    doc_again = render_walls(4, [extra])
+    doc_again = render_walls([collapsing_wall(4), extra])
     assert doc == doc_again
 
 
@@ -252,7 +252,7 @@ def test_render_walls_empty_wall_becomes_comment():
     from planecone.bridgeland import Wall
 
     empty = Wall.semicircle(Fraction(1), Fraction(-1, 4))
-    doc = render_walls(2, [empty])
+    doc = render_walls([collapsing_wall(2), empty])
     assert "omitted empty wall" in doc
 
 

@@ -114,7 +114,6 @@ def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
 def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
     lookups = count_calls(monkeypatch, "exceptional_slope_of")
     alpha, beta = exceptional.epsilon((1, 2)), exceptional.epsilon((1, 1))
-    exceptional.interval(alpha)
     exceptional.parent_pair(alpha)
     exceptional.is_adjacent_pair(alpha, beta)
     exceptional_character(alpha)

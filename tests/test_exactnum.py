@@ -15,9 +15,7 @@ from planecone.exactnum import (
     _as_rational,
     fraction_str,
     parse_fraction,
-    sqrt_rational,
     surd_cmp,
-    surd_value,
 )
 from planecone.exceptional import enumerate_slopes
 
@@ -41,35 +39,27 @@ small_roots = st.integers(min_value=0, max_value=600)
 
 @st.composite
 def surds(draw):
-    return surd_value(draw(fractions_st), draw(fractions_st), draw(small_roots))
+    return QuadSurd(draw(fractions_st), draw(fractions_st), draw(small_roots))
 
 
 def test_normalization_folds_perfect_squares():
-    assert surd_value(1, 2, 9) == Fraction(7)
-    assert surd_value(1, 2, 9).is_rational()
-    assert surd_value(0, 1, 18) == QuadSurd(0, 3, 2)
-    assert surd_value(5, 0, 7) == Fraction(5)
-    assert surd_value(5, 3, 0) == Fraction(5)
-    assert surd_value(0, Fraction(2, 3), 45) == QuadSurd(0, 2, 5)
-
-
-def test_sqrt_rational():
-    assert sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
-    root = sqrt_rational(Fraction(2, 3))
-    assert root * root == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        sqrt_rational(Fraction(-1, 4))
+    assert QuadSurd(1, 2, 9) == Fraction(7)
+    assert QuadSurd(1, 2, 9).is_rational()
+    assert QuadSurd(0, 1, 18) == QuadSurd(0, 3, 2)
+    assert QuadSurd(5, 0, 7) == Fraction(5)
+    assert QuadSurd(5, 3, 0) == Fraction(5)
+    assert QuadSurd(0, Fraction(2, 3), 45) == QuadSurd(0, 2, 5)
 
 
 def test_equality_and_hash_agree_with_normal_form():
-    x = surd_value(Fraction(1, 2), Fraction(1, 2), 8)
-    y = surd_value(Fraction(1, 2), 1, 2)
+    x = QuadSurd(Fraction(1, 2), Fraction(1, 2), 8)
+    y = QuadSurd(Fraction(1, 2), 1, 2)
     assert x == y
     assert hash(x) == hash(y)
 
 
 def test_pow_only_nonnegative_integers():
-    x = surd_value(0, 1, 2)
+    x = QuadSurd(0, 1, 2)
     assert x**2 == Fraction(2)
     assert x**0 == Fraction(1)
     with pytest.raises((ValueError, TypeError)):
@@ -77,10 +67,10 @@ def test_pow_only_nonnegative_integers():
 
 
 def test_floor_examples():
-    assert math.floor(surd_value(0, 1, 2)) == 1
-    assert math.floor(surd_value(0, -1, 2)) == -2
-    assert math.floor(surd_value(Fraction(3, 2), 0, 0)) == 1
-    assert math.floor(surd_value(-3, 2, 5)) == 1  # 2*sqrt(5) ~ 4.472
+    assert math.floor(QuadSurd(0, 1, 2)) == 1
+    assert math.floor(QuadSurd(0, -1, 2)) == -2
+    assert math.floor(QuadSurd(Fraction(3, 2), 0, 0)) == 1
+    assert math.floor(QuadSurd(-3, 2, 5)) == 1  # 2*sqrt(5) ~ 4.472
 
 
 @given(surds(), surds())
@@ -98,7 +88,7 @@ def test_cmp_matches_decimal_oracle(x, y):
 @given(surds(), fractions_st, small_roots)
 @settings(max_examples=200, deadline=None)
 def test_field_operations_match_oracle(x, b, d):
-    y = surd_value(0, b, d)
+    y = QuadSurd(0, b, d)
     if isinstance(x, QuadSurd) and isinstance(y, QuadSurd) and x.d != y.d:
         return  # sums across distinct radicals leave the representable set
     for op in ("add", "sub", "mul"):
@@ -139,7 +129,7 @@ def test_negation_and_mixed_comparisons(x):
 
 
 def test_comparison_operators_with_fractions_both_sides():
-    x = surd_value(0, 1, 5)  # sqrt 5 ~ 2.236
+    x = QuadSurd(0, 1, 5)  # sqrt 5 ~ 2.236
     assert x > 2 and x < Fraction(9, 4) and 2 < x and Fraction(9, 4) > x
     assert x >= x and x <= x
     assert not x == Fraction(2)
@@ -148,7 +138,7 @@ def test_comparison_operators_with_fractions_both_sides():
 def test_near_tie_is_resolved_exactly():
     # 3363/2378 is a continued-fraction convergent of sqrt 2: off by ~9e-8
     close = Fraction(3363, 2378)
-    root2 = surd_value(0, 1, 2)
+    root2 = QuadSurd(0, 1, 2)
     assert surd_cmp(close, root2) == 1
     assert surd_cmp(Fraction(1393, 985), root2) == -1
 
@@ -169,13 +159,13 @@ def test_a_rational_is_an_int_or_a_fraction():
     x = Fraction(-17, 6)
     assert _as_rational(x) is x
     assert _as_rational(4) == Fraction(4)
-    for bad in (0.5, "1/2", Decimal("0.5"), surd_value(0, 1, 2)):
+    for bad in (0.5, "1/2", Decimal("0.5"), QuadSurd(0, 1, 2)):
         with pytest.raises(TypeError, match="as a rational"):
             _as_rational(bad)
 
 
 def test_to_json_shape():
-    x = surd_value(Fraction(-3, 2), Fraction(1, 26), 1517)
+    x = QuadSurd(Fraction(-3, 2), Fraction(1, 26), 1517)
     js = x.to_json()
     assert js == {"a": "-3/2", "b": "1/26", "d": 1517}
 

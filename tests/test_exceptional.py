@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planecone.exceptional as exceptional
+from planecone.chern import exceptional_character
 from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
@@ -21,7 +22,6 @@ from planecone.exceptional import (
     epsilon,
     exceptional_slope_of,
     hilbert_poly,
-    interval,
     is_adjacent_pair,
     parent_pair,
 )
@@ -180,11 +180,11 @@ def test_interval_width_depends_only_on_rank():
 def test_contains_is_strict():
     e = epsilon(0)
     _, hi = e.interval()
-    assert e.contains(Fraction(0))
-    assert e.contains(Fraction(1, 3))  # 1/3 < (3 - sqrt 5)/2
-    assert not e.contains(hi)  # the open interval excludes its endpoint
-    assert not e.contains(Fraction(2, 5))
-    lo_half, hi_half = interval(Fraction(1, 2))
+    assert e.side(Fraction(0)) == 0
+    assert e.side(Fraction(1, 3)) == 0  # 1/3 < (3 - sqrt 5)/2
+    assert e.side(hi) != 0  # the open interval excludes its endpoint
+    assert e.side(Fraction(2, 5)) != 0
+    lo_half, hi_half = exceptional_slope_of(Fraction(1, 2)).interval()
     assert surd_cmp(lo_half, Fraction(1, 2)) < 0 < surd_cmp(hi_half, Fraction(1, 2))
 
 
@@ -330,6 +330,9 @@ def test_enumerate_slopes_window_and_order():
     # once a bare "negative shift count" from 1 << depth
     with pytest.raises(ValueError, match="depth must be nonnegative, not -1"):
         enumerate_slopes(-1, 0, 1)
+    # once an unrelated "unsupported operand type(s) for <<" from 1 << 1.5
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        enumerate_slopes(1.5, 0, 1)
 
 
 def test_is_adjacent_pair():
@@ -347,12 +350,17 @@ def test_a_number_is_a_slope_value_and_a_pair_is_an_address():
     # address, and interval(Fraction(2, 5)) raised "not a dyadic rational"
     two_fifths = epsilon((1, 2))
     assert two_fifths.value == Fraction(2, 5)
-    ends = two_fifths.interval()
-    assert interval(Fraction(2, 5)) == interval((1, 2)) == interval(DyadicAddress(1, 2)) == ends
+    ch = exceptional_character(two_fifths)
+    assert (
+        exceptional_character(Fraction(2, 5))
+        == exceptional_character((1, 2))
+        == exceptional_character(DyadicAddress(1, 2))
+        == ch
+    )
     parents = (epsilon(0), epsilon((1, 1)))
     assert parent_pair(Fraction(2, 5)) == parent_pair((1, 2)) == parent_pair(two_fifths) == parents
     assert parent_pair(3) == parent_pair(Fraction(3)) == (epsilon(2), epsilon(4))
-    for read in (interval, parent_pair):
+    for read in (exceptional_character, parent_pair):
         with pytest.raises(ValueError, match="1/4 is not an exceptional slope"):
             read(Fraction(1, 4))
         with pytest.raises(TypeError):

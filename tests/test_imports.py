@@ -44,3 +44,13 @@ def test_reexports_stay_importable(module):
     loaded = importlib.import_module("planecone." + module)
     for name in REEXPORTS[module]:
         assert hasattr(loaded, name), (module, name)
+
+
+def test_all_is_exactly_what_the_package_imports():
+    # a name deleted from a module must leave __all__ too, or the package
+    # exports a stale name; a name imported for export must be listed
+    import planecone
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(planecone.__all__) == len(set(planecone.__all__))
+    assert set(planecone.__all__) == imported_names(tree)

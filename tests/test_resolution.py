@@ -20,7 +20,7 @@ from planecone.resolution import (
     kronecker_euler,
     KroneckerNotApplicableError,
 )
-from planecone.stability import CASE_TRIANGULAR_MINUS_ONE, min_slope
+from planecone.stability import CASE_TRIANGULAR_MINUS_ONE, _delta, min_slope
 
 IDEAL = {n: ChernCharacter(1, 0, -n) for n in range(2, 60)}
 
@@ -263,6 +263,23 @@ def test_kronecker_euler_form():
     assert kronecker_euler(3, (2, 4), (2, 4)) == 4 + 16 - 24
     assert kronecker_euler(3, (1, 0), (0, 1)) == -3
     assert kronecker_euler(3, (0, 1), (1, 0)) == 0
+
+
+def test_kronecker_dimension_is_the_moduli_dimension_of_w():
+    # reference: the moduli of W has dimension rank_v^2 (2 delta(mu) - 1) + 1,
+    # which must equal the Kronecker moduli dimension 1 - chi((b, a), (b, a))
+    applicable = 0
+    for n in range(2, 1001):
+        res = gaeta_resolution(n)
+        try:
+            kd = kronecker_data(res)
+        except KroneckerNotApplicableError:
+            continue
+        applicable += 1
+        reference = kd.rank_v * kd.rank_v * (2 * _delta(res.mu, res.dot_slope) - 1) + 1
+        assert kd.kr_dim == reference, n
+        assert type(kd.kr_dim) is int, n
+    assert applicable == 803
 
 
 def test_kronecker_not_applicable():

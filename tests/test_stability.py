@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecone.bridgeland import Wall, bridgeland_from_mori, mori_from_bridgeland, nested
+from planecone.bridgeland import (
+    Wall,
+    bridgeland_from_mori,
+    collapsing_wall,
+    mori_from_bridgeland,
+    nested,
+)
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle, twist
-from planecone.exactnum import QuadSurd, fraction_str, sqrt_rational, surd_cmp, surd_value
+from planecone.exactnum import QuadSurd, fraction_str, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
     associated_slope,
@@ -20,7 +26,12 @@ from planecone.exceptional import (
     exceptional_slope_of,
     hilbert_poly,
 )
-from planecone.resolution import classical_gaeta, classical_w_stable
+from planecone.resolution import (
+    classical_gaeta,
+    classical_w_stable,
+    gaeta_resolution,
+    kronecker_data,
+)
 from planecone.stability import (
     CASE_EXCEPTIONAL_BUNDLE,
     CASE_NON_EXCEPTIONAL,
@@ -62,8 +73,6 @@ small_rationals = st.fractions(
         (nested, (Wall.semicircle(-3, 1), Wall.semicircle(-4, 1), 0.5)),
         (mori_from_bridgeland, (0.5,)),
         (bridgeland_from_mori, (0.5,)),
-        (surd_value, (0.5, 1, 2)),
-        (sqrt_rational, (0.5,)),
         (fraction_str, (0.5,)),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
@@ -258,11 +267,17 @@ def test_min_slope_rejects_nonpositive():
         min_slope(0)
 
 
-@pytest.mark.parametrize("fn", [min_slope, classical_gaeta, classical_w_stable],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize(
+    "fn",
+    [min_slope, classical_gaeta, classical_w_stable, gaeta_resolution, collapsing_wall,
+     kronecker_data],
+    ids=lambda fn: fn.__name__,
+)
 @pytest.mark.parametrize("n", [True, 2.0, "3"], ids=repr)
 def test_n_is_an_int_and_not_a_bool(fn, n):
-    # once classical_gaeta(True) answered with "n": true, and "3" failed on '<'
+    # once classical_gaeta(True) answered with "n": true, and "3" failed on '<';
+    # gaeta_resolution, collapsing_wall and kronecker_data once failed on '<' for "3"
+    # and raised "computed for n >= 2" for True
     with pytest.raises(TypeError, match="^n must be an int, not %s$" % type(n).__name__):
         fn(n)
 
