@@ -138,13 +138,8 @@ def nested(inner: Wall, outer: Wall, reference_slope) -> bool:
     return inner.center_s < outer.center_s
 
 
-def mori_from_bridgeland(x) -> Fraction:
-    """Conjectural Mori coordinate y = x + 3/2 of the wall centered at x."""
-    return _as_rational(x) + Fraction(3, 2)
-
-
 def bridgeland_from_mori(y) -> Fraction:
-    """Inverse map x = y - 3/2."""
+    """Center x = y - 3/2 of the wall for the Mori coordinate y."""
     return _as_rational(y) - Fraction(3, 2)
 
 

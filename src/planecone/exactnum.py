@@ -3,8 +3,11 @@
 Rationals are fractions.Fraction throughout the package, and every rational
 argument in it is read by _as_rational: an int or a Fraction, a Fraction kept
 as it is, while a float, a string or a Decimal raises TypeError.  QuadSurd
-adds a single square root of a nonnegative integer, which is all the
-irrationality the slope arithmetic ever needs.  A QuadSurd holds its value as
+adds a single square root of a nonnegative integer.  The package builds one
+only for the half-width x_alpha of an exceptional interval, whose ends
+alpha +- x_alpha are all the irrationality the slope arithmetic needs, so a
+QuadSurd is a ring element: +, - and * (across radicands that differ by a
+square), and an exact order, but no division.  It holds its value as
 (A + B*sqrt(d))/C in Python ints, with C > 0 and gcd(A, B, C) = 1, so its
 arithmetic and its comparisons are integer formulas; a rational operand enters
 as its numerator and denominator.  Comparisons between surds over different
@@ -160,18 +163,6 @@ def _product(a1, b1, c1, d1, a2, b2, c2, d2) -> "QuadSurd":
     return _build(m * a1 * a2 + b1 * n * d1, a1 * n + m * b1 * a2, m * c1 * c2, d1)
 
 
-def _quotient(a1, b1, c1, d1, a2, b2, c2, d2) -> "QuadSurd":
-    if b2 == 0:
-        if a2 == 0:
-            raise ZeroDivisionError("division by zero")
-        return _build(a1 * c2, b1 * c2, c1 * a2, d1)
-    norm = a2 * a2 - b2 * b2 * d2
-    if norm == 0:
-        raise ZeroDivisionError("division by zero surd")
-    # the inverse of (a2 + b2*sqrt(d2))/c2 is c2 (a2 - b2*sqrt(d2))/norm
-    return _product(a1, b1, c1, d1, c2 * a2, -c2 * b2, norm, d2)
-
-
 class QuadSurd:
     """Exact value a + b*sqrt(d) with rational a, b and nonnegative integer d.
 
@@ -257,7 +248,7 @@ class QuadSurd:
         s = math.isqrt(b * b * self._d)
         return (a + s) // c if b > 0 else (a - s - 1) // c
 
-    # -- arithmetic (within a single radicand class) ------------------------
+    # -- ring arithmetic (within a single radicand class) -------------------
 
     def __neg__(self) -> "QuadSurd":
         return _build(-self._A, -self._B, self._C, self._d)
@@ -280,20 +271,6 @@ class QuadSurd:
 
     def __rmul__(self, other: SurdLike) -> "QuadSurd":
         return self.__mul__(other)
-
-    def __truediv__(self, other: SurdLike) -> "QuadSurd":
-        return _quotient(self._A, self._B, self._C, self._d, *_parts(other))
-
-    def __rtruediv__(self, other: SurdLike) -> "QuadSurd":
-        return _quotient(*_parts(other), self._A, self._B, self._C, self._d)
-
-    def __pow__(self, exponent: int) -> "QuadSurd":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        out = QuadSurd(1, 0, 0)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- total order --------------------------------------------------------
 

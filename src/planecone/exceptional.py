@@ -42,8 +42,7 @@ class CantorPointError(ValueError):
 
 def hilbert_poly(x):
     """Euler characteristic polynomial of O(x) on the plane: (x^2 + 3x + 2)/2."""
-    if not isinstance(x, QuadSurd):
-        x = _as_rational(x)
+    x = _as_rational(x)
     return (x * x + 3 * x + 2) / 2
 
 
@@ -164,8 +163,11 @@ class ExceptionalSlope:
 
 
 def _slope_value(x) -> Fraction:
+    """A slope's value; a DyadicAddress or (p, q) by epsilon, an int or Fraction as it is."""
     if isinstance(x, ExceptionalSlope):
         return x.value
+    if isinstance(x, (DyadicAddress, tuple)):
+        return epsilon(x).value
     return _as_rational(x)
 
 

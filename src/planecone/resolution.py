@@ -16,7 +16,7 @@ from math import isqrt
 
 from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
-from .exactnum import QuadSurd, fraction_str
+from .exactnum import fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
 from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _as_n, _min_slope_for
 
@@ -223,14 +223,15 @@ def classical_gaeta(n: int) -> ClassicalGaeta:
     return out
 
 
-_INV_GOLDEN = QuadSurd(Fraction(-1, 2), Fraction(1, 2), 5)
-
-
 def classical_w_stable(n: int) -> bool:
-    """Stability of the classical syzygy bundle, decided by s/r against 1/phi."""
+    """Stability of the classical syzygy bundle, decided by s/r against 1/phi.
+
+    1/phi is the positive root of t^2 + t - 1, so s/r > 1/phi exactly when
+    s^2 + rs - r^2 > 0.
+    """
     cg = classical_gaeta(n)
-    ratio = Fraction(cg.s, cg.r)
-    return ratio > _INV_GOLDEN or is_convergent_of_inverse_golden(ratio)
+    r, s = cg.r, cg.s
+    return s * s + r * s - r * r > 0 or is_convergent_of_inverse_golden(Fraction(s, r))
 
 
 class KroneckerNotApplicableError(ValueError):
@@ -239,12 +240,18 @@ class KroneckerNotApplicableError(ValueError):
 
 @dataclass(frozen=True)
 class KroneckerData:
+    """Kronecker numerics of W: N arrows, dimension vector e = (b, a), rank of V.
+
+    slope_in_window says b/a lies strictly inside the stability window
+    (N - sqrt(N^2 - 4))/2 < b/a < (N + sqrt(N^2 - 4))/2, whose ends are the
+    roots of the Euler form; with a > 0 that is chi(e, e) < 0.  kr_dim is
+    1 - chi(e, e), the dimension of the moduli of modules of dimension e.
+    """
+
     n: int
     N: int
     a: int
     b: int
-    psi_lower: QuadSurd
-    psi_upper: QuadSurd
     slope_in_window: bool
     rank_v: int
     kr_dim: int
@@ -276,7 +283,8 @@ def kronecker_data(n) -> KroneckerData:
     n is an int, a MinSlopeResult or a ResolutionData.  Raises
     KroneckerNotApplicableError when the minimal slope is exceptional (the
     quiver moduli map is birational rather than fibered there) or when the case
-    is sporadic and W only exists as a two-term complex.
+    is sporadic and W only exists as a two-term complex.  The window test
+    and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
     """
     res = n if isinstance(n, ResolutionData) else gaeta_resolution(n)
     if res.mu == res.dot_slope.value:
@@ -290,19 +298,12 @@ def kronecker_data(n) -> KroneckerData:
     N = 3 * res.dot_slope.rank
     a = res.m1
     b = res.k
-    rt = N * N - 4
-    psi_upper = QuadSurd(Fraction(N, 2), Fraction(1, 2), rt)
-    psi_lower = QuadSurd(Fraction(N, 2), Fraction(-1, 2), rt)
-    ratio = Fraction(b, a)
-    in_window = psi_lower < ratio < psi_upper
+    chi = kronecker_euler(N, (b, a), (b, a))
     if res.case == CASE_BELOW_DOT:
         rank_v = res.dot_slope.value * res.dot_slope.rank
     else:
         rank_v = (res.dot_slope.value + 3) * res.dot_slope.rank
     rank_v = int(rank_v)
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
-    kr_dim = 1 - kronecker_euler(N, (b, a), (b, a))
-    return KroneckerData(
-        res.n, N, a, b, psi_lower, psi_upper, in_window,
-        rank_v, kr_dim, kr_dim < 2 * res.n,
-    )
+    kr_dim = 1 - chi
+    return KroneckerData(res.n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * res.n)

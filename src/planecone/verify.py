@@ -246,9 +246,15 @@ DEFAULT_DEPTHS = {name: default for name, (_, default, _) in _SUITES.items()}
 
 
 def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
-    """Run one named suite, or all of them, at the given (or default) depth."""
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be at least 1, got %d" % depth)
+    """Run one named suite, or all of them, at the given (or default) depth.
+
+    depth is None or an int; a bool, a float or a string raises TypeError.
+    """
+    if depth is not None:
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise TypeError("depth must be an int, not %s" % type(depth).__name__)
+        if depth < 1:
+            raise ValueError("depth must be at least 1, got %d" % depth)
     if suite == "all":
         out = []
         for name in _SUITES:

@@ -22,7 +22,7 @@ from planecone.bridgeland import (
 from planecone.chern import ChernCharacter
 from planecone.contfrac import check_exceptional_cf
 from planecone.exactnum import QuadSurd, fraction_str, surd_cmp
-from planecone.exceptional import dot, enumerate_slopes, epsilon, hilbert_poly
+from planecone.exceptional import dot, enumerate_slopes, epsilon
 from planecone.resolution import (
     CASE_ABOVE_DOT,
     CASE_AT_DOT,
@@ -206,9 +206,13 @@ def test_criterion_10_pair_wall_geometry():
             assert radii[-1] < Fraction(5, 4)
             for inner, outer in zip(walls, walls[1:]):
                 assert nested(inner, outer, alpha.value)
-            x = alpha.interval_radius
-            ratio = (Fraction(1, 2) - alpha.discriminant) / x
-            limit = (x / 2) ** 2 - hilbert_poly(-x) + ratio * ratio
+            # x_alpha is a root of x^2 - 3x + 1/r^2, so 1/x = r^2 (3 - x)
+            x, r = alpha.interval_radius, alpha.rank
+            inverse = r * r * (3 - x)
+            assert x * inverse == 1
+            ratio = (Fraction(1, 2) - alpha.discriminant) * inverse
+            # (x/2)^2 - P(-x) + ratio^2, with P(-x) = (x^2 - 3x + 2)/2
+            limit = x * x * Fraction(1, 4) - (x * x - 3 * x + 2) * Fraction(1, 2) + ratio * ratio
             assert limit == Fraction(5, 4)
 
     # the kernel/cokernel slope balances close up exactly

@@ -12,7 +12,6 @@ from planecone.bridgeland import (
     collapsing_wall,
     exceptional_pair_wall,
     kernel_cokernel_slopes,
-    mori_from_bridgeland,
     nested,
     render_walls,
     wall_between,
@@ -167,8 +166,8 @@ def test_center_order_matches_radius_order_for_shared_anchor():
 
 def test_mori_coordinate_round_trip():
     for x in [Fraction(-5, 2), Fraction(0), Fraction(17, 6)]:
-        assert bridgeland_from_mori(mori_from_bridgeland(x)) == x
-    assert mori_from_bridgeland(Fraction(-3, 2)) == 0
+        assert bridgeland_from_mori(x + Fraction(3, 2)) == x
+    assert bridgeland_from_mori(0) == Fraction(-3, 2)
 
 
 def test_chain_radii_approach_limit():
@@ -185,11 +184,13 @@ def test_chain_radii_approach_limit():
             current = dot(alpha.value, current)
         assert all(radii[i] < radii[i + 1] for i in range(len(radii) - 1))
         assert all(r < Fraction(5, 4) for r in radii)
-        x = alpha.interval_radius
-        ratio = (Fraction(1, 2) - alpha.discriminant) / x
-        from planecone.exceptional import hilbert_poly
-
-        limit = (x / 2) ** 2 - hilbert_poly(-x) + ratio * ratio
+        # x_alpha is a root of x^2 - 3x + 1/r^2, so 1/x = r^2 (3 - x)
+        x, r = alpha.interval_radius, alpha.rank
+        inverse = r * r * (3 - x)
+        assert x * inverse == 1
+        ratio = (Fraction(1, 2) - alpha.discriminant) * inverse
+        # (x/2)^2 - P(-x) + ratio^2, with P(-x) = (x^2 - 3x + 2)/2
+        limit = x * x * Fraction(1, 4) - (x * x - 3 * x + 2) * Fraction(1, 2) + ratio * ratio
         assert limit == Fraction(5, 4)
 
 

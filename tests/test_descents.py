@@ -6,12 +6,12 @@ take every twist and dual of alpha, beta and D from their addresses, so on a
 warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
 reads delta from the slope it found.  A caller that holds min_slope(n) passes
 it on, so the resolution, the collapsing wall and the Kronecker data of one n
-cost one walk together.  gamma_inv steers by rationals, so no answer of
-min_slope builds a surd.  The verify suites name every slope they build by its
-dyadic address.  Each count is taken on a warm memo, because an epsilon that
-misses the memo walks too.  The surd count of a walk steered by a rational is
-also taken cold: it decides every level in integers and builds no slope's
-radius.
+cost one walk together.  gamma_inv steers by rationals and kronecker_data
+reads its window off an integer Euler form, so no warm answer builds a surd.
+The verify suites name every slope they build by its dyadic address.  Each
+count is taken on a warm memo, because an epsilon that misses the memo walks
+too.  The surd count of a walk steered by a rational is also taken cold: it
+decides every level in integers and builds no slope's radius.
 """
 
 import math
@@ -125,17 +125,25 @@ def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
 
 @pytest.mark.parametrize(
     "fn, bound",
-    [(min_slope, 0), (gaeta_resolution, 0), (collapsing_wall, 0), (kronecker_data, 2)],
+    [(min_slope, 0), (gaeta_resolution, 0), (collapsing_wall, 0), (kronecker_data, 0)],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
-    """kronecker_data's only surds are the two ends of its window."""
+    """kronecker_data decides its window by the sign of an integer Euler form."""
     built = count_surds(monkeypatch)
     for n in range(2, 201):
         answer(fn, n)
         built.clear()
         out = answer(fn, n)
         assert len(built) <= (bound if out is not None else 0), (n, built)
+
+
+def test_warm_kronecker_suite_builds_no_surd(monkeypatch):
+    # once two per applicable n, the ends of the window
+    run_suite("kronecker", 40)
+    built = count_surds(monkeypatch)
+    assert all(r.passed for r in run_suite("kronecker", 40))
+    assert built == []
 
 
 def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):

@@ -58,14 +58,6 @@ def test_equality_and_hash_agree_with_normal_form():
     assert hash(x) == hash(y)
 
 
-def test_pow_only_nonnegative_integers():
-    x = QuadSurd(0, 1, 2)
-    assert x**2 == Fraction(2)
-    assert x**0 == Fraction(1)
-    with pytest.raises((ValueError, TypeError)):
-        x ** (-1)
-
-
 def test_floor_examples():
     assert math.floor(QuadSurd(0, 1, 2)) == 1
     assert math.floor(QuadSurd(0, -1, 2)) == -2
@@ -99,9 +91,6 @@ def test_field_operations_match_oracle(x, b, d):
             "mul": decimal_of(x) * decimal_of(y),
         }[op]
         assert abs(decimal_of(z) - expect) < Decimal("1e-50")
-    if surd_cmp(y, 0) != 0:
-        q = x / y
-        assert abs(decimal_of(q) - decimal_of(x) / decimal_of(y)) < Decimal("1e-50")
 
 
 @given(surds())
@@ -187,8 +176,7 @@ def test_arithmetic_across_radicands_that_differ_by_a_square():
     assert x + y == QuadSurd(Fraction(0), Fraction(2018), 2)
     assert x - y == 0 and y - x == 0
     assert x * y == 2036162 and y * x == 2036162
-    assert x / y == 1 and (3 + x) / (1 + y) * (1 + y) == 3 + x
-    for op in (QuadSurd.__add__, QuadSurd.__mul__, QuadSurd.__truediv__):
+    for op in (QuadSurd.__add__, QuadSurd.__mul__):
         with pytest.raises(ValueError, match="mixed radicands"):
             op(QuadSurd(Fraction(0), Fraction(1), 2), QuadSurd(Fraction(1), Fraction(1), 3))
 
@@ -232,15 +220,6 @@ def test_integer_field_operations_match_decimal_oracle(pair):
     for z, expect in ((x + y, dx + dy), (x - y, dx - dy), (x * y, dx * dy)):
         assert abs(decimal_of(z, prec=120) - expect) <= tolerance * (1 + abs(expect))
     assert (x + y) - y == x and x - y == -(y - x)
-    if y == 0:
-        with pytest.raises(ZeroDivisionError):
-            x / y
-        return
-    q = x / y
-    expect = dx / dy
-    assert abs(decimal_of(q, prec=120) - expect) <= tolerance * (1 + abs(expect))
-    assert q * y == x
-    assert (1 / y) * x == q
 
 
 @given(coefficients, coefficients, st.sampled_from((2, 3, 5)), st.integers(2, 12))
@@ -273,7 +252,7 @@ def test_value_is_held_as_integers_in_lowest_terms():
     x = QuadSurd(Fraction(6, 4), Fraction(-9, 12), 8)  # 3/2 - (3/2)sqrt 2 = (3 - 3 sqrt 2)/2
     assert (x._A, x._B, x._C, x.d) == (3, -3, 2, 2)
     assert (x.a, x.b) == (Fraction(3, 2), Fraction(-3, 2))
-    y = x / QuadSurd(0, -3, 2)  # (3 - 3 sqrt 2)/(-6 sqrt 2) = (2 - sqrt 2)/4
+    y = QuadSurd(Fraction(1, 2), Fraction(-1, 4), 2)  # (2 - sqrt 2)/4
     assert (y._A, y._B, y._C, y.d) == (2, -1, 4, 2)
     with pytest.raises(AttributeError):
         x.d = 3

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import planecone.exceptional as exceptional
 from planecone.chern import exceptional_character
+from planecone.contfrac import check_exceptional_cf
 from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
     CantorPointError,
@@ -164,7 +165,8 @@ def test_interval_radius_defining_identity():
     # the radius x solves P(-x) = D_alpha + 1/2, so the surd must satisfy it
     for slope in enumerate_slopes(5, Fraction(0), Fraction(2)):
         x = slope.interval_radius
-        assert hilbert_poly(-x) - slope.discriminant == Fraction(1, 2)
+        # P(-x) = (x^2 - 3x + 2)/2
+        assert (x * x - 3 * x + 2) * Fraction(1, 2) - slope.discriminant == Fraction(1, 2)
         lo, hi = slope.interval()
         assert surd_cmp(lo, slope.value) < 0 < surd_cmp(hi, slope.value)
 
@@ -236,7 +238,10 @@ def convergents(x, count):
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
         out.append(Fraction(h, k))
-        x = 1 / (x - a)
+        # 1/(u + v sqrt d) = (u - v sqrt d)/(u^2 - v^2 d)
+        y = x - a
+        norm = y.a * y.a - y.b * y.b * y.d
+        x = QuadSurd(y.a / norm, -y.b / norm, y.d)
     return out
 
 
@@ -368,6 +373,12 @@ def test_a_number_is_a_slope_value_and_a_pair_is_an_address():
     assert is_adjacent_pair(Fraction(2, 5), Fraction(1, 2))
     assert is_adjacent_pair((1, 2), Fraction(1, 2))
     assert not is_adjacent_pair(Fraction(2, 5), 1)
+    # once dot((0, 0), (1, 0)) raised "cannot read (0, 0) as a rational"
+    assert dot((0, 0), (1, 0)) == dot(0, 1) == dot(DyadicAddress(0, 0), epsilon(1))
+    assert check_exceptional_cf((1, 2)) == check_exceptional_cf(Fraction(2, 5))
+    # dot and the cf flags read any rational as a value, exceptional or not
+    assert dot(Fraction(1, 4), 1) == dot(Fraction(1, 4), (1, 0))
+    assert check_exceptional_cf(Fraction(1, 4))["terms_in_12"] is False
 
 
 def test_exceptional_slope_of_integer():

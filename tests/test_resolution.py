@@ -6,7 +6,8 @@ import pytest
 
 from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
-from planecone.exactnum import surd_cmp
+from planecone.contfrac import is_convergent_of_inverse_golden
+from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.resolution import (
     CASE_ABOVE_DOT,
     CASE_AT_DOT,
@@ -230,6 +231,16 @@ def test_classical_w_stability():
     assert not classical_w_stable(32)  # s/r = 4/7 < 1/phi and not a convergent
 
 
+def test_classical_w_stable_tests_one_over_phi_in_integers():
+    # reference: the surd 1/phi = (sqrt 5 - 1)/2 that classical_w_stable once compared s/r with
+    inverse_golden = QuadSurd(Fraction(-1, 2), Fraction(1, 2), 5)
+    for n in range(1, 5001):
+        cg = classical_gaeta(n)
+        ratio = Fraction(cg.s, cg.r)
+        expect = ratio > inverse_golden or is_convergent_of_inverse_golden(ratio)
+        assert classical_w_stable(n) == expect, n
+
+
 def test_integer_dot_recovers_classical():
     for n in range(2, 200):
         res = gaeta_resolution(n)
@@ -279,6 +290,12 @@ def test_kronecker_dimension_is_the_moduli_dimension_of_w():
         reference = kd.rank_v * kd.rank_v * (2 * _delta(res.mu, res.dot_slope) - 1) + 1
         assert kd.kr_dim == reference, n
         assert type(kd.kr_dim) is int, n
+        # reference: the window's ends (N -+ sqrt(N^2 - 4))/2 as surds; the
+        # window test is chi((b, a), (b, a)) < 0
+        N = kd.N
+        psi_lower = QuadSurd(Fraction(N, 2), Fraction(-1, 2), N * N - 4)
+        psi_upper = QuadSurd(Fraction(N, 2), Fraction(1, 2), N * N - 4)
+        assert kd.slope_in_window == (psi_lower < Fraction(kd.b, kd.a) < psi_upper), n
     assert applicable == 803
 
 

@@ -153,3 +153,11 @@ def test_suites_over_n_from_two_reject_depth_one(capsys, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite, depth", [("gamma", "3"), ("gamma", 2.5), ("cf", True)], ids=repr)
+def test_depth_is_an_int_and_not_a_bool(suite, depth):
+    # once "'<' not supported between instances of 'str' and 'int'", then
+    # "'float' object cannot be interpreted as an integer", and True ran cf at depth 1
+    with pytest.raises(TypeError, match="^depth must be an int"):
+        run_suite(suite, depth)
