@@ -6,6 +6,13 @@ collapsing_wall builds the innermost wall where the general n-point ideal
 sheaf is destabilized, nested implements the center criterion for walls on a
 common side of a vertical line, and the remaining helpers cover the walls
 between exceptional bundles and a deterministic SVG picture.
+
+Walls are found in integers.  wall_between takes its three cross products of
+the characters' integer numerators, whose common denominators cancel, and
+builds one Fraction each for the center and the squared radius.  The closed
+center and radius that exceptional_pair_wall and collapsing_wall check their
+walls against are compared by integer cross products, never by Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,13 +22,12 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .chern import ChernCharacter, euler_pairing, exceptional_character
-from .exactnum import _as_rational, fraction_str
+from .exactnum import _as_ratio, _as_rational, fraction_str
 from .exceptional import (
     ExceptionalSlope,
     _as_slope,
     dot,
     epsilon,
-    hilbert_poly,
     is_adjacent_pair,
     parent_pair,
 )
@@ -60,9 +66,14 @@ class Wall:
 
 
 def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
-    """Potential wall where the two characters have equal (s,t)-slope."""
-    r, c, d = ch1.astuple()
-    rp, cp, dp = ch2.astuple()
+    """Potential wall where the two characters have equal (s,t)-slope.
+
+    The three cross products are taken of the characters' integer numerators;
+    the common denominators scale all three alike, so the center
+    x = x_cross/denom and radius^2 = x^2 - 2 y_cross/denom are unchanged.
+    """
+    r, c, d, _ = ch1._ints
+    rp, cp, dp, _ = ch2._ints
     denom = r * cp - rp * c
     x_cross = r * dp - rp * d
     y_cross = c * dp - cp * d
@@ -71,9 +82,10 @@ def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
             if y_cross == 0:
                 raise ValueError("proportional characters do not give a wall")
             raise ValueError("the wall locus of these characters is empty")
-        return Wall.vertical(y_cross / x_cross)
-    x = x_cross / denom
-    return Wall.semicircle(x, x * x - 2 * y_cross / denom)
+        return Wall.vertical(Fraction(y_cross, x_cross))
+    return Wall.semicircle(
+        Fraction(x_cross, denom), Fraction(x_cross * x_cross - 2 * y_cross * denom, denom * denom)
+    )
 
 
 def collapsing_wall(n) -> Wall:
@@ -92,17 +104,22 @@ def collapsing_wall(n) -> Wall:
         destabilizer = d.dual_twist(0)
     else:
         destabilizer = d.dual_twist(-3)
-    wall = wall_between(ChernCharacter(1, 0, -n), exceptional_character(destabilizer))
+    wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(destabilizer))
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
     center = bridgeland_from_mori(-ms.mu)
     if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
         raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
-    if wall.radius_sq != center * center - 2 * n:
+    # the radius checks compare cross products of radius^2 = x/y with each bound
+    x, y = wall.radius_sq.numerator, wall.radius_sq.denominator
+    u, v = center.numerator, center.denominator
+    if x * v * v != y * (u * u - 2 * n * v * v):
         raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
     at_dot = ms.position == CASE_AT_DOT
-    if wall.radius_sq != 2 * (d.discriminant if at_dot else _delta(ms.mu, d)) + Fraction(1, 4):
+    half = d.discriminant if at_dot else _delta(ms.mu, d)
+    # 2 delta + 1/4 = (8 p + q)/(4 q) for delta = p/q
+    if 4 * half.denominator * x != (8 * half.numerator + half.denominator) * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
-    if not at_dot and wall.radius_sq <= Fraction(5, 4):
+    if not at_dot and 4 * x <= 5 * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
     return wall
 
@@ -140,7 +157,8 @@ def nested(inner: Wall, outer: Wall, reference_slope) -> bool:
 
 def bridgeland_from_mori(y) -> Fraction:
     """Center x = y - 3/2 of the wall for the Mori coordinate y."""
-    return _as_rational(y) - Fraction(3, 2)
+    u, v = _as_ratio(y)
+    return Fraction(2 * u - 3 * v, 2 * v)
 
 
 def exceptional_pair_wall(alpha, beta) -> Wall:
@@ -154,12 +172,20 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
     if a.value == b.value:
         raise ValueError("a wall needs two distinct slopes")
     wall = wall_between(exceptional_character(a), exceptional_character(b))
-    ratio = (b.discriminant - a.discriminant) / (a.value - b.value)
-    if wall.kind != KIND_SEMICIRCLE or wall.center_s != (a.value + b.value) / 2 + ratio:
+    # with a = c/r, b = c'/r', h = r r', e = h (a - b) and k = r'^2 - r^2, the ratio
+    # (D_b - D_a)/(a - b) is k/(2 h e), so the closed center is ((c r' + c' r) e + k)/(2 h e)
+    r, c, rp, cp = a.rank, a.value.numerator, b.rank, b.value.numerator
+    h, e, k = r * rp, c * rp - cp * r, rp * rp - r * r
+    x = wall.center_s
+    closed = (c * rp + cp * r) * e + k
+    if wall.kind != KIND_SEMICIRCLE or 2 * h * e * x.numerator != closed * x.denominator:
         raise ArithmeticError("pair wall of %s, %s misses its closed center" % (a.value, b.value))
     if is_adjacent_pair(a, b):
-        gap = -abs(a.value - b.value)
-        if wall.radius_sq != (gap / 2) ** 2 - hilbert_poly(gap) + ratio * ratio:
+        # (gap/2)^2 - P(gap) + ratio^2 at gap = -g/h, g = |e|, is
+        # (6 g^3 h - g^4 - 4 g^2 h^2 + k^2)/(4 g^2 h^2)
+        g, x = abs(e), wall.radius_sq
+        closed = 6 * g ** 3 * h - g ** 4 - 4 * (g * h) ** 2 + k * k
+        if 4 * (g * h) ** 2 * x.numerator != closed * x.denominator:
             raise ArithmeticError(
                 "pair wall of %s, %s misses its closed radius" % (a.value, b.value)
             )

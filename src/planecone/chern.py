@@ -7,14 +7,20 @@ chi(E) = r + 3 c1/2 + ch2 is its value against O; both answer at rank zero.
 Slope and discriminant, twisting by line bundles, duals, and the characters of
 exceptional bundles, (r, c, (c^2 - r^2 + 1)/(2r)) for the slope c/r, also live
 here.
+
+A character is held as three ints over one common denominator,
+(r, c1, ch2) = (R, C, D)/N with N > 0 and gcd(R, C, D, N) = 1, so sums,
+differences, scalar multiples, twists and pairings are integer formulas that
+end in one gcd, and two characters are equal exactly when their four ints
+are.  r, c1 and ch2 are read-only Fraction properties, built when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
-from .exactnum import _as_rational, fraction_str
+from .exactnum import _as_ratio, fraction_str
 from .exceptional import _as_slope
 
 
@@ -22,29 +28,52 @@ class ZeroRankError(ValueError):
     """Raised when slope or discriminant is requested at rank zero."""
 
 
-@dataclass(frozen=True)
 class ChernCharacter:
-    r: Fraction
-    c1: Fraction
-    ch2: Fraction
+    """The character (r, c1, ch2), each an int or a Fraction; a float raises TypeError."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _as_rational(self.r))
-        object.__setattr__(self, "c1", _as_rational(self.c1))
-        object.__setattr__(self, "ch2", _as_rational(self.ch2))
+    __slots__ = ("_ints",)
+
+    def __init__(self, r, c1, ch2):
+        x = _as_ratio(r), _as_ratio(c1), _as_ratio(ch2)
+        n = math.lcm(*(den for _, den in x))
+        self._ints = (*(num * (n // den) for num, den in x), n)
+
+    @classmethod
+    def _of(cls, r: int, c: int, d: int, n: int = 1) -> "ChernCharacter":
+        """The character (r, c, d)/n for ints and n > 0, reduced by one gcd."""
+        g = math.gcd(r, c, d, n)
+        out = object.__new__(cls)
+        out._ints = (r // g, c // g, d // g, n // g)
+        return out
+
+    r = property(lambda self: Fraction(self._ints[0], self._ints[3]))
+    c1 = property(lambda self: Fraction(self._ints[1], self._ints[3]))
+    ch2 = property(lambda self: Fraction(self._ints[2], self._ints[3]))
+
+    def __eq__(self, other):
+        if not isinstance(other, ChernCharacter):
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self) -> int:
+        return hash(self.astuple())
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return ChernCharacter(self.r + other.r, self.c1 + other.c1, self.ch2 + other.ch2)
+        r, c, d, n = self._ints
+        rp, cp, dp, m = other._ints
+        return ChernCharacter._of(r * m + rp * n, c * m + cp * n, d * m + dp * n, n * m)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return ChernCharacter(self.r - other.r, self.c1 - other.c1, self.ch2 - other.ch2)
+        return self + -other
 
     def __neg__(self) -> "ChernCharacter":
-        return ChernCharacter(-self.r, -self.c1, -self.ch2)
+        r, c, d, n = self._ints
+        return ChernCharacter._of(-r, -c, -d, n)
 
     def __mul__(self, k) -> "ChernCharacter":
-        k = _as_rational(k)
-        return ChernCharacter(k * self.r, k * self.c1, k * self.ch2)
+        p, q = _as_ratio(k)
+        r, c, d, n = self._ints
+        return ChernCharacter._of(p * r, p * c, p * d, q * n)
 
     __rmul__ = __mul__
 
@@ -52,7 +81,7 @@ class ChernCharacter:
         return (self.r, self.c1, self.ch2)
 
     def __repr__(self) -> str:
-        return "ChernCharacter(%s, %s, %s)" % (self.r, self.c1, self.ch2)
+        return "ChernCharacter(%s, %s, %s)" % self.astuple()
 
     def to_json(self) -> dict:
         return {
@@ -64,47 +93,61 @@ class ChernCharacter:
 
 def line_bundle(k) -> ChernCharacter:
     """Character (1, k, k^2/2) of the line bundle of degree k."""
-    k = _as_rational(k)
-    return ChernCharacter(1, k, k * k / 2)
+    p, q = _as_ratio(k)
+    return ChernCharacter._of(2 * q * q, 2 * p * q, p * p, 2 * q * q)
 
 
 def slope(ch: ChernCharacter) -> Fraction:
-    if ch.r == 0:
+    r, c, _, _ = ch._ints
+    if r == 0:
         raise ZeroRankError("slope is undefined at rank zero")
-    return ch.c1 / ch.r
+    return Fraction(c, r)
 
 
 def discriminant(ch: ChernCharacter) -> Fraction:
-    """Delta = mu^2/2 - ch2/r, normalized to be rank and twist invariant."""
-    if ch.r == 0:
+    """Delta = mu^2/2 - ch2/r, normalized to be rank and twist invariant.
+
+    For (R, C, D)/N it is (C^2 - 2RD)/(2R^2); N cancels.
+    """
+    r, c, d, _ = ch._ints
+    if r == 0:
         raise ZeroRankError("discriminant is undefined at rank zero")
-    mu = ch.c1 / ch.r
-    return mu * mu / 2 - ch.ch2 / ch.r
+    return Fraction(c * c - 2 * r * d, 2 * r * r)
 
 
 def euler_char(ch: ChernCharacter) -> Fraction:
     """chi(E) = r + 3 c1/2 + ch2 by Riemann-Roch; at nonzero rank it is r(P(mu) - Delta)."""
-    return ch.r + 3 * ch.c1 / 2 + ch.ch2
+    r, c, d, n = ch._ints
+    return Fraction(2 * r + 3 * c + 2 * d, 2 * n)
 
 
 def euler_pairing(ch_e: ChernCharacter, ch_f: ChernCharacter) -> Fraction:
     """chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1' by Riemann-Roch.
 
-    At nonzero ranks it is r r' (P(mu_F - mu_E) - Delta_E - Delta_F).
+    At nonzero ranks it is r r' (P(mu_F - mu_E) - Delta_E - Delta_F).  Over the
+    denominators N and N' it is one Fraction with denominator 2NN'.
     """
-    r, c, d = ch_e.r, ch_e.c1, ch_e.ch2
-    rp, cp, dp = ch_f.r, ch_f.c1, ch_f.ch2
-    return r * rp + 3 * (r * cp - rp * c) / 2 + r * dp + rp * d - c * cp
+    r, c, d, n = ch_e._ints
+    rp, cp, dp, m = ch_f._ints
+    num = 2 * r * rp + 3 * (r * cp - rp * c) + 2 * (r * dp + rp * d) - 2 * c * cp
+    return Fraction(num, 2 * n * m)
 
 
 def twist(ch: ChernCharacter, k) -> ChernCharacter:
-    """Character of E(k), i.e. the tensor with the degree-k line bundle."""
-    k = _as_rational(k)
-    return ChernCharacter(ch.r, ch.c1 + k * ch.r, ch.ch2 + k * ch.c1 + k * k * ch.r / 2)
+    """Character of E(k), i.e. the tensor with the degree-k line bundle.
+
+    (r, c1 + k r, ch2 + k c1 + k^2 r/2), over the denominator 2 q^2 N for k = p/q.
+    """
+    p, q = _as_ratio(k)
+    r, c, d, n = ch._ints
+    return ChernCharacter._of(
+        2 * q * q * r, 2 * q * (q * c + p * r), 2 * q * (q * d + p * c) + p * p * r, 2 * q * q * n
+    )
 
 
 def dual(ch: ChernCharacter) -> ChernCharacter:
-    return ChernCharacter(ch.r, -ch.c1, ch.ch2)
+    r, c, d, n = ch._ints
+    return ChernCharacter._of(r, -c, d, n)
 
 
 def exceptional_character(alpha) -> ChernCharacter:
@@ -116,4 +159,4 @@ def exceptional_character(alpha) -> ChernCharacter:
     """
     alpha = _as_slope(alpha)
     r, c = alpha.rank, alpha.value.numerator
-    return ChernCharacter(r, c, Fraction(c * c - r * r + 1, 2 * r))
+    return ChernCharacter._of(2 * r * r, 2 * r * c, c * c - r * r + 1, 2 * r)

@@ -2,11 +2,12 @@
 
 Rationals are fractions.Fraction throughout the package, and every rational
 argument in it is read by _as_rational: an int or a Fraction, a Fraction kept
-as it is, while a float, a string or a Decimal raises TypeError.  QuadSurd
-adds a single square root of a nonnegative integer.  The package builds one
-only for the half-width x_alpha of an exceptional interval, whose ends
-alpha +- x_alpha are all the irrationality the slope arithmetic needs, so a
-QuadSurd is a ring element: +, - and * (across radicands that differ by a
+as it is, while a float, a string or a Decimal raises TypeError; _as_ratio
+reads the same arguments as an integer pair, so an int builds no Fraction.
+QuadSurd adds a single square root of a nonnegative integer.  The package
+builds one only for the half-width x_alpha of an exceptional interval, whose
+ends alpha +- x_alpha are all the irrationality the slope arithmetic needs, so
+a QuadSurd is a ring element: +, - and * (across radicands that differ by a
 square), and an exact order, but no division.  It holds its value as
 (A + B*sqrt(d))/C in Python ints, with C > 0 and gcd(A, B, C) = 1, so its
 arithmetic and its comparisons are integer formulas; a rational operand enters
@@ -33,6 +34,13 @@ def _as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot read {x!r} as a rational")
+
+
+def _as_ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction, read as _as_rational reads it."""
+    if not isinstance(x, int):
+        x = _as_rational(x)
+    return x.numerator, x.denominator
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
@@ -309,10 +317,10 @@ class QuadSurd:
 
 def fraction_str(x: RationalLike) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = _as_rational(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = _as_ratio(x)
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactnum import QuadSurd, RationalLike, SurdLike, _as_rational, fraction_str, surd_cmp
+from .exactnum import QuadSurd, RationalLike, SurdLike, _as_ratio, _as_rational, fraction_str
+from .exactnum import surd_cmp
 
 
 # levels below the integers that associated_slope and gamma_inv walk before giving up
@@ -41,9 +42,12 @@ class CantorPointError(ValueError):
 
 
 def hilbert_poly(x):
-    """Euler characteristic polynomial of O(x) on the plane: (x^2 + 3x + 2)/2."""
-    x = _as_rational(x)
-    return (x * x + 3 * x + 2) / 2
+    """Euler characteristic polynomial of O(x) on the plane: (x^2 + 3x + 2)/2.
+
+    For x = u/v it is (u^2 + 3uv + 2v^2)/(2v^2), built as one Fraction.
+    """
+    u, v = _as_ratio(x)
+    return Fraction(u * u + 3 * u * v + 2 * v * v, 2 * v * v)
 
 
 @dataclass(frozen=True)
@@ -126,29 +130,36 @@ class ExceptionalSlope:
         |x - value| with interval_radius, so the endpoints are never built.
         """
         if isinstance(x, (int, Fraction)):
-            u, v = x.numerator, x.denominator
-            c, r = self.value.numerator, self.rank
-            w = u * r - c * v
-            if w == 0:
-                return 0
-            t = 3 * r * v - 2 * abs(w)
-            if t > 0 and (9 * r * r - 4) * v * v < t * t:
-                return 0
-            return 1 if w > 0 else -1
+            return self._side_of(x.numerator, x.denominator)
         c = surd_cmp(x, self.value)
         if c == 0:
             return 0
         gap = x - self.value if c > 0 else self.value - x
         return c if surd_cmp(gap, self.interval_radius) >= 0 else 0
 
+    def _side_of(self, u: int, v: int) -> int:
+        """side(u/v) for ints u and v > 0, which need not be coprime.
+
+        Each of w, t and v scales with (u, v), so both tests are homogeneous.
+        """
+        c, r = self.value.numerator, self.rank
+        w = u * r - c * v
+        if w == 0:
+            return 0
+        t = 3 * r * v - 2 * abs(w)
+        if t > 0 and (9 * r * r - 4) * v * v < t * t:
+            return 0
+        return 1 if w > 0 else -1
+
     def dual_twist(self, k: int) -> "ExceptionalSlope":
         """The slope -value + k, the dual of E twisted by O(k).
 
         The tree is symmetric under x -> -x and x -> x + 1, so the address
-        p/2^q goes to (-p + k 2^q)/2^q and the slope is one memo read.
+        p/2^q goes to (-p + k 2^q)/2^q, canonical again, and the slope is one
+        memo read.
         """
         p, q = self.address.p, self.address.q
-        return epsilon((-p + (k << q), q))
+        return _epsilon_at(-p + (k << q), q)
 
     def to_json(self) -> dict:
         left, right = self.interval()
@@ -255,6 +266,13 @@ def epsilon(addr) -> ExceptionalSlope:
     return _walk(p >> q, lambda s: p - (s.address.p << (q - s.address.q)), q)
 
 
+def _epsilon_at(p: int, q: int) -> ExceptionalSlope:
+    """epsilon((p, q)) for ints p and q >= 0; a memo hit builds no DyadicAddress."""
+    while q and not p & 1:
+        p, q = p >> 1, q - 1
+    return _MEMO.get((p, q)) or epsilon((p, q))
+
+
 def _as_slope(x) -> ExceptionalSlope:
     """A slope as it is, a DyadicAddress or (p, q) by epsilon, an int or Fraction by value."""
     if isinstance(x, ExceptionalSlope):
@@ -271,9 +289,9 @@ def parent_pair(alpha) -> tuple[ExceptionalSlope, ExceptionalSlope]:
     alpha = _as_slope(alpha)
     p, q = alpha.address.p, alpha.address.q
     if q == 0:
-        return epsilon((p - 1, 0)), epsilon((p + 1, 0))
+        return _epsilon_at(p - 1, 0), _epsilon_at(p + 1, 0)
     a = (p - 1) // 2
-    return epsilon((a, q - 1)), epsilon((a + 1, q - 1))
+    return _epsilon_at(a, q - 1), _epsilon_at(a + 1, q - 1)
 
 
 def is_adjacent_pair(alpha, beta) -> bool:

@@ -53,7 +53,7 @@ def _normalize_terms(negatives, positives):
 
 def _total(terms, character) -> ChernCharacter:
     """Sum of m * character(s) over the (s, m) pairs."""
-    total = ChernCharacter(0, 0, 0)
+    total = ChernCharacter._of(0, 0, 0)
     for s, m in terms:
         total = total + m * character(s)
     return total
@@ -115,10 +115,12 @@ class ResolutionData:
         }
 
 
-def _as_int(x: Fraction, what: str, n: int) -> int:
-    if x.denominator != 1:
+def _as_int(num: int, den: int, what: str, n: int) -> int:
+    """num/den for ints, which must divide exactly."""
+    m, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("%s is not an integer for n=%d" % (what, n))
-    return int(x)
+    return m
 
 
 def gaeta_resolution(n) -> ResolutionData:
@@ -133,20 +135,24 @@ def gaeta_resolution(n) -> ResolutionData:
     ms = _min_slope_for(n, "resolution")
     n, dot = ms.n, ms.associated
     a, b = parent_pair(dot)
-    dval = dot.value
-    rd = dot.rank
-    mu = ms.mu
+    ra, ca = a.rank, a.value.numerator
+    rb, cb = b.rank, b.value.numerator
+    rd, cd = dot.rank, dot.value.numerator
     case = ms.position
     if case == CASE_BELOW_DOT:
-        m1 = _as_int(a.rank * (mu - a.value) * dval, "m1", n)
-        m2 = _as_int(b.rank * (mu - b.value + 3) * dval, "m2", n)
+        # r_a (mu - a) D and r_b (mu - b + 3) D for mu = u/v
+        u, v = ms.mu.numerator, ms.mu.denominator
+        m1 = _as_int((u * ra - ca * v) * cd, v * rd, "m1", n)
+        m2 = _as_int((u * rb - cb * v + 3 * v * rb) * cd, v * rd, "m2", n)
         m3 = dot.euler - n * rd
         if m3 <= 0:
             raise ArithmeticError("m3 = %d is not positive below D for n=%d" % (m3, n))
     else:
-        # mu = lambda above D; at D the multiplicities are still read at lambda
-        m1 = _as_int(b.rank * (b.value - ms.lam) * (dval + 3), "m1", n)
-        m2 = _as_int(a.rank * (3 + a.value - ms.lam) * (dval + 3), "m2", n)
+        # mu = lambda above D; at D the multiplicities are still read at lambda:
+        # r_b (b - lambda)(D + 3) and r_a (3 + a - lambda)(D + 3) for lambda = u/v
+        u, v = ms.lam.numerator, ms.lam.denominator
+        m1 = _as_int((cb * v - u * rb) * (cd + 3 * rd), v * rd, "m1", n)
+        m2 = _as_int((3 * ra * v + ca * v - u * ra) * (cd + 3 * rd), v * rd, "m2", n)
         m3 = n * rd - dot.euler
         if not (m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0):
             raise ArithmeticError("m3 = %d has the wrong sign for %s, n=%d" % (m3, case, n))
@@ -158,7 +164,7 @@ def gaeta_resolution(n) -> ResolutionData:
     m_sub, m_quo = (m1, k) if case == CASE_BELOW_DOT else (k, m1)
     first, second = _bundle_term(sub, m_sub), _bundle_term(quo, m_quo)
     terms = ((sub, -m_sub), (quo, m_quo))
-    iz = ChernCharacter(1, 0, -n)
+    iz = ChernCharacter._of(1, 0, -n)
     iz_term = SeqTerm("I_Z", iz)
     if case == CASE_BELOW_DOT:
         w_term = SeqTerm("W", first.char - second.char)
@@ -177,7 +183,7 @@ def gaeta_resolution(n) -> ResolutionData:
 
     sporadic = case == CASE_BELOW_DOT and m3 * rd <= 2
     out = ResolutionData(
-        n, mu, a, b, dot, case, sporadic, m1, m2, m3, w_term.char, w_seq, iz_seq, terms,
+        n, ms.mu, a, b, dot, case, sporadic, m1, m2, m3, w_term.char, w_seq, iz_seq, terms,
     )
     if out.ideal_character() != iz:
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
@@ -299,11 +305,10 @@ def kronecker_data(n) -> KroneckerData:
     a = res.m1
     b = res.k
     chi = kronecker_euler(N, (b, a), (b, a))
-    if res.case == CASE_BELOW_DOT:
-        rank_v = res.dot_slope.value * res.dot_slope.rank
-    else:
-        rank_v = (res.dot_slope.value + 3) * res.dot_slope.rank
-    rank_v = int(rank_v)
+    # r_D D is the numerator of D, and r_D (D + 3) above D is that plus N
+    rank_v = res.dot_slope.value.numerator
+    if res.case != CASE_BELOW_DOT:
+        rank_v += N
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
     kr_dim = 1 - chi
     return KroneckerData(res.n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * res.n)

@@ -4,6 +4,13 @@ The function delta gives the sharp discriminant bound for a moduli space of
 given slope to be nonempty, gamma packages it into a strictly increasing
 bijection of the nonnegative rationals, and min_slope inverts gamma at an
 integer to find the minimal slope attached to n general points.
+
+The arithmetic is in integers, with a Fraction built only for an answer.  At
+an exceptional slope a = c/r, gamma(a) = (r chi_a - 1)/r^2, so gamma_inv's
+branch point for q = u/v is an integer pair that steers the walk unreduced
+(see _gamma_inv); delta at mu = u/v is
+(w^2 - 3wvr + (r^2 + 1)v^2)/(2v^2r^2) with w = |ur - cv|; and min_slope's
+test chi_a/r >= n reads chi_a >= n r.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
-from .exactnum import _as_rational, fraction_str
+from .exactnum import _as_ratio, _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
@@ -54,8 +61,14 @@ def delta(mu) -> Fraction:
 
 
 def _delta(mu: Fraction, a: ExceptionalSlope) -> Fraction:
-    """delta(mu) for a caller that already holds the slope a with mu in I_a."""
-    return hilbert_poly(-abs(mu - a.value)) - a.discriminant
+    """delta(mu) for a caller that already holds the slope a with mu in I_a.
+
+    With mu = u/v, a = c/r and w = |ur - cv|, P(-|mu - a|) - D_a is
+    (w^2 - 3wvr + (r^2 + 1)v^2)/(2v^2r^2), built as one Fraction.
+    """
+    u, v, r = mu.numerator, mu.denominator, a.rank
+    w = abs(u * r - a.value.numerator * v)
+    return Fraction(w * w - 3 * w * v * r + (r * r + 1) * v * v, 2 * v * v * r * r)
 
 
 def gamma(mu) -> Fraction:
@@ -75,28 +88,43 @@ def gamma_inv(q) -> Fraction:
     the solution lies in I_a exactly when the answer does, and otherwise on
     the side of I_a where the answer lies.  The walk starts at the integer m
     with gamma(m) = m(m + 3)/2 <= q < gamma(m + 1), and every decision in it
-    compares rationals.
+    compares integers.
     """
     return _gamma_inv(q)[0]
 
 
+def _branch(u: int, v: int, a: ExceptionalSlope) -> tuple[int, int]:
+    """The point where the affine piece of gamma on the half of I_a facing q = u/v takes q.
+
+    It is the pair (c v s + w, v r s) that _gamma_inv derives, not reduced.
+    """
+    c, r = a.value.numerator, a.rank
+    w = u * r * r - v * (r * a.euler - 1)
+    if w == 0:
+        return c, r
+    s = c + 3 * r if w > 0 else c
+    return c * v * s + w, v * r * s
+
+
 def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
-    """gamma_inv(q) together with the slope whose interval holds it."""
-    q = _as_rational(q)
-    if q < 0:
+    """gamma_inv(q) together with the slope whose interval holds it, in integers.
+
+    For a = c/r, chi = chi(E_a) = r(P(a) - D_a) and D_a = (1 - 1/r^2)/2,
+    gamma(a) = P(a) - 1 + D_a = chi/r + 2 D_a - 1 = (r chi - 1)/r^2.  So for
+    q = u/v, q - gamma(a) = w/(v r^2) with w = u r^2 - v(r chi - 1).  The
+    piece of gamma facing q has slope s/r, s = c + 3r if w > 0 and s = c
+    otherwise, and it takes q at a + (q - gamma(a)) r/s = (c v s + w)/(v r s);
+    s is 0 only at a = 0 with q < gamma(0) = 0, which no q >= 0 reaches.  side
+    is homogeneous in (u, v) for v > 0, so each level steers by that pair
+    unreduced, and only the answer becomes a Fraction.
+    """
+    u, v = _as_ratio(q)
+    if u < 0:
         raise ValueError("gamma only takes nonnegative values")
-
-    def branch(a: ExceptionalSlope) -> Fraction:
-        """The point where the affine piece of gamma on the half of I_a facing q takes q."""
-        g = hilbert_poly(a.value) - 1 + a.discriminant
-        if q == g:
-            return a.value
-        return a.value + (q - g) / (a.value + 3 if q > g else a.value)
-
     # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1)
-    m = (math.isqrt(9 + math.floor(8 * q)) - 3) // 2
-    a = _walk(m, lambda s: s.side(branch(s)), MAX_DEPTH)
-    mu = branch(a)
+    m = (math.isqrt(9 + 8 * u // v) - 3) // 2
+    a = _walk(m, lambda s: s._side_of(*_branch(u, v, s)), MAX_DEPTH)
+    mu = Fraction(*_branch(u, v, a))
     # mu lies in I_a, so this is gamma(mu) without a second walk
     if hilbert_poly(mu) - _delta(mu, a) != q:
         raise ArithmeticError("gamma_inv(%s) = %s fails the round trip" % (q, mu))
@@ -151,7 +179,7 @@ def min_slope(n: int) -> MinSlopeResult:
     """
     n = _as_n(n)
     lam, a = _gamma_inv(n)
-    if a.value <= lam and Fraction(a.euler, a.rank) >= n:
+    if a.value <= lam and a.euler >= n * a.rank:
         mu = a.value
     else:
         mu = lam

@@ -43,7 +43,7 @@ def _aggregate(name: str, failures: list, total: int) -> CheckResult:
     return CheckResult(name, True, "%d checks" % total)
 
 
-def _suite_cf(depth: int) -> list[CheckResult]:
+def _suite_cf(depth: int, built: dict) -> list[CheckResult]:
     slopes = enumerate_slopes(depth, 0, 1)
     flag_failures = []
     congruence_failures = []
@@ -61,7 +61,7 @@ def _suite_cf(depth: int) -> list[CheckResult]:
     ]
 
 
-def _suite_intervals(depth: int) -> list[CheckResult]:
+def _suite_intervals(depth: int, built: dict) -> list[CheckResult]:
     slopes = enumerate_slopes(depth, 0, 3)
     ends = [s.interval() for s in slopes]
     failures = []
@@ -78,7 +78,7 @@ def _suite_intervals(depth: int) -> list[CheckResult]:
     return [_aggregate("interval disjointness", failures, total)]
 
 
-def _suite_gamma(depth: int) -> list[CheckResult]:
+def _suite_gamma(depth: int, built: dict) -> list[CheckResult]:
     failures = []
     prev = Fraction(-1)
     for n in range(1, depth + 1):
@@ -91,7 +91,7 @@ def _suite_gamma(depth: int) -> list[CheckResult]:
     return [_aggregate("gamma inversion", failures, depth)]
 
 
-def _suite_resolution(depth: int) -> list[CheckResult]:
+def _suite_resolution(depth: int, built: dict) -> list[CheckResult]:
     assemble_failures = []
     rank_failures = []
     bound_failures = []
@@ -99,7 +99,7 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
     classical_failures = []
     classical_total = 0
     for n in range(2, depth + 1):
-        res = gaeta_resolution(n)
+        res = built[n] = gaeta_resolution(n)
         ideal = res.ideal_character()
         if ideal.astuple() != (1, 0, -n):
             assemble_failures.append("n=%d terms" % n)
@@ -130,12 +130,13 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
     ]
 
 
-def _suite_kronecker(depth: int) -> list[CheckResult]:
+def _suite_kronecker(depth: int, built: dict) -> list[CheckResult]:
     failures = []
     applicable = 0
     for n in range(2, depth + 1):
         try:
-            kd = kronecker_data(n)
+            # the resolution suite's ResolutionData when it ran first, else n
+            kd = kronecker_data(built.get(n, n))
         except KroneckerNotApplicableError:
             continue
         applicable += 1
@@ -152,7 +153,7 @@ def _triad_configs(depth: int):
             yield p, q
 
 
-def _suite_walls(depth: int) -> list[CheckResult]:
+def _suite_walls(depth: int, built: dict) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
         ms = min_slope(n)
@@ -233,7 +234,9 @@ def _suite_walls(depth: int) -> list[CheckResult]:
 
 
 # name: (suite, default depth, least depth); the suites that check n = 2..depth
-# would pass on no input below depth 2
+# would pass on no input below depth 2.  Each suite also takes a dict, one per
+# run_suite call, where the resolution suite leaves the ResolutionData of each n
+# for the kronecker suite.
 _SUITES = {
     "cf": (_suite_cf, 10, 1),
     "intervals": (_suite_intervals, 8, 1),
@@ -255,19 +258,18 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
             raise TypeError("depth must be an int, not %s" % type(depth).__name__)
         if depth < 1:
             raise ValueError("depth must be at least 1, got %d" % depth)
-    if suite == "all":
-        out = []
-        for name in _SUITES:
-            out.extend(run_suite(name, depth))
-        return out
-    if suite not in _SUITES:
+    if suite != "all" and suite not in _SUITES:
         raise ValueError("unknown suite %r" % suite)
-    check, default, least = _SUITES[suite]
-    depth = default if depth is None else depth
-    if depth < least:
-        message = "%s checks n = %d..depth, so depth must be at least %d"
-        raise ValueError(message % (suite, least, least))
-    return check(depth)
+    built = {}
+    out = []
+    for name in _SUITES if suite == "all" else (suite,):
+        check, default, least = _SUITES[name]
+        d = default if depth is None else depth
+        if d < least:
+            message = "%s checks n = %d..depth, so depth must be at least %d"
+            raise ValueError(message % (name, least, least))
+        out.extend(check(d, built))
+    return out
 
 
 def format_report(results: list[CheckResult]) -> tuple[str, int]:

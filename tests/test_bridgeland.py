@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import planecone.bridgeland as bridgeland
 from planecone.bridgeland import (
     KIND_SEMICIRCLE,
     KIND_VERTICAL,
+    Wall,
     bridgeland_from_mori,
     collapsing_wall,
     exceptional_pair_wall,
@@ -17,7 +19,7 @@ from planecone.bridgeland import (
     wall_between,
 )
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle
-from planecone.exceptional import dot, enumerate_slopes, epsilon
+from planecone.exceptional import dot, enumerate_slopes, epsilon, hilbert_poly
 from planecone.stability import delta
 
 
@@ -286,4 +288,59 @@ def test_collapsing_wall_radius_failure_raises_arithmetic_error(monkeypatch, n):
     true_delta = bridgeland._delta
     monkeypatch.setattr(bridgeland, "_delta", lambda mu, a: true_delta(mu, a) + 1)
     with pytest.raises(ArithmeticError, match="radius"):
+        collapsing_wall(n)
+
+
+def fraction_closed_forms(a, b):
+    """The pair wall's closed center and adjacent-pair radius in Fraction arithmetic.
+
+    exceptional_pair_wall once checked its wall against these; it now compares
+    integer cross products, and this is kept as the reference.
+    """
+    ratio = (b.discriminant - a.discriminant) / (a.value - b.value)
+    gap = -abs(a.value - b.value)
+    return (a.value + b.value) / 2 + ratio, (gap / 2) ** 2 - hilbert_poly(gap) + ratio * ratio
+
+
+def test_pair_walls_meet_the_fraction_closed_forms():
+    slopes = enumerate_slopes(5, -2, 2)
+    # consecutive slopes of one level are adjacent; two apart they are not
+    for a, b in zip(slopes, slopes[1:]):
+        center, radius_sq = fraction_closed_forms(a, b)
+        for x, y in ((a, b), (b, a)):
+            wall = exceptional_pair_wall(x, y)
+            assert (wall.center_s, wall.radius_sq) == (center, radius_sq)
+    for a, b in zip(slopes, slopes[2:]):
+        assert exceptional_pair_wall(a, b).center_s == fraction_closed_forms(a, b)[0]
+
+
+def moved_walls(monkeypatch, dc, dr):
+    """Make wall_between answer a wall whose center and radius^2 are off by dc and dr."""
+    true = bridgeland.wall_between
+
+    def moved(ch1, ch2):
+        wall = true(ch1, ch2)
+        return Wall.semicircle(wall.center_s + dc, wall.radius_sq + dr)
+
+    monkeypatch.setattr(bridgeland, "wall_between", moved)
+
+
+@pytest.mark.parametrize(
+    "dc, dr, match",
+    [(Fraction(1, 10**9), 0, "closed center"), (0, Fraction(1, 10**9), "closed radius")],
+)
+def test_a_pair_wall_off_its_closed_forms_raises(monkeypatch, dc, dr, match):
+    moved_walls(monkeypatch, dc, dr)
+    with pytest.raises(ArithmeticError, match=match):
+        exceptional_pair_wall(epsilon((1, 2)), epsilon((1, 1)))
+
+
+@pytest.mark.parametrize("n", [2, 11, 12])  # BelowDot, AboveDot and AtDot
+@pytest.mark.parametrize(
+    "dc, dr, match",
+    [(Fraction(1, 10**9), 0, "centered"), (0, Fraction(1, 10**9), "numerical wall")],
+)
+def test_a_collapsing_wall_off_its_closed_forms_raises(monkeypatch, n, dc, dr, match):
+    moved_walls(monkeypatch, dc, dr)
+    with pytest.raises(ArithmeticError, match=match):
         collapsing_wall(n)

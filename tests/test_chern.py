@@ -212,3 +212,52 @@ def test_triad_kernel_cokernel_rank_identity():
 def test_to_json_uses_fraction_strings():
     ch = ChernCharacter(2, 1, Fraction(-1, 2))
     assert ch.to_json() == {"r": "2", "c1": "1", "ch2": "-1/2"}
+
+
+# a rank of zero is drawn too, and every component may be a fraction
+any_rationals = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=24)
+triples = st.tuples(any_rationals, any_rationals, any_rationals)
+
+
+@given(triples, triples, any_rationals)
+@settings(max_examples=300, deadline=None)
+def test_integer_characters_match_a_fraction_triple_reference(e, f, k):
+    """The integer forms against plain Fraction arithmetic on (r, c1, ch2)."""
+    (r, c, d), (rp, cp, dp) = e, f
+    ce, cf = ChernCharacter(*e), ChernCharacter(*f)
+    assert ce.astuple() == e
+    assert (ce + cf).astuple() == (r + rp, c + cp, d + dp)
+    assert (ce - cf).astuple() == (r - rp, c - cp, d - dp)
+    assert (-ce).astuple() == (-r, -c, -d)
+    assert (k * ce).astuple() == (ce * k).astuple() == (k * r, k * c, k * d)
+    assert twist(ce, k).astuple() == (r, c + k * r, d + k * c + k * k * r / 2)
+    assert dual(ce).astuple() == (r, -c, d)
+    assert euler_pairing(ce, cf) == r * rp + 3 * (r * cp - rp * c) / 2 + r * dp + rp * d - c * cp
+    assert euler_char(ce) == r + 3 * c / 2 + d
+
+
+def test_equal_characters_have_equal_hashes_across_representations():
+    pairs = [
+        (ChernCharacter(Fraction(4, 2), 0, 0), ChernCharacter(2, 0, 0)),
+        (2 * ChernCharacter(Fraction(1, 2), Fraction(1, 4), Fraction(1, 6)),
+         ChernCharacter(1, Fraction(1, 2), Fraction(1, 3))),
+        (exceptional_character(Fraction(1, 2)), ChernCharacter(2, 1, Fraction(-1, 2))),
+        (line_bundle(3) - line_bundle(3), ChernCharacter(0, 0, 0)),
+        (twist(line_bundle(0), Fraction(1, 2)), line_bundle(Fraction(1, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        # the hash a frozen dataclass of three Fractions gave
+        assert hash(a) == hash(a.astuple())
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+    assert ChernCharacter(1, 0, 0) != (1, 0, 0)
+    assert ChernCharacter(1, 0, 0) != ChernCharacter(1, 0, Fraction(1, 2))
+
+
+def test_components_are_read_only_fractions():
+    ch = ChernCharacter(Fraction(6, 4), 3, -1)
+    assert repr(ch) == "ChernCharacter(3/2, 3, -1)"
+    assert all(type(x) is Fraction for x in ch.astuple())
+    for name in ("r", "c1", "ch2"):
+        with pytest.raises(AttributeError):
+            setattr(ch, name, 0)

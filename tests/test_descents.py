@@ -11,10 +11,14 @@ reads its window off an integer Euler form, so no warm answer builds a surd.
 The verify suites name every slope they build by its dyadic address.  Each
 count is taken on a warm memo, because an epsilon that misses the memo walks
 too.  The surd count of a walk steered by a rational is also taken cold: it
-decides every level in integers and builds no slope's radius.
+decides every level in integers and builds no slope's radius.  gamma_inv's
+walk steers by integer pairs and the Chern characters are integer forms, so
+the Fractions an answer builds do not grow with the depth of its walk or the
+size of n, and a twist, dual or parent read from the memo builds no address.
 """
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -26,7 +30,7 @@ from planecone.chern import exceptional_character
 from planecone.cli import main
 from planecone.exactnum import QuadSurd
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
-from planecone.stability import min_slope
+from planecone.stability import _gamma_inv, min_slope
 from planecone.verify import run_suite
 
 
@@ -55,6 +59,19 @@ def count_surds(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(QuadSurd, "__post_init__", counted)
+    return built
+
+
+def count_fractions(monkeypatch):
+    """Record the arguments of every Fraction built from now on."""
+    original = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return built
 
 
@@ -185,3 +202,60 @@ def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
     assert all(r.passed for r in run_suite(suite, depth))
     assert lookups == []
     assert len(walks) <= bound, len(walks)
+
+
+def test_a_gamma_inv_walk_builds_as_many_fractions_at_any_depth(monkeypatch):
+    # once about ten per level: 61 Fractions for a walk of depth 2 and 491 for depth 45
+    def gamma_at(s):
+        return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
+
+    shallow, deep = gamma_at(exceptional.epsilon((1, 2))), gamma_at(exceptional.epsilon((1, 45)))
+    qs = [shallow, deep, deep + Fraction(1, 10**40), Fraction(10**29 + 3), Fraction(123457, 1000)]
+    depths = [_gamma_inv(q)[1].address.q for q in qs]
+    assert depths[0] <= 3 and depths[1] >= 40 and depths[2] >= 40
+    built = count_fractions(monkeypatch)
+    counts = []
+    for q in qs:
+        built.clear()
+        _gamma_inv(q)
+        counts.append(len(built))
+    assert len(set(counts)) == 1, list(zip(depths, counts))
+
+
+def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
+    # once 49, 67 or 69 per n, from Fraction multiplicities and characters
+    rng = random.Random(23)
+    ns = list(range(2, 60)) + [rng.randrange(10**4, 10**5) for _ in range(30)]
+    ns += [rng.randrange(10**10, 10**15) for _ in range(10)]
+    results = [min_slope(n) for n in ns]
+    for ms in results:
+        gaeta_resolution(ms)
+    built = count_fractions(monkeypatch)
+    counts = {}
+    for ms in results:
+        built.clear()
+        gaeta_resolution(ms)
+        counts.setdefault(len(built), []).append(ms.n)
+    assert list(counts) == [0], counts
+
+
+def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
+    # once every dual_twist and parent_pair built a DyadicAddress for its memo read
+    ns = range(2, 201)
+    for n in ns:
+        gaeta_resolution(n)
+        collapsing_wall(n)
+    built = []
+    original = exceptional.DyadicAddress.__post_init__
+
+    def counted(self):
+        original(self)
+        built.append(self)
+
+    monkeypatch.setattr(exceptional.DyadicAddress, "__post_init__", counted)
+    for n in ns:
+        ms = min_slope(n)
+        res = gaeta_resolution(ms)
+        collapsing_wall(ms)
+        exceptional_pair_wall(res.alpha, res.beta)
+    assert built == []

@@ -5,18 +5,24 @@ by epsilon, associated_slope and gamma_inv, so a refactor of the exact core
 that changes any printed answer fails here.  The sections cover the cone
 table, the resolutions, walls and Kronecker reductions for n <= 300, the
 exceptional slopes of depth <= 6 in [-2, 2), and the six verify suites at
-the depths the benchmark runs them.
+the depths the benchmark runs them.  The large_n section, seeded cone rows
+of 3 to 15 digits and resolutions and walls of 3 to 5 digits, was recorded
+from the code before stability and chern moved from Fraction arithmetic to
+integer formulas.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
+from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
 from planecone.cli import main
-from planecone.resolution import kronecker_data
+from planecone.resolution import gaeta_resolution, kronecker_data
+from planecone.stability import min_slope
 from planecone.verify import format_report, run_suite
 
 
@@ -62,6 +68,29 @@ def suites():
         yield format_report(run_suite(suite, depth))[0]
 
 
+def seeded_n(seed, digits):
+    """200 seeded n, each with a seeded number of digits in the given range."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        k = rng.randint(*digits)
+        yield rng.randrange(10 ** (k - 1), 10 ** k)
+
+
+def large_n():
+    """The sizes the benchmark drives: cone rows up to 15 digits, walls up to 5."""
+    for n in seeded_n(13, (3, 15)):
+        yield json.dumps(min_slope(n).to_json(), sort_keys=True)
+    for n in seeded_n(14, (3, 5)):
+        res = gaeta_resolution(n)
+        out = [res.to_json(), collapsing_wall(n).to_json()]
+        try:
+            out.append(kronecker_data(res).to_json())
+        except ValueError as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+        out.append(exceptional_pair_wall(res.alpha, res.beta).to_json())
+        yield json.dumps(out, sort_keys=True)
+
+
 GOLDEN = {
     table: "3fb7a1f3bc05c55e262470b975b0260d73e48ec02e3e185d94037f78be4f420b",
     resolutions: "eb98bf482680ae9ec3a9d9f73604b0a449e0ee5c8cace91c47dd5ecd59858653",
@@ -69,6 +98,7 @@ GOLDEN = {
     kronecker: "d5956335695df3bc186aa5252a5f32f94a2b20cad185a488328a3d2f2ab0e069",
     slopes: "aa3f397599a39789e9494e672587174b417b420e872f52efb6a84f7450ee776c",
     suites: "5427fb08bbae27e92e83d0e1e5a54806002a8375d277c1c87d23be038b956ad4",
+    large_n: "232f3db1f267580d2d69da39c4f5ba4ee07e928ff43f1dcd3d9f3c6cf72b3f94",
 }
 
 

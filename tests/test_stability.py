@@ -35,6 +35,7 @@ from planecone.stability import (
     CASE_EXCEPTIONAL_BUNDLE,
     CASE_NON_EXCEPTIONAL,
     CASE_TRIANGULAR_MINUS_ONE,
+    _branch,
     _gamma_inv,
     delta,
     gamma,
@@ -353,6 +354,51 @@ def test_gamma_inv_walk_finds_the_slope_of_xi():
     qs += [Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
     for q in qs:
         assert _gamma_inv(q)[1] is _gamma_inv_by_xi(q), q
+
+
+def _fraction_branch(q, a):
+    """The point where gamma's affine piece on the half of I_a facing q takes q.
+
+    This is gamma_inv's branch as it once was, in Fraction arithmetic, kept as
+    a reference for the integer pair of stability._branch.
+    """
+    g = hilbert_poly(a.value) - 1 + a.discriminant
+    if q == g:
+        return a.value
+    return a.value + (q - g) / (a.value + 3 if q > g else a.value)
+
+
+def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
+    import planecone.stability as stability
+
+    asked = []
+    walk = stability._walk
+
+    def recording(k, choose, max_depth):
+        return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
+
+    monkeypatch.setattr(stability, "_walk", recording)
+    rng = random.Random(22)
+    qs = [Fraction(rng.randrange(0, 10 ** rng.randrange(1, 31))) for _ in range(150)]
+    qs += [Fraction(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
+    qs += [Fraction(e.euler, e.rank) for e in enumerate_slopes(4, 0, 3)]
+    # gamma at a slope of level 40, and just above it, walk 40 levels down
+    deep = epsilon((5, 40))
+    at_deep = hilbert_poly(deep.value) - 1 + deep.discriminant
+    qs += [at_deep, at_deep + Fraction(1, 10 ** 60)]
+    levels = []
+    for q in qs:
+        asked.clear()
+        mu, a = _gamma_inv(q)
+        assert asked[-1] is a
+        for s in asked:
+            point = _fraction_branch(q, s)
+            u, v = _branch(q.numerator, q.denominator, s)
+            assert v > 0 and Fraction(u, v) == point, (q, s.value)
+            assert s._side_of(u, v) == s._side_of(3 * u, 3 * v) == s.side(point), (q, s.value)
+        assert mu == _fraction_branch(q, a)
+        levels.append(len(asked))
+    assert max(levels) > 40
 
 
 def test_gamma_inv_gives_up_below_depth_64():

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import planecone.resolution as resolution
 import planecone.verify as verify
 from planecone.bridgeland import Wall, exceptional_pair_wall
 from planecone.cli import main
@@ -161,3 +162,23 @@ def test_depth_is_an_int_and_not_a_bool(suite, depth):
     # "'float' object cannot be interpreted as an integer", and True ran cf at depth 1
     with pytest.raises(TypeError, match="^depth must be an int"):
         run_suite(suite, depth)
+
+
+def test_all_builds_each_resolution_once_and_reports_as_the_suites_do(monkeypatch):
+    # once twice per n: the kronecker suite rebuilt every resolution
+    alone = [r for suite in verify._SUITES for r in run_suite(suite, 6)]
+    calls = []
+    original = resolution.gaeta_resolution
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (verify, resolution):
+        monkeypatch.setattr(module, "gaeta_resolution", counted)
+    together = run_suite("all", 6)
+    assert calls == [2, 3, 4, 5, 6]
+    assert format_report(together) == format_report(alone)
+    calls.clear()
+    run_suite("kronecker", 20)
+    assert calls == list(range(2, 21))
