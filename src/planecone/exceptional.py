@@ -13,6 +13,12 @@ gamma_inv by side of a rational branch point.  Slopes, their products and
 side(x) for a rational x are computed in integers, and the surd radius x_alpha
 is only built when something asks for it, so a walk steered by rationals
 builds no QuadSurd.
+
+Twisting by O(k) maps the tree, its intervals and its addresses onto
+themselves: alpha + k sits at p/2^q + k and I_(alpha + k) = I_alpha + k.  So
+epsilon and associated_slope walk only the unit tree between 0 and 1 and
+reach a slope under any other integer part by a twist (_twist), which builds
+that one slope and none of its twisted ancestors.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ class ExceptionalSlope:
 
         The tree is symmetric under x -> -x and x -> x + 1, so the address
         p/2^q goes to (-p + k 2^q)/2^q, canonical again, and the slope is one
-        memo read.
+        memo read.  A miss is one read of the unit tree plus one twist.
         """
         p, q = self.address.p, self.address.q
         return _epsilon_at(-p + (k << q), q)
@@ -214,6 +220,9 @@ def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
 def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
     """Walk down the slope tree between the integers k and k + 1 to where choose stops.
 
+    epsilon and associated_slope walk the unit tree, k = 0, and twist what
+    they find; stability's gamma_inv walks from its own integer m.
+
     choose(slope) returns 0 to stop at slope, or a negative or positive number
     to go on left or right of it.  The walk asks about k, then about k + 1 only
     if k is rejected, and then about the slope between the two neighbours it
@@ -252,18 +261,31 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
 def epsilon(addr) -> ExceptionalSlope:
     """The exceptional slope at a dyadic address p/2^q; memoized by canonical address.
 
-    A memo hit is one dict read.  A miss walks down the tree towards p/2^q,
-    steered by comparing p/2^q with each address on the way, and builds the
-    missing ancestors; the walk is q levels deep and does not recurse.  The
-    memo only ever gains value-identical entries for a given key, so
-    concurrent readers are safe.
+    A memo hit is one dict read.  A miss with k = floor(p/2^q) walks down the
+    unit tree towards u/2^q, u = p - k 2^q, steered by comparing u/2^q with
+    each address on the way, and builds the missing unit ancestors; the walk
+    is q levels deep and does not recurse.  It then twists that slope by k,
+    so the memo holds the unit tree plus each twisted slope asked for, and no
+    twisted ancestors.  The memo only ever gains value-identical entries for
+    a given key, so concurrent readers are safe.
     """
     addr = DyadicAddress.coerce(addr)
     p, q = addr.p, addr.q
     hit = _MEMO.get((p, q))
     if hit is not None:
         return hit
-    return _walk(p >> q, lambda s: p - (s.address.p << (q - s.address.q)), q)
+    k = p >> q
+    u = p - (k << q)
+    return _twist(_walk(0, lambda s: u - (s.address.p << (q - s.address.q)), q), k)
+
+
+def _twist(s: ExceptionalSlope, k: int) -> ExceptionalSlope:
+    """The slope s.value + k at address p/2^q + k: a memo read, or one new slope stored."""
+    p, q = s.address.p + (k << s.address.q), s.address.q
+    hit = _MEMO.get((p, q))
+    if hit is None:
+        hit = _MEMO[(p, q)] = _make_slope(s.value + k, DyadicAddress(p, q))
+    return hit
 
 
 def _epsilon_at(p: int, q: int) -> ExceptionalSlope:
@@ -304,15 +326,26 @@ def is_adjacent_pair(alpha, beta) -> bool:
 def associated_slope(x: SurdLike, max_depth: int = MAX_DEPTH) -> ExceptionalSlope:
     """The unique exceptional slope alpha with x in I_alpha, by a walk down the tree.
 
-    The walk starts at floor(x) and steers by side(x) of each slope it meets.
-    Raises CantorPointError when no interval is found within max_depth levels
-    below the integers.  That happens for irrationals in the complement of the
-    intervals, and also for rationals whose interval lies deeper than
-    max_depth, such as decimals of 54 or more digits just above (3 - sqrt 5)/2.
+    With k = floor(x), the walk goes down the unit tree, steered by side(x - k)
+    of each slope it meets, and the slope it lands on is twisted by k; x is in
+    I_alpha exactly when x - k is in I_(alpha - k).  A rational x - k is one
+    Fraction, so every level is still decided in integers.  Raises
+    CantorPointError, naming floor(x) and floor(x) + 1, when no interval is
+    found within max_depth levels below the integers.  That happens for
+    irrationals in the complement of the intervals, and also for rationals
+    whose interval lies deeper than max_depth, such as decimals of 54 or more
+    digits just above (3 - sqrt 5)/2.
     """
     if isinstance(x, QuadSurd) and x.is_rational():
         x = x.as_fraction()
-    return _walk(math.floor(x), lambda s: s.side(x), max_depth)
+    k = math.floor(x)
+    y = x - k
+    try:
+        unit = _walk(0, lambda s: s.side(y), max_depth)
+    except CantorPointError:
+        message = "no slope between %d and %d within depth %d" % (k, k + 1, max_depth)
+        raise CantorPointError(message) from None
+    return _twist(unit, k)
 
 
 def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:

@@ -15,6 +15,8 @@ decides every level in integers and builds no slope's radius.  gamma_inv's
 walk steers by integer pairs and the Chern characters are integer forms, so
 the Fractions an answer builds do not grow with the depth of its walk or the
 size of n, and a twist, dual or parent read from the memo builds no address.
+associated_slope and epsilon walk the unit tree and twist what they find, so
+a new twist of a slope the unit tree already holds builds that one slope.
 """
 
 import math
@@ -59,6 +61,19 @@ def count_surds(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(QuadSurd, "__post_init__", counted)
+    return built
+
+
+def count_slopes(monkeypatch):
+    """Record every ExceptionalSlope built from now on."""
+    original = exceptional.ExceptionalSlope.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(exceptional.ExceptionalSlope, "__init__", counted)
     return built
 
 
@@ -163,12 +178,16 @@ def test_warm_kronecker_suite_builds_no_surd(monkeypatch):
     assert built == []
 
 
+def first_decimal_above_golden(e):
+    """The least e-digit decimal above (3 - sqrt 5)/2, which lands deeper as e grows."""
+    n = 10**e
+    return Fraction((3 * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
+
+
 def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):
     monkeypatch.setattr(exceptional, "_MEMO", {})
     built = count_surds(monkeypatch)
-    # the least 40-digit decimal above (3 - sqrt 5)/2, which lands deep in the tree
-    n = 10**40
-    x = Fraction((3 * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
+    x = first_decimal_above_golden(40)
     a = exceptional.associated_slope(x)
     assert a.address.q > 40
     assert built == []
@@ -179,6 +198,38 @@ def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):
     # the radius is built on first use, once
     radius = a.interval_radius
     assert built == [radius] and a.interval_radius is radius
+
+
+def test_a_new_twist_of_a_warm_unit_slope_builds_one_slope(monkeypatch):
+    # a walk from floor(x) once built every ancestor again under each new
+    # integer part, about q slopes for a landing depth q
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    x = first_decimal_above_golden(40)
+    a = exceptional.associated_slope(x)
+    p, q = a.address.p, a.address.q
+    assert q >= 40
+    built = count_slopes(monkeypatch)
+    for k in (10**6 + 3, -(10**15) - 1):
+        size = len(exceptional._MEMO)
+        b = exceptional.associated_slope(x + k)
+        assert built == [b] and len(exceptional._MEMO) == size + 1
+        assert b.address == exceptional.DyadicAddress(p + (k << q), q)
+        assert b.value == a.value + k and b.rank == a.rank
+        built.clear()
+        c = exceptional.epsilon((p + ((k + 1) << q), q))
+        assert built == [c] and c.value == a.value + k + 1
+        built.clear()
+        assert exceptional.associated_slope(x + k) is b and built == []
+
+
+def test_a_cantor_point_error_at_a_twist_names_its_integers():
+    x = first_decimal_above_golden(54)
+    end = exceptional.epsilon(0).interval()[1]
+    for k in (0, 7, -(10**15)):
+        for y, lo, depth in ((x + k, k, 64), (-x - k, -k - 1, 64), (end + k, k, 24)):
+            message = "^no slope between %d and %d within depth %d$" % (lo, lo + 1, depth)
+            with pytest.raises(exceptional.CantorPointError, match=message):
+                exceptional.associated_slope(y, max_depth=depth)
 
 
 DEPTH = 12

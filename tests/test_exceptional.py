@@ -14,6 +14,7 @@ from planecone.chern import exceptional_character
 from planecone.contfrac import check_exceptional_cf
 from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.exceptional import (
+    MAX_DEPTH,
     CantorPointError,
     DyadicAddress,
     ExceptionalSlope,
@@ -26,6 +27,7 @@ from planecone.exceptional import (
     is_adjacent_pair,
     parent_pair,
 )
+from planecone.stability import delta
 
 # every slope of denominator 2^q for q <= 3, in order
 LOW_DEPTH_VALUES = {
@@ -434,10 +436,56 @@ def _ancestors(p, q):
 
 @pytest.mark.parametrize("addr", [(2731, 12), (-1365, 12), (7, 0)])
 def test_epsilon_on_empty_memo_builds_exactly_its_ancestors(monkeypatch, addr):
+    # a miss walks the unit tree and twists what it finds by k = p >> q, so
+    # the memo gains the unit ancestors and the slope itself, and no twisted
+    # ancestors; it once held the ancestors under floor(p/2^q) instead
     monkeypatch.setattr(exceptional, "_MEMO", {})
     s = epsilon(addr)
     assert s.address == DyadicAddress(*addr)
-    assert set(exceptional._MEMO) == _ancestors(*addr)
+    p, q = addr
+    unit = p - ((p >> q) << q)
+    assert set(exceptional._MEMO) == _ancestors(unit, q) | {addr}
+
+
+def walk_from_floor(monkeypatch, x):
+    """The walk associated_slope made before it read the unit tree, on a memo of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(exceptional, "_MEMO", {})
+        return exceptional._walk(math.floor(x), lambda s: s.side(x), MAX_DEPTH)
+
+
+def test_associated_slope_is_the_walk_from_floor_and_a_twist(monkeypatch):
+    rng = random.Random(41)
+    xs = [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(60)]
+    shallow = enumerate_slopes(4, 0, 3)
+    assert len(shallow) == 49
+    xs += [s.value for s in shallow]
+    xs += [-x for x in xs]
+    ks = [0] + [rng.choice((1, -1)) * rng.randrange(10**e) for e in (6, 6, 15, 15)]
+    ks += [10**6, -10**6, 10**15, -10**15]
+    checked = 0
+    for x in xs:
+        base = associated_slope(x)
+        p, q = base.address.p, base.address.q
+        for k in ks:
+            y = x + k
+            a = associated_slope(y)
+            ref = walk_from_floor(monkeypatch, y)
+            fields = ("value", "address", "rank", "discriminant", "euler")
+            assert [getattr(a, f) for f in fields] == [getattr(ref, f) for f in fields], (x, k)
+            assert a is epsilon((p + (k << q), q))
+            assert delta(y) == hilbert_poly(-abs(y - ref.value)) - ref.discriminant
+            checked += 1
+    assert checked == 2 * 109 * 9
+    # a surd steers the unit walk by side(x - k)
+    surds = [QuadSurd(Fraction(1, 3), Fraction(1, 1000), 2),
+             -QuadSurd(Fraction(2, 5), Fraction(1, 10**6), 3)]
+    for x in surds:
+        base = associated_slope(x)
+        for k in ks:
+            a = associated_slope(x + k)
+            assert a.address == walk_from_floor(monkeypatch, x + k).address
+            assert a is epsilon((base.address.p + (k << base.address.q), base.address.q))
 
 
 def test_dyadic_address_rejects_non_integers(monkeypatch):

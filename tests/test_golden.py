@@ -8,21 +8,27 @@ exceptional slopes of depth <= 6 in [-2, 2), and the six verify suites at
 the depths the benchmark runs them.  The large_n section, seeded cone rows
 of 3 to 15 digits and resolutions and walls of 3 to 5 digits, was recorded
 from the code before stability and chern moved from Fraction arithmetic to
-integer formulas.
+integer formulas.  The deep section, associated slopes and delta just above
+the twists and duals of (3 - sqrt 5)/2, was recorded from the code before
+associated_slope and epsilon walked only the unit tree [0, 1] and reached
+every other slope by a twist.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
 from planecone.cli import main
+from planecone.exceptional import CantorPointError, associated_slope
 from planecone.resolution import gaeta_resolution, kronecker_data
-from planecone.stability import min_slope
+from planecone.stability import delta, min_slope
 from planecone.verify import format_report, run_suite
 
 
@@ -91,6 +97,26 @@ def large_n():
         yield json.dumps(out, sort_keys=True)
 
 
+def deep():
+    """The first e-digit decimal above x0 + k and its negative, for x0 = (3 - sqrt 5)/2.
+
+    The descent depth grows with e and does not depend on k or the sign; from
+    e = 54 on it passes the depth cap, and the section holds the error text.
+    """
+    for e in range(5, 61):
+        n = 10**e
+        for k in (0, 1, -1, 7, -7, 10**6, -10**6, 10**15, -10**15):
+            # sqrt(5 n^2) lies strictly between its isqrt s and s + 1
+            above = Fraction(((3 + 2 * k) * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
+            for x in (above, -above):
+                try:
+                    a = associated_slope(x)
+                    yield "%s -> %s at (%d, %d) rank %d euler %d delta %s" % (
+                        x, a.value, a.address.p, a.address.q, a.rank, a.euler, delta(x))
+                except CantorPointError as exc:
+                    yield "%s: %s" % (x, exc)
+
+
 GOLDEN = {
     table: "3fb7a1f3bc05c55e262470b975b0260d73e48ec02e3e185d94037f78be4f420b",
     resolutions: "eb98bf482680ae9ec3a9d9f73604b0a449e0ee5c8cace91c47dd5ecd59858653",
@@ -99,6 +125,7 @@ GOLDEN = {
     slopes: "aa3f397599a39789e9494e672587174b417b420e872f52efb6a84f7450ee776c",
     suites: "5427fb08bbae27e92e83d0e1e5a54806002a8375d277c1c87d23be038b956ad4",
     large_n: "232f3db1f267580d2d69da39c4f5ba4ee07e928ff43f1dcd3d9f3c6cf72b3f94",
+    deep: "9cc84b681f3aebd9af792384594e96543d4d0d5c41193af7eb9ba0980f8444e6",
 }
 
 
