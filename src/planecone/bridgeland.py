@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .chern import ChernCharacter, euler_pairing, exceptional_character
-from .exactnum import _as_ratio, _as_rational, fraction_str
+from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import (
     ExceptionalSlope,
     _as_slope,
@@ -225,6 +225,7 @@ def _integer_pairing(ch1, ch2) -> int:
 
 def kernel_cokernel_slopes(p: int, q: int) -> TriadSlopes:
     """Kernel and cokernel slopes of the canonical triad maps at p/2^q."""
+    p, q = _as_int(p, "p"), _as_int(q, "q")
     if p % 2:
         raise ValueError("p must be even")
     if q < 1:

@@ -1,19 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and quadratic surds (A + B*sqrt(d))/C.
 
-Rationals are fractions.Fraction throughout the package, and every rational
-argument in it is read by _as_rational: an int or a Fraction, a Fraction kept
-as it is, while a float, a string or a Decimal raises TypeError; _as_ratio
-reads the same arguments as an integer pair, so an int builds no Fraction.
-QuadSurd adds a single square root of a nonnegative integer.  The package
-builds one only for the half-width x_alpha of an exceptional interval, whose
-ends alpha +- x_alpha are all the irrationality the slope arithmetic needs, so
-a QuadSurd is a ring element: +, - and * (across radicands that differ by a
-square), and an exact order, but no division.  It holds its value as
-(A + B*sqrt(d))/C in Python ints, with C > 0 and gcd(A, B, C) = 1, so its
-arithmetic and its comparisons are integer formulas; a rational operand enters
-as its numerator and denominator.  Comparisons between surds over different
-radicands are decided by sign-tracked squaring over exact integers; no floating
-point is used anywhere in a correctness path.
+Every rational argument in the package is read by _as_rational, an int or a
+Fraction as a Fraction, or by _as_ratio, the same as an integer pair; a float,
+a string, a Decimal or a QuadSurd raises TypeError.  An int argument, such as
+a depth or a rank, is read by _as_int, which rejects a bool too.  QuadSurd is
+an output type: the package builds one only for the half-width x_alpha of an
+exceptional interval, whose ends alpha +- x_alpha are all its irrationality,
+and no function but surd_cmp and QuadSurd's own operators takes one.  It is a
+ring element, +, - and * across radicands that differ by a square, with an
+exact order and no division.  It holds (A + B*sqrt(d))/C in Python ints, with
+C > 0 and gcd(A, B, C) = 1, so its arithmetic and comparisons are integer
+formulas; surds over different radicands compare by sign-tracked squaring.
+No floating point is used anywhere in a correctness path.
 """
 
 from __future__ import annotations
@@ -41,6 +39,13 @@ def _as_ratio(x: RationalLike) -> tuple[int, int]:
     if not isinstance(x, int):
         x = _as_rational(x)
     return x.numerator, x.denominator
+
+
+def _as_int(x: int, name: str) -> int:
+    """An int argument as it is; a bool, a float or a string raises TypeError naming it."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError("%s must be an int, not %s" % (name, type(x).__name__))
+    return x
 
 
 def _small_primes(limit: int) -> tuple[int, ...]:
@@ -225,17 +230,6 @@ class QuadSurd:
         return self._d
 
     # -- value queries ------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self._B == 0
-
-    def as_fraction(self) -> Fraction:
-        if self._B != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(self._A, self._C)
-
-    def sign(self) -> int:
-        return _pair_sign(self._A, self._B, self._d)
 
     def __float__(self) -> float:
         a, b, c, d = self._A, self._B, self._C, self._d

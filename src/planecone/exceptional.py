@@ -8,11 +8,11 @@ slopes one level up, via the modified mean
 
 Every rational slope lies in exactly one interval I_alpha = (alpha - x_alpha,
 alpha + x_alpha).  One walk down the tree, _walk, serves every search:
-epsilon steers it by address, associated_slope by side(x), and stability's
-gamma_inv by side of a rational branch point.  Slopes, their products and
-side(x) for a rational x are computed in integers, and the surd radius x_alpha
-is only built when something asks for it, so a walk steered by rationals
-builds no QuadSurd.
+epsilon steers it by address, associated_slope by the side of a rational x,
+and stability's gamma_inv by the side of a rational branch point.  Slopes,
+their products and side(x) are computed in integers; every argument is an int
+or a Fraction, and the surd radius x_alpha is an output, built on first use,
+so no walk builds a QuadSurd.
 
 Twisting by O(k) maps the tree, its intervals and its addresses onto
 themselves: alpha + k sits at p/2^q + k and I_(alpha + k) = I_alpha + k.  So
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactnum import QuadSurd, RationalLike, SurdLike, _as_ratio, _as_rational, fraction_str
-from .exactnum import surd_cmp
+from .exactnum import QuadSurd, RationalLike, _as_int, _as_ratio, _as_rational, fraction_str
 
 
 # levels below the integers that associated_slope and gamma_inv walk before giving up
@@ -40,10 +39,10 @@ MAX_DEPTH = 64
 class CantorPointError(ValueError):
     """Raised when tree descent exhausts its depth bound without landing.
 
-    An irrational input in the complement of all the intervals I_alpha never
-    lands.  A rational always lands at some finite depth, but that depth can
-    exceed the bound: with max_depth=MAX_DEPTH the first 54-digit decimal
-    above (3 - sqrt 5)/2 already raises.
+    Every argument is rational and lands at some finite depth, so this is
+    raised only for a rational whose interval lies below the bound: with
+    max_depth=MAX_DEPTH the first 54-digit decimal above (3 - sqrt 5)/2
+    already raises.
     """
 
 
@@ -105,10 +104,10 @@ class ExceptionalSlope:
     euler is rank*(P(value) - discriminant), and interval_radius is the exact
     half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.  The
     radius is a QuadSurd built on first use and then kept on the slope; side(x)
-    for a rational x never needs it.  Twists and duals come from address
-    arithmetic (dual_twist), so code that holds a slope never has to find
-    -alpha + k again by tree descent.  Where x lies against I_alpha is decided
-    by side(x) alone; the tree descent reads it.
+    never needs it.  Twists and duals come from address arithmetic
+    (dual_twist), so code that holds a slope never has to find -alpha + k
+    again by tree descent.  Where x lies against I_alpha is decided by side(x)
+    alone; the tree descent reads it.
     """
 
     value: Fraction
@@ -125,28 +124,18 @@ class ExceptionalSlope:
     def interval(self) -> tuple[QuadSurd, QuadSurd]:
         return (self.value - self.interval_radius, self.value + self.interval_radius)
 
-    def side(self, x: SurdLike) -> int:
-        """-1, 0 or 1 as x lies left of, inside or right of the open interval I_alpha.
-
-        A rational x = u/v is decided in integers.  With value = c/r and
-        w = ur - cv, x - value = w/(rv), and |x - value| < x_alpha reads
-        v sqrt(9r^2 - 4) < t for t = 3rv - 2|w|, that is t > 0 and
-        (9r^2 - 4) v^2 < t^2.  The ends of I_alpha are irrational, so no
-        rational x meets them.  A QuadSurd x is compared with value, then
-        |x - value| with interval_radius, so the endpoints are never built.
-        """
-        if isinstance(x, (int, Fraction)):
-            return self._side_of(x.numerator, x.denominator)
-        c = surd_cmp(x, self.value)
-        if c == 0:
-            return 0
-        gap = x - self.value if c > 0 else self.value - x
-        return c if surd_cmp(gap, self.interval_radius) >= 0 else 0
+    def side(self, x: RationalLike) -> int:
+        """-1, 0 or 1 as the int or Fraction x lies left of, inside or right of I_alpha."""
+        return self._side_of(*_as_ratio(x))
 
     def _side_of(self, u: int, v: int) -> int:
-        """side(u/v) for ints u and v > 0, which need not be coprime.
+        """side(u/v) for ints u and v > 0, which need not be coprime, in integers.
 
-        Each of w, t and v scales with (u, v), so both tests are homogeneous.
+        With value = c/r and w = ur - cv, u/v - value = w/(rv), and
+        |u/v - value| < x_alpha reads v sqrt(9r^2 - 4) < t for t = 3rv - 2|w|,
+        that is t > 0 and (9r^2 - 4) v^2 < t^2.  The ends of I_alpha are
+        irrational, so no rational meets them.  Each of w, t and v scales with
+        (u, v), so both tests are homogeneous.
         """
         c, r = self.value.numerator, self.rank
         w = u * r - c * v
@@ -323,25 +312,20 @@ def is_adjacent_pair(alpha, beta) -> bool:
     return abs((a.p << (q - a.q)) - (b.p << (q - b.q))) == 1
 
 
-def associated_slope(x: SurdLike, max_depth: int = MAX_DEPTH) -> ExceptionalSlope:
-    """The unique exceptional slope alpha with x in I_alpha, by a walk down the tree.
+def associated_slope(x: RationalLike, max_depth: int = MAX_DEPTH) -> ExceptionalSlope:
+    """The unique exceptional slope alpha with the int or Fraction x in I_alpha.
 
-    With k = floor(x), the walk goes down the unit tree, steered by side(x - k)
-    of each slope it meets, and the slope it lands on is twisted by k; x is in
-    I_alpha exactly when x - k is in I_(alpha - k).  A rational x - k is one
-    Fraction, so every level is still decided in integers.  Raises
-    CantorPointError, naming floor(x) and floor(x) + 1, when no interval is
-    found within max_depth levels below the integers.  That happens for
-    irrationals in the complement of the intervals, and also for rationals
-    whose interval lies deeper than max_depth, such as decimals of 54 or more
-    digits just above (3 - sqrt 5)/2.
+    With x = u/v and k = floor(x), the walk goes down the unit tree, steered
+    by the side of x - k = w/v, w = u - kv, in integers at each slope it
+    meets, and the slope it lands on is twisted by k; x is in I_alpha exactly
+    when x - k is in I_(alpha - k).  Raises CantorPointError, naming k and
+    k + 1, when x's interval lies deeper than max_depth levels below the
+    integers, as for decimals of 54 or more digits just above (3 - sqrt 5)/2.
     """
-    if isinstance(x, QuadSurd) and x.is_rational():
-        x = x.as_fraction()
-    k = math.floor(x)
-    y = x - k
+    u, v = _as_ratio(x)
+    k, w = divmod(u, v)
     try:
-        unit = _walk(0, lambda s: s.side(y), max_depth)
+        unit = _walk(0, lambda s: s._side_of(w, v), max_depth)
     except CantorPointError:
         message = "no slope between %d and %d within depth %d" % (k, k + 1, max_depth)
         raise CantorPointError(message) from None
@@ -359,7 +343,7 @@ def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:
 
 def enumerate_slopes(depth: int, lo: RationalLike, hi: RationalLike) -> list[ExceptionalSlope]:
     """All exceptional slopes of dyadic depth <= depth with value in [lo, hi], ascending."""
-    depth, lo, hi = operator.index(depth), _as_rational(lo), _as_rational(hi)
+    depth, lo, hi = _as_int(depth, "depth"), _as_rational(lo), _as_rational(hi)
     if depth < 0:
         raise ValueError("depth must be nonnegative, not %d" % depth)
     if lo > hi:

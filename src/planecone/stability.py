@@ -16,13 +16,12 @@ test chi_a/r >= n reads chi_a >= n r.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernCharacter, discriminant
 from .chern import slope as character_slope
-from .exactnum import _as_ratio, _as_rational, fraction_str
+from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
@@ -133,8 +132,7 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
 
 def moduli_nonempty(r: int, mu, Delta) -> bool:
     """Decide nonemptiness of the moduli space with the given invariants."""
-    # operator.index rejects 1.5 and 2.0 alike with a TypeError
-    r = operator.index(r)
+    r = _as_int(r, "rank")
     mu, Delta = _as_rational(mu), _as_rational(Delta)
     if r < 1:
         raise ValueError("rank must be a positive integer")
@@ -162,8 +160,7 @@ def height(ch: ChernCharacter) -> int:
 
 def _as_n(n) -> int:
     """A number of points n >= 1 as an int; a bool, a float or a string raises TypeError."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an int, not %s" % type(n).__name__)
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     return n
@@ -197,12 +194,8 @@ def min_slope(n: int) -> MinSlopeResult:
 
 
 def _min_slope_for(n, what: str) -> MinSlopeResult:
-    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2.
-
-    Any other n, a bool among them, is not compared with 2: min_slope reads it
-    through _as_n, which raises TypeError.
-    """
-    k = n.n if isinstance(n, MinSlopeResult) else n
-    if isinstance(k, int) and not isinstance(k, bool) and k < 2:
+    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2."""
+    k = n.n if isinstance(n, MinSlopeResult) else _as_int(n, "n")
+    if k < 2:
         raise ValueError("the %s is computed for n >= 2" % what)
     return n if isinstance(n, MinSlopeResult) else min_slope(n)

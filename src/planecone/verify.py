@@ -18,7 +18,7 @@ from .bridgeland import (
 )
 from .chern import exceptional_character, euler_pairing
 from .contfrac import check_exceptional_cf
-from .exactnum import fraction_str, surd_cmp
+from .exactnum import _as_int, fraction_str, surd_cmp
 from .exceptional import enumerate_slopes, epsilon
 from .resolution import CASE_BELOW_DOT, classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
@@ -254,8 +254,7 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
     depth is None or an int; a bool, a float or a string raises TypeError.
     """
     if depth is not None:
-        if not isinstance(depth, int) or isinstance(depth, bool):
-            raise TypeError("depth must be an int, not %s" % type(depth).__name__)
+        depth = _as_int(depth, "depth")
         if depth < 1:
             raise ValueError("depth must be at least 1, got %d" % depth)
     if suite != "all" and suite not in _SUITES:

@@ -235,6 +235,23 @@ def test_triad_rejects_odd_p():
         kernel_cokernel_slopes(0, 0)
 
 
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (0, True, "q must be an int, not bool"),
+        (True, 1, "p must be an int, not bool"),
+        (0, 1.0, "q must be an int, not float"),
+        (2.0, 1, "p must be an int, not float"),
+        ("0", 1, "p must be an int, not str"),
+    ],
+)
+def test_triad_p_and_q_are_ints(p, q, message):
+    # once (0, True) returned a TriadSlopes whose q was True, and (True, 1)
+    # raised "p must be even"
+    with pytest.raises(TypeError, match="^%s$" % message):
+        kernel_cokernel_slopes(p, q)
+
+
 def test_render_walls_anchor_arc():
     doc = render_walls([collapsing_wall(2)])
     assert "<svg" in doc and "</svg>" in doc

@@ -73,6 +73,13 @@ small_rationals = st.fractions(
         (nested, (Wall.semicircle(-3, 1), Wall.semicircle(-4, 1), 0.5)),
         (bridgeland_from_mori, (0.5,)),
         (fraction_str, (0.5,)),
+        # once "cannot compare float as an exact scalar" and "must be real number,
+        # not str"; a surd was compared with the interval ends
+        (associated_slope, (0.5,)),
+        (associated_slope, ("1/2",)),
+        (associated_slope, (QuadSurd(0, 1, 2),)),
+        (epsilon(0).side, (0.5,)),
+        (epsilon(0).side, (QuadSurd(0, 1, 2),)),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )
@@ -81,10 +88,11 @@ def test_a_rational_argument_is_an_int_or_a_fraction(fn, args):
         fn(*args)
 
 
-@pytest.mark.parametrize("r", [1.5, 2.0, Fraction(2), "2"], ids=repr)
+@pytest.mark.parametrize("r", [1.5, 2.0, Fraction(2), "2", True], ids=repr)
 def test_moduli_nonempty_rank_is_an_int(r):
-    # once AttributeError: 'float' object has no attribute 'denominator' for 1.5
-    with pytest.raises(TypeError):
+    # once AttributeError: 'float' object has no attribute 'denominator' for 1.5,
+    # and True answered for rank 1
+    with pytest.raises(TypeError, match="^rank must be an int, not %s$" % type(r).__name__):
         moduli_nonempty(r, Fraction(0), Fraction(0))
 
 
@@ -338,22 +346,21 @@ def test_gamma_inv_round_trip_failure_raises_arithmetic_error(monkeypatch):
         gamma_inv(5)
 
 
-def _gamma_inv_by_xi(q):
-    """The slope whose interval holds the irrational root xi of P(x) = q + 1/2.
-
-    This is how gamma_inv once found its interval, kept as a reference.
-    """
+def _xi(q):
+    """The irrational root xi of P(x) = q + 1/2; gamma_inv once searched for its interval."""
     den = q.denominator
-    xi = QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
-    return associated_slope(xi)
+    return QuadSurd(Fraction(-3, 2), Fraction(1, 2 * den), (5 * den + 8 * q.numerator) * den)
 
 
 def test_gamma_inv_walk_finds_the_slope_of_xi():
+    # the intervals are disjoint, so the one that holds xi names the slope
     rng = random.Random(20)
     qs = [Fraction(rng.randrange(1, 10 ** rng.randrange(1, 31))) for _ in range(150)]
     qs += [Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
     for q in qs:
-        assert _gamma_inv(q)[1] is _gamma_inv_by_xi(q), q
+        lo, hi = _gamma_inv(q)[1].interval()
+        xi = _xi(q)
+        assert surd_cmp(lo, xi) < 0 < surd_cmp(hi, xi), q
 
 
 def _fraction_branch(q, a):

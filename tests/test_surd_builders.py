@@ -4,7 +4,9 @@ exceptional.ExceptionalSlope.interval_radius builds x_alpha, and exactnum
 defines QuadSurd and normalizes its results.  Every other quantity is
 rational: the Kronecker window is the sign of an integer Euler form, and wall
 radii are held as rational squares.  The scan reads each module's AST and
-flags every call QuadSurd(...) outside those two modules.
+flags every call QuadSurd(...) outside those two modules.  A surd is an
+output: only verify compares interval ends, so a second scan flags every name
+surd_cmp outside exactnum, verify and the package's __init__.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
 
 BUILDERS = {"exactnum", "exceptional"}
+COMPARERS = {"exactnum", "verify", "__init__"}
 
 
 def surd_calls(source: str) -> list[int]:
@@ -49,3 +52,43 @@ def test_no_module_but_exactnum_and_exceptional_builds_a_surd():
             offenders += ["%s.py:%d" % (path.stem, line)
                           for line in surd_calls(path.read_text(encoding="utf-8"))]
     assert not offenders, "build no QuadSurd here: %s" % offenders
+
+
+def surd_cmp_names(source: str) -> list[int]:
+    """Lines of each name surd_cmp: an import, a call, an attribute or a bare reference."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names = (node.name, node.asname)
+        elif isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        else:
+            continue
+        if "surd_cmp" in names:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_each_spelling_of_surd_cmp():
+    source = (
+        "from .exactnum import surd_cmp\n"
+        "from . import exactnum\n"
+        "def f(x, y):\n"
+        "    return exactnum.surd_cmp(x, y) < 0\n"
+        "compare = surd_cmp\n"
+        "surd_compare = 1\n"
+    )
+    assert surd_cmp_names(source) == [1, 4, 5]
+
+
+def test_no_module_but_exactnum_and_verify_compares_surds():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {"exactnum", "verify", "__init__", "exceptional"} <= {p.stem for p in paths}
+    offenders = []
+    for path in paths:
+        if path.stem not in COMPARERS:
+            offenders += ["%s.py:%d" % (path.stem, line)
+                          for line in surd_cmp_names(path.read_text(encoding="utf-8"))]
+    assert not offenders, "compare no surd here: %s" % offenders
