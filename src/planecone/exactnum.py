@@ -1,16 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and quadratic surds (A + B*sqrt(d))/C.
 
 Every rational argument in the package is read by _as_rational, an int or a
-Fraction as a Fraction, or by _as_ratio, the same as an integer pair; a float,
-a string, a Decimal or a QuadSurd raises TypeError.  An int argument, such as
-a depth or a rank, is read by _as_int, which rejects a bool too.  QuadSurd is
-an output type: the package builds one only for the half-width x_alpha of an
-exceptional interval, whose ends alpha +- x_alpha are all its irrationality,
-and no function but surd_cmp and QuadSurd's own operators takes one.  It is a
-ring element, +, - and * across radicands that differ by a square, with an
-exact order and no division.  It holds (A + B*sqrt(d))/C in Python ints, with
-C > 0 and gcd(A, B, C) = 1, so its arithmetic and comparisons are integer
-formulas; surds over different radicands compare by sign-tracked squaring.
+Fraction as a Fraction, or by _as_ratio, the same as an integer pair; a bool,
+a float, a string, a Decimal or a QuadSurd raises TypeError.  An int argument,
+such as a depth or a rank, is read by _as_int, which rejects a bool too.
+QuadSurd is an output type: the package builds one only for the half-width
+x_alpha of an exceptional interval, whose ends alpha +- x_alpha are all its
+irrationality, and no function but surd_cmp and QuadSurd's own operators takes
+one.  It is a ring element, +, - and * across radicands that differ by a
+square, with an exact order and no division.  It holds (A + B*sqrt(d))/C in
+Python ints, with C > 0 and gcd(A, B, C) = 1, so its arithmetic and
+comparisons are integer formulas; surds over different radicands compare by
+sign-tracked squaring.
 No floating point is used anywhere in a correctness path.
 """
 
@@ -26,18 +27,19 @@ SurdLike = Union[int, Fraction, "QuadSurd"]
 
 
 def _as_rational(x: RationalLike) -> Fraction:
-    """An int or a Fraction as a Fraction, a Fraction as it is; anything else raises TypeError."""
+    """An int or a Fraction as a Fraction; a bool or any other type raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot read {x!r} as a rational")
 
 
 def _as_ratio(x: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction, read as _as_rational reads it."""
-    if not isinstance(x, int):
-        x = _as_rational(x)
+    if type(x) is int:
+        return x, 1
+    x = _as_rational(x)
     return x.numerator, x.denominator
 
 

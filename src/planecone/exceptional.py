@@ -57,12 +57,14 @@ def hilbert_poly(x):
 
 @dataclass(frozen=True)
 class DyadicAddress:
-    """Canonical dyadic fraction p/2^q: q = 0, or p odd."""
+    """Canonical dyadic fraction p/2^q: q = 0, or p odd; a bool p or q raises TypeError."""
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool) or isinstance(self.q, bool):
+            raise TypeError(f"cannot read ({self.p!r}, {self.q!r}) as a dyadic address")
         # operator.index rejects 1.5 and 2.0 alike, so no float reaches the memo keys
         p, q = operator.index(self.p), operator.index(self.q)
         if q < 0:

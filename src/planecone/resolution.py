@@ -6,6 +6,13 @@ between the ideal sheaf and the exceptional terms.  classical_gaeta gives
 the line-bundle resolution of general points for comparison, and
 kronecker_data extracts the Kronecker-quiver numerics that control the
 moduli space of W.
+
+Both read one integer core, _numerics: from min_slope(n) it computes the
+multiplicities m1, m2, m3 and k of the generalized Gaeta resolution, builds
+each bundle term's character once, and runs every check of the resolution,
+the assembly to I_Z included, in integers.  gaeta_resolution builds its exact
+sequences from those characters; kronecker_data, given n or min_slope(n),
+reads m1, k and the case off the core and builds no sequence.
 """
 
 from __future__ import annotations
@@ -13,12 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .chern import ChernCharacter, exceptional_character, line_bundle
 from .contfrac import is_convergent_of_inverse_golden
 from .exactnum import fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, _as_n, _min_slope_for
+from .stability import (
+    CASE_ABOVE_DOT,
+    CASE_AT_DOT,
+    CASE_BELOW_DOT,
+    MinSlopeResult,
+    _as_n,
+    _min_slope_for,
+)
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -41,9 +56,10 @@ class SeqTerm:
         return out
 
 
-def _bundle_term(slope: ExceptionalSlope, mult: int) -> SeqTerm:
+def _bundle_term(slope: ExceptionalSlope, mult: int, char: ChernCharacter) -> SeqTerm:
+    """The term E(slope)^mult, from the character char of E(slope)."""
     label = "E(%s)^%d" % (fraction_str(slope.value), mult)
-    return SeqTerm(label, mult * exceptional_character(slope), slope.value, mult)
+    return SeqTerm(label, mult * char, slope.value, mult)
 
 
 def _normalize_terms(negatives, positives):
@@ -123,16 +139,29 @@ def _as_int(num: int, den: int, what: str, n: int) -> int:
     return m
 
 
-def gaeta_resolution(n) -> ResolutionData:
-    """Resolution of the ideal sheaf of n >= 2 general points.
+class _Numerics(NamedTuple):
+    """The integers of one resolution, with each bundle term's character built once."""
 
-    n is an int or the MinSlopeResult of min_slope(n).  The slope D =
-    alpha.beta of the minimal-slope computation sorts n into three cases by the
-    position of mu relative to D.  In the AtDot case the ideal sheaf is
-    resolved directly by the parent bundles and W degenerates to I_Z itself, so
-    w_sequence is empty there.
+    alpha: ExceptionalSlope
+    beta: ExceptionalSlope
+    m1: int
+    m2: int
+    m3: int
+    k: int
+    # (slope, mult) pairs presenting I_Z as in ResolutionData.terms, and their characters
+    terms: tuple[tuple[ExceptionalSlope, int], ...]
+    chars: tuple[ChernCharacter, ...]
+    sporadic: bool
+
+
+def _numerics(ms: MinSlopeResult) -> _Numerics:
+    """The parents, multiplicities and bundle terms of the resolution for min_slope(n).
+
+    Every check of the resolution runs here: m1 and m2 are integers, m3 has
+    the sign of the case, m1, m2 and k are positive, and the terms assemble to
+    I_Z.  The last is one integer sum of m (R, C, D)/N over the characters
+    (R, C, D)/N of the terms, against (1, 0, -n).
     """
-    ms = _min_slope_for(n, "resolution")
     n, dot = ms.n, ms.associated
     a, b = parent_pair(dot)
     ra, ca = a.rank, a.value.numerator
@@ -160,34 +189,61 @@ def gaeta_resolution(n) -> ResolutionData:
     if not (m1 > 0 and m2 > 0 and k > 0):
         raise ArithmeticError("m1, m2, k = %d, %d, %d for n=%d not all positive" % (m1, m2, k, n))
 
-    sub, quo = a.dual_twist(-3), b.dual_twist(0)
-    m_sub, m_quo = (m1, k) if case == CASE_BELOW_DOT else (k, m1)
-    first, second = _bundle_term(sub, m_sub), _bundle_term(quo, m_quo)
-    terms = ((sub, -m_sub), (quo, m_quo))
-    iz = ChernCharacter._of(1, 0, -n)
+    if case == CASE_BELOW_DOT:
+        terms = ((a.dual_twist(-3), -m1), (b.dual_twist(0), k), (dot.dual_twist(0), m3))
+    else:
+        terms = ((a.dual_twist(-3), -k), (b.dual_twist(0), m1))
+        if case == CASE_ABOVE_DOT:
+            terms += ((dot.dual_twist(-3), -m3),)
+    chars = tuple(exceptional_character(s) for s, _ in terms)
+    # the sum of m (R, C, D)/N over the terms, over the product of the N
+    r = c = d = 0
+    den = 1
+    for (_, m), ch in zip(terms, chars):
+        rt, ct, dt, nt = ch._ints
+        r, c, d = r * nt + m * rt * den, c * nt + m * ct * den, d * nt + m * dt * den
+        den *= nt
+    if (r, c, d) != (den, 0, -n * den):
+        raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
+    sporadic = case == CASE_BELOW_DOT and m3 * rd <= 2
+    return _Numerics(a, b, m1, m2, m3, k, terms, chars, sporadic)
+
+
+def gaeta_resolution(n) -> ResolutionData:
+    """Resolution of the ideal sheaf of n >= 2 general points.
+
+    n is an int or the MinSlopeResult of min_slope(n).  The slope D =
+    alpha.beta of the minimal-slope computation sorts n into three cases by the
+    position of mu relative to D.  In the AtDot case the ideal sheaf is
+    resolved directly by the parent bundles and W degenerates to I_Z itself, so
+    w_sequence is empty there.  The numbers and their checks come from the
+    integer core that kronecker_data shares, and each bundle term is its
+    multiplicity times the character the core built.
+    """
+    ms = _min_slope_for(n, "resolution")
+    num = _numerics(ms)
+    first, second, *third = (
+        _bundle_term(s, abs(m), ch) for (s, m), ch in zip(num.terms, num.chars)
+    )
+    iz = ChernCharacter._of(1, 0, -ms.n)
     iz_term = SeqTerm("I_Z", iz)
+    case = ms.position
     if case == CASE_BELOW_DOT:
         w_term = SeqTerm("W", first.char - second.char)
         w_seq = (w_term, first, second)
-        iz_seq = (w_term, _bundle_term(dot.dual_twist(0), m3), iz_term)
-        terms += ((dot.dual_twist(0), m3),)
+        iz_seq = (w_term, third[0], iz_term)
     elif case == CASE_ABOVE_DOT:
         w_term = SeqTerm("W", second.char - first.char)
         w_seq = (first, second, w_term)
-        iz_seq = (_bundle_term(dot.dual_twist(-3), m3), w_term, iz_term)
-        terms += ((dot.dual_twist(-3), -m3),)
+        iz_seq = (third[0], w_term, iz_term)
     else:
         w_term = SeqTerm("W", iz)
         w_seq = ()
         iz_seq = (first, second, iz_term)
-
-    sporadic = case == CASE_BELOW_DOT and m3 * rd <= 2
-    out = ResolutionData(
-        n, ms.mu, a, b, dot, case, sporadic, m1, m2, m3, w_term.char, w_seq, iz_seq, terms,
+    return ResolutionData(
+        ms.n, ms.mu, num.alpha, num.beta, ms.associated, case, num.sporadic,
+        num.m1, num.m2, num.m3, w_term.char, w_seq, iz_seq, num.terms,
     )
-    if out.ideal_character() != iz:
-        raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -286,29 +342,40 @@ def kronecker_euler(N: int, e, f) -> int:
 def kronecker_data(n) -> KroneckerData:
     """Kronecker-module invariants of the W bundle for n general points.
 
-    n is an int, a MinSlopeResult or a ResolutionData.  Raises
-    KroneckerNotApplicableError when the minimal slope is exceptional (the
-    quiver moduli map is birational rather than fibered there) or when the case
-    is sporadic and W only exists as a two-term complex.  The window test
-    and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
+    n is an int, a MinSlopeResult or a ResolutionData.  Given an int or a
+    MinSlopeResult it reads m1, k and the case from the integer core that
+    gaeta_resolution shares, which runs every check of the resolution, and
+    builds no sequence.  Raises KroneckerNotApplicableError when the minimal
+    slope is exceptional (the quiver moduli map is birational rather than
+    fibered there) or when the case is sporadic and W only exists as a
+    two-term complex.  The window test and kr_dim both read the one integer
+    chi(e, e) = b^2 + a^2 - Nab.
     """
-    res = n if isinstance(n, ResolutionData) else gaeta_resolution(n)
-    if res.mu == res.dot_slope.value:
+    if isinstance(n, ResolutionData):
+        res = n
+        n, mu, dot, case = res.n, res.mu, res.dot_slope, res.case
+        m1, k, sporadic = res.m1, res.k, res.sporadic
+    else:
+        ms = _min_slope_for(n, "resolution")
+        num = _numerics(ms)
+        n, mu, dot, case = ms.n, ms.mu, ms.associated, ms.position
+        m1, k, sporadic = num.m1, num.k, num.sporadic
+    if mu == dot.value:
         raise KroneckerNotApplicableError(
-            "n=%d has exceptional minimal slope, the moduli map is birational" % res.n
+            "n=%d has exceptional minimal slope, the moduli map is birational" % n
         )
-    if res.sporadic:
+    if sporadic:
         raise KroneckerNotApplicableError(
-            "n=%d is sporadic, W exists only as a two-term complex" % res.n
+            "n=%d is sporadic, W exists only as a two-term complex" % n
         )
-    N = 3 * res.dot_slope.rank
-    a = res.m1
-    b = res.k
+    N = 3 * dot.rank
+    a = m1
+    b = k
     chi = kronecker_euler(N, (b, a), (b, a))
     # r_D D is the numerator of D, and r_D (D + 3) above D is that plus N
-    rank_v = res.dot_slope.value.numerator
-    if res.case != CASE_BELOW_DOT:
+    rank_v = dot.value.numerator
+    if case != CASE_BELOW_DOT:
         rank_v += N
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
     kr_dim = 1 - chi
-    return KroneckerData(res.n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * res.n)
+    return KroneckerData(n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * n)

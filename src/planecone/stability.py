@@ -10,7 +10,9 @@ an exceptional slope a = c/r, gamma(a) = (r chi_a - 1)/r^2, so gamma_inv's
 branch point for q = u/v is an integer pair that steers the walk unreduced
 (see _gamma_inv); delta at mu = u/v is
 (w^2 - 3wvr + (r^2 + 1)v^2)/(2v^2r^2) with w = |ur - cv|; and min_slope's
-test chi_a/r >= n reads chi_a >= n r.
+test chi_a/r >= n reads chi_a >= n r.  gamma_inv's round trip is that delta
+numerator again: gamma(x/y) = u/v at the unreduced answer x/y is one integer
+identity, so the answer is the only Fraction it builds.
 """
 
 from __future__ import annotations
@@ -66,8 +68,17 @@ def _delta(mu: Fraction, a: ExceptionalSlope) -> Fraction:
     (w^2 - 3wvr + (r^2 + 1)v^2)/(2v^2r^2), built as one Fraction.
     """
     u, v, r = mu.numerator, mu.denominator, a.rank
+    return Fraction(_delta_numerator(u, v, a), 2 * v * v * r * r)
+
+
+def _delta_numerator(u: int, v: int, a: ExceptionalSlope) -> int:
+    """w^2 - 3wvr + (r^2 + 1)v^2, w = |ur - cv|: 2v^2r^2 delta(u/v) for u/v in I_a and v > 0.
+
+    It is homogeneous of degree 2 in (u, v), so the pair need not be reduced.
+    """
+    r = a.rank
     w = abs(u * r - a.value.numerator * v)
-    return Fraction(w * w - 3 * w * v * r + (r * r + 1) * v * v, 2 * v * v * r * r)
+    return w * w - 3 * w * v * r + (r * r + 1) * v * v
 
 
 def gamma(mu) -> Fraction:
@@ -116,6 +127,11 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     s is 0 only at a = 0 with q < gamma(0) = 0, which no q >= 0 reaches.  side
     is homogeneous in (u, v) for v > 0, so each level steers by that pair
     unreduced, and only the answer becomes a Fraction.
+
+    The round trip is one integer identity on the unreduced answer x/y, y > 0.
+    It lies in I_a, so gamma(x/y) = P(x/y) - delta(x/y) without a second walk,
+    and with w = |xr - cy| gamma(x/y) = u/v reads
+    v (r^2 (x^2 + 3xy + 2y^2) - (w^2 - 3wyr + (r^2 + 1)y^2)) = 2y^2r^2 u.
     """
     u, v = _as_ratio(q)
     if u < 0:
@@ -123,9 +139,10 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1)
     m = (math.isqrt(9 + 8 * u // v) - 3) // 2
     a = _walk(m, lambda s: s._side_of(*_branch(u, v, s)), MAX_DEPTH)
-    mu = Fraction(*_branch(u, v, a))
-    # mu lies in I_a, so this is gamma(mu) without a second walk
-    if hilbert_poly(mu) - _delta(mu, a) != q:
+    x, y = _branch(u, v, a)
+    mu = Fraction(x, y)
+    r2 = a.rank * a.rank
+    if v * (r2 * (x * x + 3 * x * y + 2 * y * y) - _delta_numerator(x, y, a)) != 2 * y * y * r2 * u:
         raise ArithmeticError("gamma_inv(%s) = %s fails the round trip" % (q, mu))
     return mu, a
 

@@ -17,6 +17,11 @@ the Fractions an answer builds do not grow with the depth of its walk or the
 size of n, and a twist, dual or parent read from the memo builds no address.
 associated_slope and epsilon walk the unit tree and twist what they find, so
 a new twist of a slope the unit tree already holds builds that one slope.
+gamma_inv's round trip is one integer identity, so its answer is the one
+Fraction it builds.  gaeta_resolution and kronecker_data share one integer
+core that builds each bundle term's character once and checks the assembly
+to I_Z in integers, so a warm resolution builds at most 9 characters, and
+the Kronecker data by min_slope(n) at most 3 and no sequence term.
 """
 
 import math
@@ -28,10 +33,15 @@ import pytest
 
 import planecone.exceptional as exceptional
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
-from planecone.chern import exceptional_character
+from planecone.chern import ChernCharacter, exceptional_character
 from planecone.cli import main
 from planecone.exactnum import QuadSurd
-from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
+from planecone.resolution import (
+    KroneckerNotApplicableError,
+    SeqTerm,
+    gaeta_resolution,
+    kronecker_data,
+)
 from planecone.stability import _gamma_inv, min_slope
 from planecone.verify import run_suite
 
@@ -87,6 +97,20 @@ def count_fractions(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def count_characters(monkeypatch):
+    """Record every ChernCharacter built by ChernCharacter._of from now on."""
+    original = ChernCharacter._of
+    built = []
+
+    def counted(cls, *args):
+        out = original(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(ChernCharacter, "_of", classmethod(counted))
     return built
 
 
@@ -269,17 +293,24 @@ def test_a_gamma_inv_walk_builds_as_many_fractions_at_any_depth(monkeypatch):
         built.clear()
         _gamma_inv(q)
         counts.append(len(built))
-    assert len(set(counts)) == 1, list(zip(depths, counts))
+    # the answer alone: the round trip is an integer identity, once 4 Fractions
+    assert counts == [1] * len(qs), list(zip(depths, counts))
 
 
-def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
-    # once 49, 67 or 69 per n, from Fraction multiplicities and characters
+def warm_min_slopes():
+    """min_slope(n) for n < 60 and 40 seeded n up to 10^15, each resolution built once."""
     rng = random.Random(23)
     ns = list(range(2, 60)) + [rng.randrange(10**4, 10**5) for _ in range(30)]
     ns += [rng.randrange(10**10, 10**15) for _ in range(10)]
     results = [min_slope(n) for n in ns]
     for ms in results:
         gaeta_resolution(ms)
+    return results
+
+
+def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
+    # once 49, 67 or 69 per n, from Fraction multiplicities and characters
+    results = warm_min_slopes()
     built = count_fractions(monkeypatch)
     counts = {}
     for ms in results:
@@ -287,6 +318,35 @@ def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
         gaeta_resolution(ms)
         counts.setdefault(len(built), []).append(ms.n)
     assert list(counts) == [0], counts
+
+
+def test_a_warm_resolution_builds_each_bundle_character_once(monkeypatch):
+    # once 18 per n: the assembly check built every bundle character again
+    results = warm_min_slopes()
+    built = count_characters(monkeypatch)
+    for ms in results:
+        built.clear()
+        gaeta_resolution(ms)
+        assert len(built) <= 9, (ms.n, built)
+
+
+def test_warm_kronecker_data_builds_no_sequence(monkeypatch):
+    # once a whole second resolution: 18 characters and every SeqTerm per n
+    results = warm_min_slopes()
+    characters = count_characters(monkeypatch)
+    terms = []
+    original = SeqTerm.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        terms.append(self)
+
+    monkeypatch.setattr(SeqTerm, "__init__", counted)
+    for ms in results:
+        characters.clear()
+        answer(kronecker_data, ms)
+        assert len(characters) <= 3, (ms.n, characters)
+        assert terms == [], (ms.n, terms)
 
 
 def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):

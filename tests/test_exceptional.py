@@ -467,9 +467,12 @@ def test_associated_slope_is_the_walk_from_floor_and_a_twist(monkeypatch):
 
 def test_dyadic_address_rejects_non_integers(monkeypatch):
     # epsilon((1.5, 2)) once returned the slope 2/5, and DyadicAddress(1.5, 2)
-    # put float keys into the memo, so epsilon(1).to_json() printed "p": 1.0
+    # put float keys into the memo, so epsilon(1).to_json() printed "p": 1.0;
+    # epsilon(True) and epsilon((True, 0)) returned the slope 1
     monkeypatch.setattr(exceptional, "_MEMO", {})
-    for bad in ((1.5, 2), (1, 2.0), (2.0, 0)):
+    with pytest.raises(TypeError, match="as a dyadic address"):
+        epsilon(True)
+    for bad in ((1.5, 2), (1, 2.0), (2.0, 0), (True, 0), (1, True), (False, 1)):
         with pytest.raises(TypeError):
             epsilon(bad)
         with pytest.raises(TypeError):

@@ -1,11 +1,13 @@
 """Generalized and classical point resolutions, and the Kronecker reduction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import planecone.resolution as resolution
 from planecone.bridgeland import collapsing_wall
-from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
+from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
 from planecone.contfrac import is_convergent_of_inverse_golden
 from planecone.exactnum import QuadSurd, surd_cmp
 from planecone.resolution import (
@@ -192,8 +194,6 @@ def test_results_passed_along_give_the_answers_by_n():
         seen.add((res.case, res.sporadic))
         assert res.to_json() == gaeta_resolution(n).to_json(), n
         assert collapsing_wall(ms).to_json() == collapsing_wall(n).to_json(), n
-        by_n = kronecker_outcome(n)
-        assert kronecker_outcome(res) == kronecker_outcome(ms) == by_n, n
     # every position of mu against D, and the sporadic case
     assert seen == {
         (CASE_BELOW_DOT, False),
@@ -201,6 +201,43 @@ def test_results_passed_along_give_the_answers_by_n():
         (CASE_AT_DOT, False),
         (CASE_ABOVE_DOT, False),
     }
+    # by n or min_slope(n), kronecker_data reads the integer core and builds no
+    # resolution, so those paths and the ResolutionData path run different code
+    rng = random.Random(16)
+    ns = list(range(2, 2001)) + [rng.randrange(10**5, 10**15) for _ in range(100)]
+    for n in ns:
+        ms = min_slope(n)
+        by_n = kronecker_outcome(n)
+        assert kronecker_outcome(gaeta_resolution(ms)) == kronecker_outcome(ms) == by_n, n
+
+
+# one n of each case of min_slope and of each position of mu against D
+CASE_NS = {
+    "TriangularMinusOne": 2,
+    "ExceptionalBundle": 3,
+    "sporadic": 8,
+    "AboveDot": 11,
+    "BelowDot": 25,
+}
+
+
+@pytest.mark.parametrize("n", CASE_NS.values(), ids=CASE_NS.keys())
+def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, n):
+    # kronecker_data by n no longer builds the resolution, so it must keep the check
+    faulty = gaeta_resolution(n).terms[0][0]
+    true_character = resolution.exceptional_character
+
+    def character(slope):
+        ch = true_character(slope)
+        return twist(ch, 1) if slope == faulty else ch
+
+    monkeypatch.setattr(resolution, "exceptional_character", character)
+    message = "^resolution terms for n=%d do not assemble to I_Z$" % n
+    for fn in (gaeta_resolution, kronecker_data):
+        with pytest.raises(ArithmeticError, match=message):
+            fn(n)
+        with pytest.raises(ArithmeticError, match=message):
+            fn(min_slope(n))
 
 
 def test_classical_gaeta_examples():
