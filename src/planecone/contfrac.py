@@ -110,16 +110,3 @@ def check_exceptional_cf(alpha) -> dict:
             n % 2 == 0 for n in _block_lengths(terms[1:-1], 2)
         ),
     }
-
-
-def is_convergent_of_inverse_golden(x: RationalLike) -> bool:
-    """True when x is a ratio of consecutive Fibonacci numbers."""
-    x = _as_rational(x)
-    num, den = x.numerator, x.denominator
-    # consecutive Fibonacci numbers are coprime, so a/b is in lowest terms
-    a, b = 0, 1
-    while b <= den:
-        if a == num and b == den:
-            return True
-        a, b = b, a + b
-    return False

@@ -105,11 +105,13 @@ class ExceptionalSlope:
     rank is the denominator of the slope, discriminant is (1 - 1/rank^2)/2,
     euler is rank*(P(value) - discriminant), and interval_radius is the exact
     half-width x_alpha = 3/2 - sqrt(9 rank^2 - 4)/(2 rank) of I_alpha.  The
-    radius is a QuadSurd built on first use and then kept on the slope; side(x)
-    never needs it.  Twists and duals come from address arithmetic
-    (dual_twist), so code that holds a slope never has to find -alpha + k
-    again by tree descent.  Where x lies against I_alpha is decided by side(x)
-    alone; the tree descent reads it.
+    radius is a QuadSurd built on first use and then kept on the slope, and
+    interval() builds the two ends (2c -+ 3r +- sqrt(9r^2 - 4))/(2r) of
+    value = c/r directly; both are printed values, and nothing compares them.
+    Twists and duals come from address arithmetic (dual_twist), so code that
+    holds a slope never has to find -alpha + k again by tree descent.  Where x
+    lies against I_alpha is decided by side(x) alone, in integers; the tree
+    descent reads it.
     """
 
     value: Fraction
@@ -124,7 +126,11 @@ class ExceptionalSlope:
         return QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
 
     def interval(self) -> tuple[QuadSurd, QuadSurd]:
-        return (self.value - self.interval_radius, self.value + self.interval_radius)
+        c, r = self.value.numerator, self.rank
+        return (
+            QuadSurd(Fraction(2 * c - 3 * r, 2 * r), Fraction(1, 2 * r), 9 * r * r - 4),
+            QuadSurd(Fraction(2 * c + 3 * r, 2 * r), Fraction(-1, 2 * r), 9 * r * r - 4),
+        )
 
     def side(self, x: RationalLike) -> int:
         """-1, 0 or 1 as the int or Fraction x lies left of, inside or right of I_alpha."""

@@ -23,8 +23,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .chern import ChernCharacter, exceptional_character, line_bundle
-from .contfrac import is_convergent_of_inverse_golden
-from .exactnum import fraction_str
+from .exactnum import _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
 from .stability import (
     CASE_ABOVE_DOT,
@@ -131,7 +130,7 @@ class ResolutionData:
         }
 
 
-def _as_int(num: int, den: int, what: str, n: int) -> int:
+def _exact_quotient(num: int, den: int, what: str, n: int) -> int:
     """num/den for ints, which must divide exactly."""
     m, rem = divmod(num, den)
     if rem:
@@ -171,8 +170,8 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
     if case == CASE_BELOW_DOT:
         # r_a (mu - a) D and r_b (mu - b + 3) D for mu = u/v
         u, v = ms.mu.numerator, ms.mu.denominator
-        m1 = _as_int((u * ra - ca * v) * cd, v * rd, "m1", n)
-        m2 = _as_int((u * rb - cb * v + 3 * v * rb) * cd, v * rd, "m2", n)
+        m1 = _exact_quotient((u * ra - ca * v) * cd, v * rd, "m1", n)
+        m2 = _exact_quotient((u * rb - cb * v + 3 * v * rb) * cd, v * rd, "m2", n)
         m3 = dot.euler - n * rd
         if m3 <= 0:
             raise ArithmeticError("m3 = %d is not positive below D for n=%d" % (m3, n))
@@ -180,8 +179,8 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
         # mu = lambda above D; at D the multiplicities are still read at lambda:
         # r_b (b - lambda)(D + 3) and r_a (3 + a - lambda)(D + 3) for lambda = u/v
         u, v = ms.lam.numerator, ms.lam.denominator
-        m1 = _as_int((cb * v - u * rb) * (cd + 3 * rd), v * rd, "m1", n)
-        m2 = _as_int((3 * ra * v + ca * v - u * ra) * (cd + 3 * rd), v * rd, "m2", n)
+        m1 = _exact_quotient((cb * v - u * rb) * (cd + 3 * rd), v * rd, "m1", n)
+        m2 = _exact_quotient((3 * ra * v + ca * v - u * ra) * (cd + 3 * rd), v * rd, "m2", n)
         m3 = n * rd - dot.euler
         if not (m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0):
             raise ArithmeticError("m3 = %d has the wrong sign for %s, n=%d" % (m3, case, n))
@@ -285,17 +284,6 @@ def classical_gaeta(n: int) -> ClassicalGaeta:
     return out
 
 
-def classical_w_stable(n: int) -> bool:
-    """Stability of the classical syzygy bundle, decided by s/r against 1/phi.
-
-    1/phi is the positive root of t^2 + t - 1, so s/r > 1/phi exactly when
-    s^2 + rs - r^2 > 0.
-    """
-    cg = classical_gaeta(n)
-    r, s = cg.r, cg.s
-    return s * s + r * s - r * r > 0 or is_convergent_of_inverse_golden(Fraction(s, r))
-
-
 class KroneckerNotApplicableError(ValueError):
     """No stable Kronecker module is attached to this n."""
 
@@ -333,10 +321,10 @@ class KroneckerData:
 
 
 def kronecker_euler(N: int, e, f) -> int:
-    """chi between modules of dimension vectors e=(b,a), f=(b',a')."""
-    b, a = e
-    bp, ap = f
-    return b * bp + a * ap - N * b * ap
+    """chi between modules of dimension vectors e=(b,a), f=(b',a'); a bool raises TypeError."""
+    b, a = (_as_int(x, "dimension vector entry") for x in e)
+    bp, ap = (_as_int(x, "dimension vector entry") for x in f)
+    return b * bp + a * ap - _as_int(N, "N") * b * ap
 
 
 def kronecker_data(n) -> KroneckerData:

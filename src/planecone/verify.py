@@ -18,7 +18,7 @@ from .bridgeland import (
 )
 from .chern import exceptional_character, euler_pairing
 from .contfrac import check_exceptional_cf
-from .exactnum import _as_int, fraction_str, surd_cmp
+from .exactnum import _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
 from .resolution import CASE_BELOW_DOT, classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
@@ -61,16 +61,39 @@ def _suite_cf(depth: int, built: dict) -> list[CheckResult]:
     ]
 
 
+def _ends_apart(c: int, r: int, d: int, s: int) -> bool:
+    """alpha + x_alpha <= beta - x_beta for slopes alpha = c/r < beta = d/s, in integers.
+
+    Times 2rs, the gap between the two ends is K + s sqrt(9r^2 - 4) +
+    r sqrt(9s^2 - 4) with K = 2(dr - cs) - 6rs.  It is nonnegative when K >= 0;
+    otherwise squaring -K <= s sqrt(9r^2 - 4) + r sqrt(9s^2 - 4) leaves
+    M <= 2rs sqrt((9r^2 - 4)(9s^2 - 4)) for M = K^2 - s^2(9r^2 - 4) - r^2(9s^2 - 4),
+    which holds when M <= 0 or M^2 <= 4r^2 s^2 (9r^2 - 4)(9s^2 - 4).
+    """
+    k = 2 * (d * r - c * s) - 6 * r * s
+    if k >= 0:
+        return True
+    ra, sb = 9 * r * r - 4, 9 * s * s - 4
+    m = k * k - s * s * ra - r * r * sb
+    return m <= 0 or m * m <= 4 * r * r * s * s * ra * sb
+
+
 def _suite_intervals(depth: int, built: dict) -> list[CheckResult]:
+    """Every pair of intervals I_alpha, alpha of depth <= depth in [0, 3], is disjoint.
+
+    Each pair alpha = c/r < beta = d/s is decided by _ends_apart in integers:
+    the sign of K = 2(dr - cs) - 6rs, and when K < 0 that of
+    M = K^2 - s^2(9r^2 - 4) - r^2(9s^2 - 4) and of M^2 against
+    4r^2 s^2 (9r^2 - 4)(9s^2 - 4).  No interval end is built.
+    """
     slopes = enumerate_slopes(depth, 0, 3)
-    ends = [s.interval() for s in slopes]
+    ints = [(s.value.numerator, s.rank) for s in slopes]
     failures = []
     total = 0
-    for i, lo in enumerate(slopes):
-        right = ends[i][1]
-        for hi, (left, _) in zip(slopes[i + 1 :], ends[i + 1 :]):
+    for i, (lo, (c, r)) in enumerate(zip(slopes, ints)):
+        for hi, (d, s) in zip(slopes[i + 1 :], ints[i + 1 :]):
             total += 1
-            if surd_cmp(right, left) > 0:
+            if not _ends_apart(c, r, d, s):
                 failures.append(
                     "overlap I_%s and I_%s"
                     % (fraction_str(lo.value), fraction_str(hi.value))
@@ -112,9 +135,10 @@ def _suite_resolution(depth: int, built: dict) -> list[CheckResult]:
             if res.m3 * rd != 1 + res.w_char.r:
                 rank_failures.append("n=%d rank identity" % n)
             ratio = Fraction(res.m1, res.m2)
-            left = rd * res.dot_slope.interval_radius
+            # rd x_D < m1/m2 says D + m1/(m2 rd) lies right of I_D
+            above = res.dot_slope.side(res.dot_slope.value + Fraction(res.m1, res.m2 * rd)) > 0
             right = Fraction(rd, 3 * res.beta.rank * rd - res.alpha.rank)
-            if not (left < ratio <= right):
+            if not (above and ratio <= right):
                 bound_failures.append("n=%d multiplicity bounds" % n)
         if res.dot_slope.rank == 1:
             classical_total += 1

@@ -2,7 +2,7 @@
 
 Each test prints as its own pass/fail line under pytest -v.  Exact arithmetic
 is used throughout; the only tolerances are the stated time budgets and the
-Decimal precision floor of the comparison oracle in the final test.
+Decimal precision floor of the interval-end oracle in the final test.
 """
 
 import csv
@@ -21,7 +21,7 @@ from planecone.bridgeland import (
 )
 from planecone.chern import ChernCharacter
 from planecone.contfrac import check_exceptional_cf
-from planecone.exactnum import QuadSurd, fraction_str, surd_cmp
+from planecone.exactnum import QuadSurd, fraction_str
 from planecone.exceptional import dot, enumerate_slopes, epsilon
 from planecone.resolution import (
     CASE_ABOVE_DOT,
@@ -39,6 +39,9 @@ from planecone.stability import (
     gamma_inv,
     min_slope,
 )
+from planecone.verify import _ends_apart
+
+from decimal_oracle import times
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "effective_cone_table.csv")
 
@@ -92,13 +95,12 @@ def test_criterion_04_numerator_congruence():
 
 def test_criterion_05_interval_disjointness():
     # every pair of intervals from depth <= 8 slopes in [0, 3] is disjoint,
-    # decided by exact comparison of the quadratic endpoints
+    # decided exactly in integers on the two slopes' numerators and ranks
     slopes = enumerate_slopes(8, Fraction(0), Fraction(3))
     assert len(slopes) == 769
     for lo, hi in itertools.combinations(slopes, 2):
-        right_end = lo.value + lo.interval_radius
-        left_end = hi.value - hi.interval_radius
-        assert surd_cmp(right_end, left_end) <= 0, (lo.value, hi.value)
+        assert _ends_apart(lo.value.numerator, lo.rank, hi.value.numerator, hi.rank), (
+            lo.value, hi.value)
 
 
 def test_criterion_06_gamma_inverts_exactly():
@@ -137,7 +139,9 @@ def test_criterion_07_resolution_soundness():
                 rd = res.dot_slope.rank
                 assert res.m3 * rd == 1 + res.w_char.r
                 ratio = Fraction(res.m1, res.m2)
-                assert surd_cmp(rd * res.dot_slope.interval_radius, ratio) < 0
+                # rd x_D < m1/m2: 3 rd m2 - 2 m1 < m2 sqrt(9 rd^2 - 4), one signed square
+                t = 3 * rd * res.m2 - 2 * res.m1
+                assert t <= 0 or t * t < res.m2 * res.m2 * (9 * rd * rd - 4)
                 assert ratio <= Fraction(rd, 3 * res.beta.rank * rd - res.alpha.rank)
     assert all(count > 0 for count in seen.values()), seen
 
@@ -206,14 +210,23 @@ def test_criterion_10_pair_wall_geometry():
             assert radii[-1] < Fraction(5, 4)
             for inner, outer in zip(walls, walls[1:]):
                 assert nested(inner, outer, alpha.value)
+            # x_alpha = 3/2 - sqrt(d)/(2r) as its coefficient pair (a, b) of
+            # a + b sqrt(d), d = 9r^2 - 4
+            r = alpha.rank
+            d = 9 * r * r - 4
+            x = (Fraction(3, 2), Fraction(-1, 2 * r))
+            assert alpha.interval_radius == QuadSurd(*x, d)
             # x_alpha is a root of x^2 - 3x + 1/r^2, so 1/x = r^2 (3 - x)
-            x, r = alpha.interval_radius, alpha.rank
-            inverse = r * r * (3 - x)
-            assert x * inverse == 1
-            ratio = (Fraction(1, 2) - alpha.discriminant) * inverse
+            inverse = (r * r * (3 - x[0]), -r * r * x[1])
+            assert times(x, inverse, d) == (1, 0)
+            ratio = tuple((Fraction(1, 2) - alpha.discriminant) * c for c in inverse)
             # (x/2)^2 - P(-x) + ratio^2, with P(-x) = (x^2 - 3x + 2)/2
-            limit = x * x * Fraction(1, 4) - (x * x - 3 * x + 2) * Fraction(1, 2) + ratio * ratio
-            assert limit == Fraction(5, 4)
+            xx, rr = times(x, x, d), times(ratio, ratio, d)
+            limit = (
+                xx[0] / 4 - (xx[0] - 3 * x[0] + 2) / 2 + rr[0],
+                xx[1] / 4 - (xx[1] - 3 * x[1]) / 2 + rr[1],
+            )
+            assert limit == (Fraction(5, 4), 0)
 
     # the kernel/cokernel slope balances close up exactly
     for q in range(1, 7):
@@ -236,10 +249,11 @@ def test_criterion_11_kronecker_reduction():
     assert applicable >= 300
 
 
-def test_criterion_12_surd_comparison_oracle():
-    # ten thousand randomized exact comparisons checked against a 220-digit
-    # Decimal evaluation; disagreement is only tolerated within 1e-180, where
-    # the exact result must report equality
+def test_criterion_12_interval_end_oracle():
+    # ten thousand randomized exact decisions at interval ends checked against a
+    # 220-digit Decimal evaluation: the integer disjointness test of a slope
+    # pair, side(x) of a rational, and equality of surds.  Disagreement is only
+    # tolerated within 1e-180, where the exact result must report a tie
     getcontext().prec = 220
 
     def evaluate(x):
@@ -250,11 +264,11 @@ def test_criterion_12_surd_comparison_oracle():
         f = Fraction(x)
         return Decimal(f.numerator) / Decimal(f.denominator)
 
+    slopes = enumerate_slopes(6, Fraction(0), Fraction(2))
     pool = []
-    for slope in enumerate_slopes(6, Fraction(0), Fraction(2)):
+    for slope in slopes:
         pool.append(slope.interval_radius)
-        pool.append(slope.value - slope.interval_radius)
-        pool.append(slope.value + slope.interval_radius)
+        pool.extend(slope.interval())
     rng = random.Random(170)
     for _ in range(120):
         den = rng.randint(1, 40)
@@ -266,13 +280,35 @@ def test_criterion_12_surd_comparison_oracle():
         pool.append(QuadSurd(Fraction(big_n, 2), Fraction(1, 2), big_n**2 - 4))
         pool.append(QuadSurd(Fraction(big_n, 2), Fraction(-1, 2), big_n**2 - 4))
     pool.extend(Fraction(rng.randint(-40, 40), rng.randint(1, 23)) for _ in range(60))
+    values = [evaluate(x) for x in pool]
+    ends = [tuple(evaluate(end) for end in slope.interval()) for slope in slopes]
 
     threshold = Decimal("1e-180")
     for _ in range(10_000):
-        x, y = rng.choice(pool), rng.choice(pool)
-        got = surd_cmp(x, y)
-        diff = evaluate(x) - evaluate(y)
-        if abs(diff) > threshold:
-            assert got == (1 if diff > 0 else -1), (x, y)
+        # the right end of I_alpha against the left end of I_beta, alpha <= beta
+        i, j = sorted((rng.randrange(len(slopes)), rng.randrange(len(slopes))))
+        lo, hi = slopes[i], slopes[j]
+        got = _ends_apart(lo.value.numerator, lo.rank, hi.value.numerator, hi.rank)
+        gap = ends[j][0] - ends[i][1]
+        if abs(gap) > threshold:
+            assert got == (gap > 0), (lo.value, hi.value)
         else:
-            assert got == 0, (x, y)
+            assert got, (lo.value, hi.value)
+
+        # a rational near alpha against both ends of I_alpha, which it never meets;
+        # x_alpha is about 1/(3 r^2)
+        k = rng.randrange(len(slopes))
+        r = slopes[k].rank
+        x = slopes[k].value + Fraction(rng.randint(-30, 30), rng.randint(1, 30) * r * r)
+        below, above = evaluate(x) - ends[k][0], evaluate(x) - ends[k][1]
+        assert abs(below) > threshold and abs(above) > threshold, (slopes[k].value, x)
+        expect = -1 if below < 0 else (1 if above > 0 else 0)
+        assert slopes[k].side(x) == expect, (slopes[k].value, x)
+
+        # equality of two surds, or of a surd and a rational
+        a, b = rng.randrange(len(pool)), rng.randrange(len(pool))
+        diff = values[a] - values[b]
+        if abs(diff) > threshold:
+            assert pool[a] != pool[b], (pool[a], pool[b])
+        else:
+            assert pool[a] == pool[b] and hash(pool[a]) == hash(pool[b]), (pool[a], pool[b])

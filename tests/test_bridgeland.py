@@ -19,8 +19,11 @@ from planecone.bridgeland import (
     wall_between,
 )
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle
+from planecone.exactnum import QuadSurd
 from planecone.exceptional import dot, enumerate_slopes, epsilon, hilbert_poly
 from planecone.stability import delta
+
+from decimal_oracle import times
 
 
 def test_wall_between_anchor():
@@ -186,14 +189,22 @@ def test_chain_radii_approach_limit():
             current = dot(alpha.value, current)
         assert all(radii[i] < radii[i + 1] for i in range(len(radii) - 1))
         assert all(r < Fraction(5, 4) for r in radii)
+        # x_alpha = 3/2 - sqrt(d)/(2r) as its coefficient pair over d = 9r^2 - 4
+        r = alpha.rank
+        d = 9 * r * r - 4
+        x = (Fraction(3, 2), Fraction(-1, 2 * r))
+        assert alpha.interval_radius == QuadSurd(*x, d)
         # x_alpha is a root of x^2 - 3x + 1/r^2, so 1/x = r^2 (3 - x)
-        x, r = alpha.interval_radius, alpha.rank
-        inverse = r * r * (3 - x)
-        assert x * inverse == 1
-        ratio = (Fraction(1, 2) - alpha.discriminant) * inverse
+        inverse = (r * r * (3 - x[0]), -r * r * x[1])
+        assert times(x, inverse, d) == (1, 0)
+        ratio = tuple((Fraction(1, 2) - alpha.discriminant) * c for c in inverse)
         # (x/2)^2 - P(-x) + ratio^2, with P(-x) = (x^2 - 3x + 2)/2
-        limit = x * x * Fraction(1, 4) - (x * x - 3 * x + 2) * Fraction(1, 2) + ratio * ratio
-        assert limit == Fraction(5, 4)
+        xx, rr = times(x, x, d), times(ratio, ratio, d)
+        limit = (
+            xx[0] / 4 - (xx[0] - 3 * x[0] + 2) / 2 + rr[0],
+            xx[1] / 4 - (xx[1] - 3 * x[1]) / 2 + rr[1],
+        )
+        assert limit == (Fraction(5, 4), 0)
 
 
 def test_adjacent_pair_walls_stay_below_five_fourths():

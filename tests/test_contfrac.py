@@ -11,7 +11,6 @@ from planecone.contfrac import (
     ContinuedFraction,
     cf_expand_even,
     check_exceptional_cf,
-    is_convergent_of_inverse_golden,
     is_palindrome,
 )
 from planecone.exceptional import enumerate_slopes, epsilon
@@ -115,18 +114,6 @@ def test_interior_twos_rule_ignores_boundary():
     assert check_exceptional_cf(Fraction(2, 5))["interior_twos_blocks_even"]
 
 
-def test_inverse_golden_convergents():
-    assert is_convergent_of_inverse_golden(Fraction(0))
-    assert is_convergent_of_inverse_golden(Fraction(1))
-    assert is_convergent_of_inverse_golden(Fraction(1, 2))
-    assert is_convergent_of_inverse_golden(Fraction(2, 3))
-    assert is_convergent_of_inverse_golden(Fraction(3, 5))
-    assert is_convergent_of_inverse_golden(Fraction(5, 8))
-    assert is_convergent_of_inverse_golden(Fraction(55, 89))
-    assert not is_convergent_of_inverse_golden(Fraction(4, 7))
-    assert not is_convergent_of_inverse_golden(Fraction(2, 5))
-
-
 def test_str_rendering():
     assert str(cf_expand_even(Fraction(5, 13))) == "[0;2,1,1,2]"
     assert str(cf_expand_even(Fraction(2))) == "[2]"
@@ -176,7 +163,7 @@ def test_integer_euclid_matches_the_fraction_recursion(x):
 
 @pytest.mark.parametrize(
     "fn",
-    [cf_expand_even, check_exceptional_cf, is_convergent_of_inverse_golden],
+    [cf_expand_even, check_exceptional_cf],
     ids=lambda fn: fn.__name__,
 )
 def test_a_float_is_not_read_as_a_rational(fn):

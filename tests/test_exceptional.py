@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import planecone.exceptional as exceptional
 from planecone.chern import exceptional_character
 from planecone.contfrac import check_exceptional_cf
-from planecone.exactnum import QuadSurd, surd_cmp
+from planecone.exactnum import QuadSurd
 from planecone.exceptional import (
     MAX_DEPTH,
     CantorPointError,
@@ -28,6 +28,8 @@ from planecone.exceptional import (
     parent_pair,
 )
 from planecone.stability import delta
+
+from decimal_oracle import oracle_cmp, times
 
 # every slope of denominator 2^q for q <= 3, in order
 LOW_DEPTH_VALUES = {
@@ -166,11 +168,17 @@ def test_make_slope_rejects_a_value_with_no_integral_euler_characteristic():
 def test_interval_radius_defining_identity():
     # the radius x solves P(-x) = D_alpha + 1/2, so the surd must satisfy it
     for slope in enumerate_slopes(5, Fraction(0), Fraction(2)):
-        x = slope.interval_radius
+        # x = 3/2 - sqrt(d)/(2r) as its coefficient pair over d = 9r^2 - 4
+        r = slope.rank
+        d = 9 * r * r - 4
+        x = (Fraction(3, 2), Fraction(-1, 2 * r))
+        assert slope.interval_radius == QuadSurd(*x, d)
         # P(-x) = (x^2 - 3x + 2)/2
-        assert (x * x - 3 * x + 2) * Fraction(1, 2) - slope.discriminant == Fraction(1, 2)
+        xx = times(x, x, d)
+        p_minus_x = ((xx[0] - 3 * x[0] + 2) / 2, (xx[1] - 3 * x[1]) / 2)
+        assert (p_minus_x[0] - slope.discriminant, p_minus_x[1]) == (Fraction(1, 2), 0)
         lo, hi = slope.interval()
-        assert surd_cmp(lo, slope.value) < 0 < surd_cmp(hi, slope.value)
+        assert oracle_cmp(lo, slope.value) < 0 < oracle_cmp(hi, slope.value)
 
 
 def test_interval_width_depends_only_on_rank():
@@ -187,15 +195,15 @@ def test_contains_is_strict():
     assert e.side(Fraction(1, 3)) == 0  # 1/3 < (3 - sqrt 5)/2
     assert e.side(Fraction(2, 5)) != 0
     lo_half, hi_half = exceptional_slope_of(Fraction(1, 2)).interval()
-    assert surd_cmp(lo_half, Fraction(1, 2)) < 0 < surd_cmp(hi_half, Fraction(1, 2))
+    assert oracle_cmp(lo_half, Fraction(1, 2)) < 0 < oracle_cmp(hi_half, Fraction(1, 2))
 
 
 def side_by_endpoints(slope, x):
     """The reference for side: x against both ends of I_alpha."""
     lo, hi = slope.interval()
-    if surd_cmp(x, lo) <= 0:
+    if oracle_cmp(x, lo) < 0:
         return -1
-    return 1 if surd_cmp(x, hi) >= 0 else 0
+    return 1 if oracle_cmp(x, hi) > 0 else 0
 
 
 def first_decimal_above_golden(e):
@@ -206,27 +214,34 @@ def first_decimal_above_golden(e):
     return Fraction((3 * n - s - 1) // 2 + 1, n)
 
 
-def convergents(x, count):
-    """The first count continued-fraction convergents of a positive irrational QuadSurd."""
+def convergents(end, count):
+    """The first count continued-fraction convergents of an irrational QuadSurd.
+
+    end = a + b sqrt(d) is written (P + sqrt N)/Q with Q | N - P^2, and the
+    integer recurrence P' = aQ - P, Q' = (N - P'^2)/Q expands it exactly.
+    """
+    m = math.lcm(end.a.denominator, end.b.denominator)
+    P, Q, N = int(end.a * m), m, int(end.b * m) ** 2 * end.d
+    if end.b < 0:
+        P, Q = -P, -Q
+    P, Q, N = P * abs(Q), Q * abs(Q), N * Q * Q
+    s = math.isqrt(N)
     h, h_prev, k, k_prev = 1, 0, 0, 1
     out = []
     for _ in range(count):
-        a = math.floor(x)
+        # floor((P + sqrt N)/Q), with sqrt N strictly between s and s + 1
+        a = (P + s) // Q if Q > 0 else (-P - s - 1) // -Q
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
         out.append(Fraction(h, k))
-        # 1/(u + v sqrt d) = (u - v sqrt d)/(u^2 - v^2 d)
-        y = x - a
-        norm = y.a * y.a - y.b * y.b * y.d
-        x = QuadSurd(y.a / norm, -y.b / norm, y.d)
+        P = a * Q - P
+        Q = (N - P * P) // Q
     return out
 
 
 def best_approximations(end, count=14):
     """The two last convergents of end below it and the two last above it."""
-    shift = math.floor(end) - 1  # expand a positive number, shift back after
-    near = convergents(end - shift, count)
-    return [c + shift for c in near[-4:]]
+    return convergents(end, count)[-4:]
 
 
 def rational_side_probes(slope, rng):
@@ -307,7 +322,7 @@ def test_associated_slope_containment(x):
     except CantorPointError:
         return
     lo, hi = a.interval()
-    assert surd_cmp(lo, x) < 0 < surd_cmp(hi, x)
+    assert oracle_cmp(lo, x) < 0 < oracle_cmp(hi, x)
 
 
 def test_enumerate_slopes_window_and_order():

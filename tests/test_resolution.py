@@ -8,8 +8,7 @@ import pytest
 import planecone.resolution as resolution
 from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
-from planecone.contfrac import is_convergent_of_inverse_golden
-from planecone.exactnum import QuadSurd, surd_cmp
+from planecone.exactnum import QuadSurd
 from planecone.resolution import (
     CASE_ABOVE_DOT,
     CASE_AT_DOT,
@@ -17,13 +16,14 @@ from planecone.resolution import (
     CASE_TWO_S_GEQ,
     CASE_TWO_S_LEQ,
     classical_gaeta,
-    classical_w_stable,
     gaeta_resolution,
     kronecker_data,
     kronecker_euler,
     KroneckerNotApplicableError,
 )
 from planecone.stability import CASE_TRIANGULAR_MINUS_ONE, _delta, min_slope
+
+from decimal_oracle import oracle_cmp
 
 IDEAL = {n: ChernCharacter(1, 0, -n) for n in range(2, 60)}
 
@@ -156,7 +156,9 @@ def test_rank_identity_and_slope_bounds_below_dot():
         rd = res.dot_slope.rank
         assert res.m3 * rd == 1 + res.w_char.r
         ratio = Fraction(res.m1, res.m2)
-        assert surd_cmp(rd * res.dot_slope.interval_radius, ratio) < 0
+        # rd x_D = (3 rd - sqrt(9 rd^2 - 4))/2
+        rd_x = QuadSurd(Fraction(3 * rd, 2), Fraction(-1, 2), 9 * rd * rd - 4)
+        assert oracle_cmp(rd_x, ratio) < 0
         assert ratio <= Fraction(rd, 3 * res.beta.rank * rd - res.alpha.rank)
 
 
@@ -261,23 +263,6 @@ def test_classical_character_identity():
         assert cg.character() == ChernCharacter(1, 0, -n)
 
 
-def test_classical_w_stability():
-    assert classical_w_stable(10)
-    assert classical_w_stable(8)
-    assert classical_w_stable(13)
-    assert not classical_w_stable(32)  # s/r = 4/7 < 1/phi and not a convergent
-
-
-def test_classical_w_stable_tests_one_over_phi_in_integers():
-    # reference: the surd 1/phi = (sqrt 5 - 1)/2 that classical_w_stable once compared s/r with
-    inverse_golden = QuadSurd(Fraction(-1, 2), Fraction(1, 2), 5)
-    for n in range(1, 5001):
-        cg = classical_gaeta(n)
-        ratio = Fraction(cg.s, cg.r)
-        expect = ratio > inverse_golden or is_convergent_of_inverse_golden(ratio)
-        assert classical_w_stable(n) == expect, n
-
-
 def test_integer_dot_recovers_classical():
     for n in range(2, 200):
         res = gaeta_resolution(n)
@@ -313,6 +298,22 @@ def test_kronecker_euler_form():
     assert kronecker_euler(3, (0, 1), (1, 0)) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (True, (1, 1), (1, 1)),
+        (3, (True, 1), (1, 1)),
+        (3, (1, 1), (1, False)),
+        (3.0, (1, 1), (1, 1)),
+    ],
+    ids=repr,
+)
+def test_kronecker_euler_reads_ints_and_not_bools(args):
+    # once kronecker_euler(True, (1, 1), (1, 1)) gave 1 and (3, (True, 1), (1, 1)) gave -1
+    with pytest.raises(TypeError, match="must be an int, not"):
+        kronecker_euler(*args)
+
+
 def test_kronecker_dimension_is_the_moduli_dimension_of_w():
     # reference: the moduli of W has dimension rank_v^2 (2 delta(mu) - 1) + 1,
     # which must equal the Kronecker moduli dimension 1 - chi((b, a), (b, a))
@@ -332,7 +333,9 @@ def test_kronecker_dimension_is_the_moduli_dimension_of_w():
         N = kd.N
         psi_lower = QuadSurd(Fraction(N, 2), Fraction(-1, 2), N * N - 4)
         psi_upper = QuadSurd(Fraction(N, 2), Fraction(1, 2), N * N - 4)
-        assert kd.slope_in_window == (psi_lower < Fraction(kd.b, kd.a) < psi_upper), n
+        ratio = Fraction(kd.b, kd.a)
+        inside = oracle_cmp(psi_lower, ratio) < 0 < oracle_cmp(psi_upper, ratio)
+        assert kd.slope_in_window == inside, n
     assert applicable == 803
 
 

@@ -1,21 +1,27 @@
-"""The only surd the package builds is the interval half-width x_alpha.
+"""The only surds the package builds are x_alpha and the ends of I_alpha.
 
-exceptional.ExceptionalSlope.interval_radius builds x_alpha, and exactnum
-defines QuadSurd and normalizes its results.  Every other quantity is
+exceptional.ExceptionalSlope builds x_alpha and the two interval ends, and
+exactnum defines QuadSurd and normalizes it.  Every other quantity is
 rational: the Kronecker window is the sign of an integer Euler form, and wall
 radii are held as rational squares.  The scan reads each module's AST and
-flags every call QuadSurd(...) outside those two modules.  A surd is an
-output: only verify compares interval ends, so a second scan flags every name
-surd_cmp outside exactnum, verify and the package's __init__.
+flags every call QuadSurd(...) outside those two modules.  A surd is only
+printed: verify decides the interval ends in integers, so a second scan flags
+every name surd_cmp in the package, and QuadSurd has no order or arithmetic.
 """
 
 import ast
 from pathlib import Path
 
+from planecone.exactnum import QuadSurd
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
 
 BUILDERS = {"exactnum", "exceptional"}
-COMPARERS = {"exactnum", "verify", "__init__"}
+# the surd order, ring and floor that left the package
+DELETED_OPERATORS = (
+    "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__lt__", "__le__", "__gt__", "__ge__", "__floor__",
+)
 
 
 def surd_calls(source: str) -> list[int]:
@@ -84,11 +90,12 @@ def test_the_scan_sees_each_spelling_of_surd_cmp():
 
 
 def test_no_module_but_exactnum_and_verify_compares_surds():
+    # no module names surd_cmp, and QuadSurd has no order or arithmetic
     paths = sorted(PACKAGE.glob("*.py"))
     assert {"exactnum", "verify", "__init__", "exceptional"} <= {p.stem for p in paths}
     offenders = []
     for path in paths:
-        if path.stem not in COMPARERS:
-            offenders += ["%s.py:%d" % (path.stem, line)
-                          for line in surd_cmp_names(path.read_text(encoding="utf-8"))]
+        offenders += ["%s.py:%d" % (path.stem, line)
+                      for line in surd_cmp_names(path.read_text(encoding="utf-8"))]
     assert not offenders, "compare no surd here: %s" % offenders
+    assert not [name for name in DELETED_OPERATORS if name in QuadSurd.__dict__]

@@ -41,6 +41,15 @@ def test_intervals_at_the_default_depth(capsys):
     ]
 
 
+def test_intervals_reports_an_overlap(monkeypatch):
+    # a slope listed twice meets its own interval, so the check can fail
+    slope = epsilon(0)
+    monkeypatch.setattr(verify, "enumerate_slopes", lambda depth, lo, hi: [slope, slope])
+    [result] = run_suite("intervals", 1)
+    assert not result.passed
+    assert result.detail == "1/1 failed, first: overlap I_0 and I_0"
+
+
 def test_format_report_lines_and_exit_code():
     results = [
         CheckResult("first", True, "10 checks"),
