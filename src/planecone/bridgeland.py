@@ -23,15 +23,9 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, euler_pairing, exceptional_character
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
-from .exceptional import (
-    ExceptionalSlope,
-    _as_slope,
-    dot,
-    epsilon,
-    is_adjacent_pair,
-    parent_pair,
-)
-from .stability import CASE_AT_DOT, CASE_BELOW_DOT, _delta, _min_slope_for
+from .exceptional import ExceptionalSlope, _as_slope, dot, epsilon, is_adjacent_pair, parent_pair
+from .resolution import _term_slopes
+from .stability import _delta, _euler_excess, _min_slope_for
 
 KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
@@ -92,18 +86,15 @@ def collapsing_wall(n) -> Wall:
     """Innermost wall, where the ideal sheaf of n general points collapses.
 
     n is an int or the MinSlopeResult of min_slope(n).  The destabilizing
-    bundle is read off from the minimal-slope case: E_{-D} from below, E_{-D-3}
-    from above, and E_{-beta} when the minimum is the exceptional slope D
-    itself.
+    bundle is the last term of the resolution, which the sign of
+    s = chi(E_D) - n r_D fixes (resolution._term_slopes): E_{-D} when s > 0,
+    E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is the
+    exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
     """
     ms = _min_slope_for(n, "collapsing wall")
     n, d = ms.n, ms.associated
-    if ms.position == CASE_AT_DOT:
-        destabilizer = parent_pair(d)[1].dual_twist(0)
-    elif ms.position == CASE_BELOW_DOT:
-        destabilizer = d.dual_twist(0)
-    else:
-        destabilizer = d.dual_twist(-3)
+    s = _euler_excess(n, d)
+    destabilizer = _term_slopes(*parent_pair(d), d, s)[-1]
     wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(destabilizer))
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
     center = bridgeland_from_mori(-ms.mu)
@@ -114,12 +105,11 @@ def collapsing_wall(n) -> Wall:
     u, v = center.numerator, center.denominator
     if x * v * v != y * (u * u - 2 * n * v * v):
         raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
-    at_dot = ms.position == CASE_AT_DOT
-    half = d.discriminant if at_dot else _delta(ms.mu, d)
+    half = _delta(ms.mu, d) if s else d.discriminant
     # 2 delta + 1/4 = (8 p + q)/(4 q) for delta = p/q
     if 4 * half.denominator * x != (8 * half.numerator + half.denominator) * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
-    if not at_dot and 4 * x <= 5 * y:
+    if s and 4 * x <= 5 * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
     return wall
 

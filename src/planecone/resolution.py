@@ -12,7 +12,14 @@ multiplicities m1, m2, m3 and k of the generalized Gaeta resolution, builds
 each bundle term's character once, and runs every check of the resolution,
 the assembly to I_Z included, in integers.  gaeta_resolution builds its exact
 sequences from those characters; kronecker_data, given n or min_slope(n),
-reads m1, k and the case off the core and builds no sequence.
+reads m1 and k off the core and builds no sequence.
+
+The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z)
+(stability._euler_excess), and nothing here compares a position string.  The
+sign fixes the terms (_term_slopes): E_{-alpha-3} and E_{-beta}, then a third
+term E_{-D}^s when s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So
+m3 = |s|, the resolution is sporadic when 0 < s r_D <= 2, and the Kronecker
+rank of V is the numerator of D, plus 3 r_D when s <= 0.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .stability import (
     CASE_BELOW_DOT,
     MinSlopeResult,
     _as_n,
+    _euler_excess,
     _min_slope_for,
 )
 
@@ -153,48 +161,52 @@ class _Numerics(NamedTuple):
     sporadic: bool
 
 
+def _term_slopes(a, b, dot, s: int) -> tuple[ExceptionalSlope, ...]:
+    """The slopes of the resolution's bundle terms for s = chi(E_D) - n r_D, in order.
+
+    E_{-alpha-3} and E_{-beta} for the parents a = alpha, b = beta of D, then
+    E_{-D} when s > 0 and E_{-D-3} when s < 0; at s = 0 there is no third
+    term.  The last one is the bundle that destabilizes I_Z at the collapsing
+    wall.
+    """
+    slopes = (a.dual_twist(-3), b.dual_twist(0))
+    return slopes + (dot.dual_twist(0 if s > 0 else -3),) if s else slopes
+
+
 def _numerics(ms: MinSlopeResult) -> _Numerics:
     """The parents, multiplicities and bundle terms of the resolution for min_slope(n).
 
-    Every check of the resolution runs here: m1 and m2 are integers, m3 has
-    the sign of the case, m1, m2 and k are positive, and the terms assemble to
-    I_Z.  The last is one integer sum of m (R, C, D)/N over the characters
-    (R, C, D)/N of the terms, against (1, 0, -n).
+    The sign of s = chi(E_D) - n r_D picks the case and _term_slopes the
+    terms; m3 = |s| is the third term's multiplicity, signed as s.  m1 and m2
+    are read at lambda, which is mu except at s = 0, where mu = D.  Every check
+    of the resolution runs here: m1 and m2 are integers, m1, m2 and k are
+    positive, and the terms assemble to I_Z.  The last is one integer sum of
+    m (R, C, D)/N over the characters (R, C, D)/N of the terms, against
+    (1, 0, -n).
     """
     n, dot = ms.n, ms.associated
     a, b = parent_pair(dot)
     ra, ca = a.rank, a.value.numerator
     rb, cb = b.rank, b.value.numerator
     rd, cd = dot.rank, dot.value.numerator
-    case = ms.position
-    if case == CASE_BELOW_DOT:
-        # r_a (mu - a) D and r_b (mu - b + 3) D for mu = u/v
-        u, v = ms.mu.numerator, ms.mu.denominator
+    s = _euler_excess(n, dot)
+    u, v = ms.lam.numerator, ms.lam.denominator
+    if s > 0:
+        # r_a (lambda - a) D and r_b (lambda - b + 3) D
         m1 = _exact_quotient((u * ra - ca * v) * cd, v * rd, "m1", n)
         m2 = _exact_quotient((u * rb - cb * v + 3 * v * rb) * cd, v * rd, "m2", n)
-        m3 = dot.euler - n * rd
-        if m3 <= 0:
-            raise ArithmeticError("m3 = %d is not positive below D for n=%d" % (m3, n))
     else:
-        # mu = lambda above D; at D the multiplicities are still read at lambda:
-        # r_b (b - lambda)(D + 3) and r_a (3 + a - lambda)(D + 3) for lambda = u/v
-        u, v = ms.lam.numerator, ms.lam.denominator
+        # r_b (b - lambda)(D + 3) and r_a (3 + a - lambda)(D + 3)
         m1 = _exact_quotient((cb * v - u * rb) * (cd + 3 * rd), v * rd, "m1", n)
         m2 = _exact_quotient((3 * ra * v + ca * v - u * ra) * (cd + 3 * rd), v * rd, "m2", n)
-        m3 = n * rd - dot.euler
-        if not (m3 > 0 if case == CASE_ABOVE_DOT else m3 == 0):
-            raise ArithmeticError("m3 = %d has the wrong sign for %s, n=%d" % (m3, case, n))
     k = 3 * rd * m1 - m2
     if not (m1 > 0 and m2 > 0 and k > 0):
         raise ArithmeticError("m1, m2, k = %d, %d, %d for n=%d not all positive" % (m1, m2, k, n))
 
-    if case == CASE_BELOW_DOT:
-        terms = ((a.dual_twist(-3), -m1), (b.dual_twist(0), k), (dot.dual_twist(0), m3))
-    else:
-        terms = ((a.dual_twist(-3), -k), (b.dual_twist(0), m1))
-        if case == CASE_ABOVE_DOT:
-            terms += ((dot.dual_twist(-3), -m3),)
-    chars = tuple(exceptional_character(s) for s, _ in terms)
+    # at s = 0 there is no third slope, so zip drops the third multiplicity
+    mults = (-m1, k, s) if s > 0 else (-k, m1, s)
+    terms = tuple(zip(_term_slopes(a, b, dot, s), mults))
+    chars = tuple(exceptional_character(t) for t, _ in terms)
     # the sum of m (R, C, D)/N over the terms, over the product of the N
     r = c = d = 0
     den = 1
@@ -204,8 +216,7 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
         den *= nt
     if (r, c, d) != (den, 0, -n * den):
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
-    sporadic = case == CASE_BELOW_DOT and m3 * rd <= 2
-    return _Numerics(a, b, m1, m2, m3, k, terms, chars, sporadic)
+    return _Numerics(a, b, m1, m2, abs(s), k, terms, chars, s > 0 and s * rd <= 2)
 
 
 def gaeta_resolution(n) -> ResolutionData:
@@ -213,25 +224,26 @@ def gaeta_resolution(n) -> ResolutionData:
 
     n is an int or the MinSlopeResult of min_slope(n).  The slope D =
     alpha.beta of the minimal-slope computation sorts n into three cases by the
-    position of mu relative to D.  In the AtDot case the ideal sheaf is
-    resolved directly by the parent bundles and W degenerates to I_Z itself, so
-    w_sequence is empty there.  The numbers and their checks come from the
+    sign of s = chi(E_D) - n r_D: mu lies below D when s > 0, at D when s = 0
+    and above D when s < 0, and case records that position.  At s = 0 the
+    ideal sheaf is resolved directly by the parent bundles and W degenerates
+    to I_Z itself, so w_sequence is empty there.  The numbers and their checks come from the
     integer core that kronecker_data shares, and each bundle term is its
     multiplicity times the character the core built.
     """
     ms = _min_slope_for(n, "resolution")
     num = _numerics(ms)
     first, second, *third = (
-        _bundle_term(s, abs(m), ch) for (s, m), ch in zip(num.terms, num.chars)
+        _bundle_term(t, abs(m), ch) for (t, m), ch in zip(num.terms, num.chars)
     )
     iz = ChernCharacter._of(1, 0, -ms.n)
     iz_term = SeqTerm("I_Z", iz)
-    case = ms.position
-    if case == CASE_BELOW_DOT:
+    s = _euler_excess(ms.n, ms.associated)
+    if s > 0:
         w_term = SeqTerm("W", first.char - second.char)
         w_seq = (w_term, first, second)
         iz_seq = (w_term, third[0], iz_term)
-    elif case == CASE_ABOVE_DOT:
+    elif s < 0:
         w_term = SeqTerm("W", second.char - first.char)
         w_seq = (first, second, w_term)
         iz_seq = (third[0], w_term, iz_term)
@@ -240,7 +252,7 @@ def gaeta_resolution(n) -> ResolutionData:
         w_seq = ()
         iz_seq = (first, second, iz_term)
     return ResolutionData(
-        ms.n, ms.mu, num.alpha, num.beta, ms.associated, case, num.sporadic,
+        ms.n, ms.mu, num.alpha, num.beta, ms.associated, ms.position, num.sporadic,
         num.m1, num.m2, num.m3, w_term.char, w_seq, iz_seq, num.terms,
     )
 
@@ -331,22 +343,24 @@ def kronecker_data(n) -> KroneckerData:
     """Kronecker-module invariants of the W bundle for n general points.
 
     n is an int, a MinSlopeResult or a ResolutionData.  Given an int or a
-    MinSlopeResult it reads m1, k and the case from the integer core that
+    MinSlopeResult it reads m1 and k from the integer core that
     gaeta_resolution shares, which runs every check of the resolution, and
     builds no sequence.  Raises KroneckerNotApplicableError when the minimal
     slope is exceptional (the quiver moduli map is birational rather than
-    fibered there) or when the case is sporadic and W only exists as a
-    two-term complex.  The window test and kr_dim both read the one integer
-    chi(e, e) = b^2 + a^2 - Nab.
+    fibered there; that is s = 0, and also the TriangularMinusOne n, where
+    s = 1 and mu = lambda = D) or when the case is sporadic, 0 < s r_D <= 2,
+    and W only exists as a two-term complex.  The sign of s = chi(E_D) - n r_D
+    gives rank_v: the numerator of D, plus N = 3 r_D when s < 0.  The window
+    test and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
     """
     if isinstance(n, ResolutionData):
         res = n
-        n, mu, dot, case = res.n, res.mu, res.dot_slope, res.case
+        n, mu, dot = res.n, res.mu, res.dot_slope
         m1, k, sporadic = res.m1, res.k, res.sporadic
     else:
         ms = _min_slope_for(n, "resolution")
         num = _numerics(ms)
-        n, mu, dot, case = ms.n, ms.mu, ms.associated, ms.position
+        n, mu, dot = ms.n, ms.mu, ms.associated
         m1, k, sporadic = num.m1, num.k, num.sporadic
     if mu == dot.value:
         raise KroneckerNotApplicableError(
@@ -357,13 +371,10 @@ def kronecker_data(n) -> KroneckerData:
             "n=%d is sporadic, W exists only as a two-term complex" % n
         )
     N = 3 * dot.rank
-    a = m1
-    b = k
+    a, b = m1, k
     chi = kronecker_euler(N, (b, a), (b, a))
-    # r_D D is the numerator of D, and r_D (D + 3) above D is that plus N
-    rank_v = dot.value.numerator
-    if case != CASE_BELOW_DOT:
-        rank_v += N
+    # r_D D is the numerator of D, and r_D (D + 3) when s < 0 is that plus N
+    rank_v = dot.value.numerator + (N if _euler_excess(n, dot) < 0 else 0)
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
     kr_dim = 1 - chi
     return KroneckerData(n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * n)

@@ -5,6 +5,13 @@ given slope to be nonempty, gamma packages it into a strictly increasing
 bijection of the nonnegative rationals, and min_slope inverts gamma at an
 integer to find the minimal slope attached to n general points.
 
+Where mu lies against the slope D with lambda in I_D is decided once, by the
+sign of the integer s = chi(E_D) - n r_D = chi(E_D (x) I_Z) (_euler_excess):
+mu is below D when s > 0, at D when s = 0 and above it when s < 0, and mu
+drops from lambda to D exactly when s = 0.  min_slope reads position and case
+off that sign, and the resolution, the collapsing wall and the Kronecker data
+read the sign again rather than the position string.
+
 The arithmetic is in integers, with a Fraction built only for an answer.  At
 an exceptional slope a = c/r, gamma(a) = (r chi_a - 1)/r^2, so gamma_inv's
 branch point for q = u/v is an integer pair that steers the walk unreduced
@@ -183,30 +190,37 @@ def _as_n(n) -> int:
     return n
 
 
+def _euler_excess(n: int, a: ExceptionalSlope) -> int:
+    """s = chi(E_a) - n r_a, the Euler characteristic of E_a (x) I_Z for n points."""
+    return a.euler - n * a.rank
+
+
 def min_slope(n: int) -> MinSlopeResult:
     """Minimal slope mu of the effective-cone computation for n points.
 
-    lambda = gamma_inv(n) always satisfies gamma(lambda) = n; the slope drops
-    to the left endpoint alpha of its interval exactly when the exceptional
-    bundle there has chi/r >= n, and that shortcut firing is what the
-    ExceptionalBundle case records.
+    lambda = gamma_inv(n) always satisfies gamma(lambda) = n and lies in I_D.
+    The sign of s = chi(E_D) - n r_D places mu against D: below when s > 0,
+    at D when s = 0, where the exceptional bundle has chi/r = n and the slope
+    drops from lambda > D to D (the ExceptionalBundle case), and above when
+    s < 0.  For r_D > 1, lambda < D reads n r_D^2 < r_D chi - 1, that is
+    s > 0; for r_D = 1, lambda = D exactly when n + 1 is triangular, and there
+    s = 1.  The one cross-check against the rationals, lambda <= D exactly when
+    s > 0, raises ArithmeticError.
     """
     n = _as_n(n)
     lam, a = _gamma_inv(n)
-    if a.value <= lam and a.euler >= n * a.rank:
-        mu = a.value
-    else:
-        mu = lam
+    s = _euler_excess(n, a)
+    if (s > 0) != (lam <= a.value):
+        raise ArithmeticError("n=%d: s = %d puts lambda %s on the wrong side of D" % (n, s, lam))
+    mu = a.value if s == 0 else lam
+    position = CASE_BELOW_DOT if s > 0 else CASE_ABOVE_DOT if s else CASE_AT_DOT
     root = math.isqrt(8 * n + 9)
     if root * root == 8 * n + 9:
-        case, position = CASE_TRIANGULAR_MINUS_ONE, CASE_BELOW_DOT
+        case = CASE_TRIANGULAR_MINUS_ONE
         if not mu == lam == a.value:
             raise ArithmeticError("n + 1 = %d is triangular, but mu %s is not alpha" % (n + 1, mu))
-    elif mu != lam:
-        case, position = CASE_EXCEPTIONAL_BUNDLE, CASE_AT_DOT
     else:
-        case = CASE_NON_EXCEPTIONAL
-        position = CASE_BELOW_DOT if mu < a.value else CASE_ABOVE_DOT
+        case = CASE_EXCEPTIONAL_BUNDLE if s == 0 else CASE_NON_EXCEPTIONAL
     return MinSlopeResult(n, mu, lam, a, case, position)
 
 

@@ -197,14 +197,14 @@ def _suite_walls(depth: int, built: dict) -> list[CheckResult]:
     chain_total = 0
     bound = Fraction(5, 4)
     # W(x, y) = W(y, x), and neighbouring triads and chains share walls
-    built = {}
+    pair_walls = {}
 
     def pair_wall(x, y):
         a, b = (x.address.p, x.address.q), (y.address.p, y.address.q)
         key = (a, b) if a <= b else (b, a)
-        wall = built.get(key)
+        wall = pair_walls.get(key)
         if wall is None:
-            wall = built[key] = exceptional_pair_wall(x, y)
+            wall = pair_walls[key] = exceptional_pair_wall(x, y)
         return wall
 
     # the chains and balances take the triads of level <= CHAIN_LENGTH, a prefix
@@ -257,25 +257,31 @@ def _suite_walls(depth: int, built: dict) -> list[CheckResult]:
     return results
 
 
-# name: (suite, default depth, least depth); the suites that check n = 2..depth
-# would pass on no input below depth 2.  Each suite also takes a dict, one per
-# run_suite call, where the resolution suite leaves the ResolutionData of each n
-# for the kronecker suite.
+# name: (suite, default depth, least depth, most depth); the suites that check
+# n = 2..depth would pass on no input below depth 2.  cf and intervals enumerate
+# the slopes of level <= depth, whose number doubles with each level, so their
+# time grows about 3x (cf) and 4.5x (intervals) per level; the most depth is the
+# deepest level each finishes in about a minute on a 2-core machine with Python
+# 3.11 (cf: 5.6 s at 14, 19 s at 15, 66 s at 16; intervals: 9.3 s at 10, 53 s at
+# 11).  Each suite also takes a dict, one per run_suite call, where the
+# resolution suite leaves the ResolutionData of each n for the kronecker suite.
 _SUITES = {
-    "cf": (_suite_cf, 10, 1),
-    "intervals": (_suite_intervals, 8, 1),
-    "gamma": (_suite_gamma, 1000, 1),
-    "resolution": (_suite_resolution, 500, 2),
-    "kronecker": (_suite_kronecker, 500, 2),
-    "walls": (_suite_walls, 500, 2),
+    "cf": (_suite_cf, 10, 1, 16),
+    "intervals": (_suite_intervals, 8, 1, 11),
+    "gamma": (_suite_gamma, 1000, 1, None),
+    "resolution": (_suite_resolution, 500, 2, None),
+    "kronecker": (_suite_kronecker, 500, 2, None),
+    "walls": (_suite_walls, 500, 2, None),
 }
-DEFAULT_DEPTHS = {name: default for name, (_, default, _) in _SUITES.items()}
+DEFAULT_DEPTHS = {name: default for name, (_, default, _, _) in _SUITES.items()}
 
 
 def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
     """Run one named suite, or all of them, at the given (or default) depth.
 
     depth is None or an int; a bool, a float or a string raises TypeError.
+    Every selected suite's depth is checked against its least and most depth
+    before any suite runs, and a ValueError names the suite.
     """
     if depth is not None:
         depth = _as_int(depth, "depth")
@@ -283,16 +289,18 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
             raise ValueError("depth must be at least 1, got %d" % depth)
     if suite != "all" and suite not in _SUITES:
         raise ValueError("unknown suite %r" % suite)
-    built = {}
-    out = []
+    depths = {}
     for name in _SUITES if suite == "all" else (suite,):
-        check, default, least = _SUITES[name]
-        d = default if depth is None else depth
+        _, default, least, most = _SUITES[name]
+        d = depths[name] = default if depth is None else depth
         if d < least:
             message = "%s checks n = %d..depth, so depth must be at least %d"
             raise ValueError(message % (name, least, least))
-        out.extend(check(d, built))
-    return out
+        if most is not None and d > most:
+            message = "%s enumerates every slope of level <= depth, so depth must be at most %d"
+            raise ValueError(message % (name, most))
+    built = {}
+    return [result for name, d in depths.items() for result in _SUITES[name][0](d, built)]
 
 
 def format_report(results: list[CheckResult]) -> tuple[str, int]:

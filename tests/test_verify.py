@@ -192,3 +192,31 @@ def test_all_builds_each_resolution_once_and_reports_as_the_suites_do(monkeypatc
     # once one per n: kronecker_data(n) built a whole resolution for m1, k and the case
     run_suite("kronecker", 20)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "suite, depth, message",
+    [
+        ("cf", 17, "^cf enumerates every slope of level <= depth, so depth must be at most 16$"),
+        ("intervals", 12, "^intervals enumerates every slope .* at most 11$"),
+        ("all", 50, "^cf enumerates every slope .* at most 16$"),
+        ("all", 12, "^intervals enumerates every slope .* at most 11$"),
+        ("all", 1, "^resolution checks n = 2..depth, so depth must be at least 2$"),
+    ],
+)
+def test_every_depth_is_checked_before_any_suite_runs(monkeypatch, capsys, suite, depth, message):
+    # once --depth 50 ran cf over 2^50 slopes and never ended, and run_suite("all", 1)
+    # ran cf, intervals and gamma before it refused depth 1 for resolution
+    def refuse(depth, built):
+        raise AssertionError("a suite ran before every depth was checked")
+
+    monkeypatch.setattr(
+        verify, "_SUITES", {name: (refuse, *rest) for name, (_, *rest) in verify._SUITES.items()}
+    )
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, depth)
+    assert main(["verify", suite, "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
