@@ -9,10 +9,13 @@ slopes one level up, via the modified mean
 Every rational slope lies in exactly one interval I_alpha = (alpha - x_alpha,
 alpha + x_alpha).  One walk down the tree, _walk, serves every search:
 epsilon steers it by address, associated_slope by the side of a rational x,
-and stability's gamma_inv by the side of a rational branch point.  Slopes,
-their products and side(x) are computed in integers; every argument is an int
-or a Fraction, and the surd radius x_alpha is an output, built on first use,
-so no walk builds a QuadSurd.
+and stability's gamma_inv by the side of a rational branch point.  The
+intervals are ordered like their slopes, so on a run of moves to one side
+the walk gallops through the memo, asking about the run's slopes 2, 4, 8 ...
+levels further down, and a warm walk asks about a few slopes per run rather
+than one per level.  Slopes, their products and side(x) are computed in
+integers; every argument is an int or a Fraction, and the surd radius x_alpha
+is an output, built on first use, so no walk builds a QuadSurd.
 
 Twisting by O(k) maps the tree, its intervals and its addresses onto
 themselves: alpha + k sits at p/2^q + k and I_(alpha + k) = I_alpha + k.  So
@@ -221,14 +224,32 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
     they find; stability's gamma_inv walks from its own integer m.
 
     choose(slope) returns 0 to stop at slope, or a negative or positive number
-    to go on left or right of it.  The walk asks about k, then about k + 1 only
-    if k is rejected, and then about the slope between the two neighbours it
-    holds, read from the memo or built as their product.  So it builds exactly
-    the ancestors of the slope where it stops.  It raises CantorPointError
-    rather than go below level max_depth, and builds nothing below it.  Each
-    new slope costs one integer product and one integer Euler characteristic;
-    when choose steers by side of a rational, every level is decided in
-    integers and the walk builds no QuadSurd.
+    to go on left or right of it, and it must be the side of one fixed target:
+    of the rational x for associated_slope, of the address for epsilon, and
+    of gamma_inv's answer, whichever branch point steers it.  The walk asks
+    about k, then about k + 1 only if k is rejected, and then about the slope
+    between the two neighbours lo and hi that it holds at level q, read from
+    the memo or built as their product.  So it builds exactly the ancestors of
+    the slope where it stops.  It raises CantorPointError rather than go below
+    level max_depth, and builds nothing below it.  Each new slope costs one
+    integer product and one integer Euler characteristic; when choose steers
+    by side of a rational, every level is decided in integers and the walk
+    builds no QuadSurd.
+
+    After a move left at level q the walk would go on asking lo + 2^-t at
+    t = q + 1, q + 2, ... for as long as the target stays left (after a move
+    right, hi - 2^-t), so it gallops along that run through the memo.  It
+    asks about the run's slope 2 levels below the last one it moved to, then
+    4, 8, ... levels below, while the memo holds it and t <= max_depth; after
+    the first answer from the other side it halves the step at each probe,
+    down to the next level.  A jump is sound because the intervals are
+    disjoint and ordered like their slopes: a target left of I_(lo + 2^-t)
+    lies left of every interval the jump skips, so the walk goes on from
+    (lo, lo + 2^-t) as the level-by-level walk would.  A probe only reads the
+    memo, and an absent slope ends the gallop, so the walk builds nothing the
+    level-by-level walk would not.  A probe may read a twisted slope of
+    gamma_inv's tree whose ancestors are absent; the next level is still the
+    product of two adjacent slopes.
     """
     ends = []
     for p in (k, k + 1):
@@ -239,8 +260,9 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
             return end
         ends.append(end)
     lo, hi = ends
-    a = k
-    for q in range(1, max_depth + 1):
+    a, q = k, 0
+    while q < max_depth:
+        q += 1
         p = 2 * a + 1
         mid = _MEMO.get((p, q))
         if mid is None:
@@ -252,6 +274,25 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
             lo, a = mid, p
         else:
             hi, a = mid, p - 1
+        step, doubling = 2, True
+        while step > 1 and q + step <= max_depth:
+            # the run's slope at level q + step: hi - 2^-t going right, lo + 2^-t going left
+            p = ((a + 1) << step) - 1 if side > 0 else (a << step) + 1
+            far = _MEMO.get((p, q + step))
+            if far is None:
+                break
+            probe = choose(far)
+            if probe == 0:
+                return far
+            if (probe > 0) == (side > 0):
+                if side > 0:
+                    lo, a = far, p
+                else:
+                    hi, a = far, p - 1
+                q += step
+            else:
+                doubling = False
+            step = step * 2 if doubling else step // 2
     raise CantorPointError("no slope between %d and %d within depth %d" % (k, k + 1, max_depth))
 
 
@@ -260,8 +301,9 @@ def epsilon(addr) -> ExceptionalSlope:
 
     A memo hit is one dict read.  A miss with k = floor(p/2^q) walks down the
     unit tree towards u/2^q, u = p - k 2^q, steered by comparing u/2^q with
-    each address on the way, and builds the missing unit ancestors; the walk
-    is q levels deep and does not recurse.  It then twists that slope by k,
+    each address it asks about, and builds the missing unit ancestors; the
+    walk asks at most q + 2 slopes, fewer where it gallops along a run the
+    memo holds, and does not recurse.  It then twists that slope by k,
     so the memo holds the unit tree plus each twisted slope asked for, and no
     twisted ancestors.  The memo only ever gains value-identical entries for
     a given key, so concurrent readers are safe.
@@ -325,11 +367,19 @@ def associated_slope(x: RationalLike, max_depth: int = MAX_DEPTH) -> Exceptional
 
     With x = u/v and k = floor(x), the walk goes down the unit tree, steered
     by the side of x - k = w/v, w = u - kv, in integers at each slope it
-    meets, and the slope it lands on is twisted by k; x is in I_alpha exactly
-    when x - k is in I_(alpha - k).  Raises CantorPointError, naming k and
-    k + 1, when x's interval lies deeper than max_depth levels below the
-    integers, as for decimals of 54 or more digits just above (3 - sqrt 5)/2.
+    asks about, and the slope it lands on is twisted by k; x is in I_alpha
+    exactly when x - k is in I_(alpha - k).  A walk that lands at level q
+    asks about q + 2 slopes on an empty memo; on a warm one it gallops along
+    each run of moves to one side (see _walk), so a decimal near
+    (3 - sqrt 5)/2 that lands below level 60 asks about 9 to 18.  max_depth
+    is an int, read by _as_int, and a negative one raises ValueError.
+    Raises CantorPointError, naming k and k + 1, when x's interval lies
+    deeper than max_depth levels below the integers, as for decimals of 54 or
+    more digits just above (3 - sqrt 5)/2.
     """
+    max_depth = _as_int(max_depth, "max_depth")
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative, not %d" % max_depth)
     u, v = _as_ratio(x)
     k, w = divmod(u, v)
     try:

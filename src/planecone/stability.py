@@ -101,10 +101,12 @@ def gamma_inv(q) -> Fraction:
 
     gamma is affine on each half of every interval I_a, with slope a on the
     left half and a + 3 on the right, and gamma(a) = P(a) - 1 + D_a.  So at
-    each slope a the walk down the tree solves the affine piece facing q:
-    the solution lies in I_a exactly when the answer does, and otherwise on
-    the side of I_a where the answer lies.  The walk starts at the integer m
-    with gamma(m) = m(m + 3)/2 <= q < gamma(m + 1), and every decision in it
+    each slope a the walk down the tree asks about, it solves the affine
+    piece facing q: the solution lies in I_a exactly when the answer does,
+    and otherwise on the side of I_a where the answer lies, for every a.  So
+    the walk steers by the side of one target and may gallop along a run of
+    memo slopes.  It starts at the integer m with
+    gamma(m) = m(m + 3)/2 <= q < gamma(m + 1), and every decision in it
     compares integers.
     """
     return _gamma_inv(q)[0]

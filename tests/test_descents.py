@@ -21,7 +21,11 @@ gamma_inv's round trip is one integer identity, so its answer is the one
 Fraction it builds.  gaeta_resolution and kronecker_data share one integer
 core that builds each bundle term's character once and checks the assembly
 to I_Z in integers, so a warm resolution builds at most 9 characters, and
-the Kronecker data by min_slope(n) at most 3 and no sequence term.
+the Kronecker data by min_slope(n) at most 3 and no sequence term.  A walk
+on an empty memo asks about every level and builds exactly the ancestors of
+its landing; on a warm memo it gallops along each run of moves to one side,
+so a landing 60 levels down asks about at most 20 slopes and builds none,
+and no probe goes below max_depth.
 """
 
 import math
@@ -32,6 +36,7 @@ from fractions import Fraction
 import pytest
 
 import planecone.exceptional as exceptional
+import planecone.stability as stability
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
 from planecone.chern import ChernCharacter, exceptional_character
 from planecone.cli import main
@@ -255,6 +260,88 @@ def test_a_cantor_point_error_at_a_twist_names_its_integers():
                 exceptional.associated_slope(y, max_depth=64)
 
 
+def recording_walks(monkeypatch):
+    """Record every slope a walk asks choose about, from now on."""
+    asked = []
+    walk = exceptional._walk
+
+    def recording(k, choose, max_depth):
+        return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
+
+    for module in (exceptional, stability):
+        monkeypatch.setattr(module, "_walk", recording)
+    return asked
+
+
+def ancestors(p, q):
+    """The memo keys of the slope at p/2^q and of every slope its product needs."""
+    out, todo = set(), [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        while q and not p & 1:
+            p, q = p >> 1, q - 1
+        if (p, q) not in out:
+            out.add((p, q))
+            if q:
+                todo += [(p >> 1, q - 1), ((p >> 1) + 1, q - 1)]
+    return out
+
+
+def gamma_at(s):
+    return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
+
+
+@pytest.mark.parametrize("e", [5, 20, 40, 53])
+def test_a_cold_walk_asks_every_level_and_builds_the_ancestors(monkeypatch, e):
+    # a cold memo holds no slope of the run below the level reached, so no probe is made
+    x = first_decimal_above_golden(e)
+    landing = exceptional.associated_slope(x)
+    target, address = gamma_at(landing), landing.address
+    for ask in (
+        lambda: exceptional.associated_slope(x),
+        lambda: _gamma_inv(target)[1],
+        lambda: exceptional.epsilon(address),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(exceptional, "_MEMO", {})
+            asked = recording_walks(m)
+            a = ask()
+            assert a.address == address
+            assert len(asked) == address.q + 2 and asked[-1] is a
+            assert set(exceptional._MEMO) == ancestors(address.p, address.q)
+
+
+@pytest.mark.parametrize("k", [0, 7, -(10**15)])
+def test_a_warm_walk_to_level_60_asks_at_most_20_slopes(monkeypatch, k):
+    # once one per level, 62 to 66 for these landings
+    deep = [first_decimal_above_golden(e) for e in range(50, 54)]
+    inputs = [y for x in deep for y in (x + k, -x - k)]
+    for y in inputs:
+        exceptional.associated_slope(y)
+    built = count_slopes(monkeypatch)
+    asked = recording_walks(monkeypatch)
+    for y in inputs:
+        asked.clear()
+        a = exceptional.associated_slope(y)
+        assert a.address.q >= 60
+        assert len(asked) <= 20, (y, a.address.q, len(asked))
+    assert built == []
+
+
+def test_a_walk_capped_at_depth_40_asks_nothing_below_it(monkeypatch):
+    # the memo holds slopes of level 64 on the run, and the gallop stops at the cap
+    x = first_decimal_above_golden(53)
+    assert exceptional.associated_slope(x).address.q == 64
+    asked = recording_walks(monkeypatch)
+    for k in (0, 7):
+        for y, lo in ((x + k, k), (-x - k, -k - 1)):
+            asked.clear()
+            with pytest.raises(exceptional.CantorPointError) as raised:
+                exceptional.associated_slope(y, max_depth=40)
+            assert str(raised.value) == "no slope between %d and %d within depth 40" % (lo, lo + 1)
+            assert asked and max(s.address.q for s in asked) <= 40
+
+
 DEPTH = 12
 
 
@@ -280,9 +367,6 @@ def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
 
 def test_a_gamma_inv_walk_builds_as_many_fractions_at_any_depth(monkeypatch):
     # once about ten per level: 61 Fractions for a walk of depth 2 and 491 for depth 45
-    def gamma_at(s):
-        return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
-
     shallow, deep = gamma_at(exceptional.epsilon((1, 2))), gamma_at(exceptional.epsilon((1, 45)))
     qs = [shallow, deep, deep + Fraction(1, 10**40), Fraction(10**29 + 3), Fraction(123457, 1000)]
     depths = [_gamma_inv(q)[1].address.q for q in qs]

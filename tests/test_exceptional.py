@@ -30,6 +30,7 @@ from planecone.exceptional import (
 from planecone.stability import delta
 
 from decimal_oracle import oracle_cmp, times
+from sequential_walk import sequential_walk
 
 # every slope of denominator 2^q for q <= 3, in order
 LOW_DEPTH_VALUES = {
@@ -343,6 +344,21 @@ def test_enumerate_slopes_window_and_order():
         enumerate_slopes(True, 0, 1)
 
 
+def test_associated_slope_reads_max_depth_as_an_int():
+    # True once walked as depth 1, 2.5 and "3" failed in range() with an
+    # unrelated message, and -1 raised CantorPointError after asking 0 and 1
+    x = Fraction(2, 5)
+    for bad, kind in ((True, "bool"), (2.5, "float"), ("3", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match="^max_depth must be an int, not %s$" % kind):
+            associated_slope(x, max_depth=bad)
+    with pytest.raises(ValueError, match="^max_depth must be nonnegative, not -1$"):
+        associated_slope(x, max_depth=-1)
+    assert associated_slope(x, max_depth=2).value == x
+    with pytest.raises(CantorPointError, match="^no slope between 0 and 1 within depth 1$"):
+        associated_slope(x, max_depth=1)
+    assert associated_slope(3, max_depth=0).value == 3
+
+
 def test_is_adjacent_pair():
     # an argument is a slope, an address, or a slope's value; an integer is both
     assert is_adjacent_pair(epsilon(0), epsilon((1, 1)))
@@ -449,10 +465,14 @@ def test_epsilon_on_empty_memo_builds_exactly_its_ancestors(monkeypatch, addr):
 
 
 def walk_from_floor(monkeypatch, x):
-    """The walk associated_slope made before it read the unit tree, on a memo of its own."""
+    """The walk associated_slope made before it read the unit tree, on a memo of its own.
+
+    It is the level-by-level walk, kept in the tests, so the check does not
+    lean on the production walk it checks.
+    """
     with monkeypatch.context() as m:
         m.setattr(exceptional, "_MEMO", {})
-        return exceptional._walk(math.floor(x), lambda s: s.side(x), MAX_DEPTH)
+        return sequential_walk(math.floor(x), lambda s: s.side(x), MAX_DEPTH)
 
 
 def test_associated_slope_is_the_walk_from_floor_and_a_twist(monkeypatch):

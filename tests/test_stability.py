@@ -407,11 +407,14 @@ def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
     qs = [Fraction(rng.randrange(0, 10 ** rng.randrange(1, 31))) for _ in range(150)]
     qs += [Fraction(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
     qs += [Fraction(e.euler, e.rank) for e in enumerate_slopes(4, 0, 3)]
-    # gamma at a slope of level 40, and just above it, walk 40 levels down
+    # gamma at a slope of level 40 walks 40 levels down; 10^-60 above it the
+    # answer has left I_alpha, of radius about 10^-96, for the interval of its
+    # ancestor at level 37
     deep = epsilon((5, 40))
     at_deep = hilbert_poly(deep.value) - 1 + deep.discriminant
-    qs += [at_deep, at_deep + Fraction(1, 10 ** 60)]
-    levels = []
+    deep_qs = [at_deep, at_deep + Fraction(1, 10 ** 60)]
+    qs += deep_qs
+    levels = {}
     for q in qs:
         asked.clear()
         mu, a = _gamma_inv(q)
@@ -422,8 +425,9 @@ def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
             assert v > 0 and Fraction(u, v) == point, (q, s.value)
             assert s._side_of(u, v) == s._side_of(3 * u, 3 * v) == s.side(point), (q, s.value)
         assert mu == _fraction_branch(q, a)
-        levels.append(len(asked))
-    assert max(levels) > 40
+        levels[q] = a.address.q
+    # the walk gallops along runs, so it asks fewer slopes than it goes levels down
+    assert [levels[q] for q in deep_qs] == [40, 37]
 
 
 def test_gamma_inv_gives_up_below_depth_64():
