@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,8 +48,28 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _digit_count(k: int) -> int:
+    """The number of decimal digits of the int k > 0, counted without printing k."""
+    d = int(math.log10(k)) + 1
+    if k >= 10**d:
+        return d + 1
+    return d - 1 if k < 10 ** (d - 1) else d
+
+
 def _cmd_epsilon(args) -> int:
     slope = epsilon((args.p, args.q))
+    # the interpreter refuses to print an int of more than this many digits (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    c, r = slope.value.numerator, slope.rank
+    # every int either mode prints is at most one of these: the interval ends'
+    # numerators 2c -+ 3r and radicand 9r^2 - 4 bound the value and the discriminant
+    longest = _digit_count(max(2 * abs(c) + 3 * r, abs(slope.euler), 9 * r * r))
+    if limit and longest > limit:
+        raise ValueError(
+            "the slope at address %d/2^%d is too large to print: its rank has %d digits"
+            " and its invariants up to %d, over this interpreter's limit of %d digits per int"
+            % (slope.address.p, slope.address.q, _digit_count(r), longest, limit)
+        )
     left, right = slope.interval()
     text = "\n".join(
         [

@@ -7,12 +7,19 @@ the line-bundle resolution of general points for comparison, and
 kronecker_data extracts the Kronecker-quiver numerics that control the
 moduli space of W.
 
-Both read one integer core, _numerics: from min_slope(n) it computes the
-multiplicities m1, m2, m3 and k of the generalized Gaeta resolution, builds
-each bundle term's character once, and runs every check of the resolution,
-the assembly to I_Z included, in integers.  gaeta_resolution builds its exact
-sequences from those characters; kronecker_data, given n or min_slope(n),
-reads m1 and k off the core and builds no sequence.
+gaeta_resolution, kronecker_data and bridgeland.collapsing_wall all read one
+integer core, _numerics: from min_slope(n) it computes the multiplicities m1,
+m2, m3 and k of the generalized Gaeta resolution, takes each bundle term's
+character, and runs every check of the resolution, the assembly to I_Z
+included, in integers.  gaeta_resolution builds its exact sequences from
+those characters; kronecker_data, given n or min_slope(n), reads m1 and k off
+the core and builds no sequence; collapsing_wall reads the last term, the
+bundle that destabilizes I_Z.  For an int n the pair (min_slope(n), core) is
+memoized (_core_of), so the three answers on one n cost one walk and one core
+together.  The memo keeps the last _CORE_MEMO_SIZE = 512 n used, which holds
+the n = 2..500 that `verify all` sweeps at its default depth; the int is read
+before the memo is.  A MinSlopeResult argument costs no walk and builds its
+core without the memo.
 
 The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z)
 (stability._euler_excess), and nothing here compares a position string.  The
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -39,7 +47,7 @@ from .stability import (
     MinSlopeResult,
     _as_n,
     _euler_excess,
-    _min_slope_for,
+    min_slope,
 )
 
 CASE_TWO_S_LEQ = "TwoSLeq"
@@ -219,6 +227,31 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
     return _Numerics(a, b, m1, m2, abs(s), k, terms, chars, s > 0 and s * rd <= 2)
 
 
+# cores kept by n, least recently used out first: `verify all` at its default
+# depth sweeps n = 2..500 through the resolution, kronecker and walls suites,
+# and 512 holds that whole sweep
+_CORE_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_CORE_MEMO_SIZE)
+def _core_of(n: int) -> tuple[MinSlopeResult, _Numerics]:
+    """min_slope(n) and its core, for an int n >= 2 that _core has read."""
+    ms = min_slope(n)
+    return ms, _numerics(ms)
+
+
+def _core(n, what: str) -> tuple[MinSlopeResult, _Numerics]:
+    """min_slope(n) and its core: memoized for an int n, built for a MinSlopeResult.
+
+    The int is read before the memo is, so a bool, a float or an n < 2 raises
+    as it would without a memo, though lru_cache keys True as 1 and 2.0 as 2.
+    """
+    held = isinstance(n, MinSlopeResult)
+    if (n.n if held else _as_int(n, "n")) < 2:
+        raise ValueError("the %s is computed for n >= 2" % what)
+    return (n, _numerics(n)) if held else _core_of(n)
+
+
 def gaeta_resolution(n) -> ResolutionData:
     """Resolution of the ideal sheaf of n >= 2 general points.
 
@@ -228,11 +261,11 @@ def gaeta_resolution(n) -> ResolutionData:
     and above D when s < 0, and case records that position.  At s = 0 the
     ideal sheaf is resolved directly by the parent bundles and W degenerates
     to I_Z itself, so w_sequence is empty there.  The numbers and their checks come from the
-    integer core that kronecker_data shares, and each bundle term is its
-    multiplicity times the character the core built.
+    integer core that kronecker_data and collapsing_wall share, memoized for an
+    int n, and each bundle term is its multiplicity times the character the
+    core holds.
     """
-    ms = _min_slope_for(n, "resolution")
-    num = _numerics(ms)
+    ms, num = _core(n, "resolution")
     first, second, *third = (
         _bundle_term(t, abs(m), ch) for (t, m), ch in zip(num.terms, num.chars)
     )
@@ -344,8 +377,8 @@ def kronecker_data(n) -> KroneckerData:
 
     n is an int, a MinSlopeResult or a ResolutionData.  Given an int or a
     MinSlopeResult it reads m1 and k from the integer core that
-    gaeta_resolution shares, which runs every check of the resolution, and
-    builds no sequence.  Raises KroneckerNotApplicableError when the minimal
+    gaeta_resolution shares, memoized for an int n, which runs every check of
+    the resolution, and builds no sequence.  Raises KroneckerNotApplicableError when the minimal
     slope is exceptional (the quiver moduli map is birational rather than
     fibered there; that is s = 0, and also the TriangularMinusOne n, where
     s = 1 and mu = lambda = D) or when the case is sporadic, 0 < s r_D <= 2,
@@ -358,8 +391,7 @@ def kronecker_data(n) -> KroneckerData:
         n, mu, dot = res.n, res.mu, res.dot_slope
         m1, k, sporadic = res.m1, res.k, res.sporadic
     else:
-        ms = _min_slope_for(n, "resolution")
-        num = _numerics(ms)
+        ms, num = _core(n, "resolution")
         n, mu, dot = ms.n, ms.mu, ms.associated
         m1, k, sporadic = num.m1, num.k, num.sporadic
     if mu == dot.value:

@@ -224,11 +224,3 @@ def min_slope(n: int) -> MinSlopeResult:
     else:
         case = CASE_EXCEPTIONAL_BUNDLE if s == 0 else CASE_NON_EXCEPTIONAL
     return MinSlopeResult(n, mu, lam, a, case, position)
-
-
-def _min_slope_for(n, what: str) -> MinSlopeResult:
-    """min_slope(n) for an int n, or n itself when it is a MinSlopeResult; n must be >= 2."""
-    k = n.n if isinstance(n, MinSlopeResult) else _as_int(n, "n")
-    if k < 2:
-        raise ValueError("the %s is computed for n >= 2" % what)
-    return n if isinstance(n, MinSlopeResult) else min_slope(n)

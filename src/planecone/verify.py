@@ -43,7 +43,7 @@ def _aggregate(name: str, failures: list, total: int) -> CheckResult:
     return CheckResult(name, True, "%d checks" % total)
 
 
-def _suite_cf(depth: int, built: dict) -> list[CheckResult]:
+def _suite_cf(depth: int) -> list[CheckResult]:
     slopes = enumerate_slopes(depth, 0, 1)
     flag_failures = []
     congruence_failures = []
@@ -78,7 +78,7 @@ def _ends_apart(c: int, r: int, d: int, s: int) -> bool:
     return m <= 0 or m * m <= 4 * r * r * s * s * ra * sb
 
 
-def _suite_intervals(depth: int, built: dict) -> list[CheckResult]:
+def _suite_intervals(depth: int) -> list[CheckResult]:
     """Every pair of intervals I_alpha, alpha of depth <= depth in [0, 3], is disjoint.
 
     Each pair alpha = c/r < beta = d/s is decided by _ends_apart in integers:
@@ -101,7 +101,7 @@ def _suite_intervals(depth: int, built: dict) -> list[CheckResult]:
     return [_aggregate("interval disjointness", failures, total)]
 
 
-def _suite_gamma(depth: int, built: dict) -> list[CheckResult]:
+def _suite_gamma(depth: int) -> list[CheckResult]:
     failures = []
     prev = Fraction(-1)
     for n in range(1, depth + 1):
@@ -114,7 +114,7 @@ def _suite_gamma(depth: int, built: dict) -> list[CheckResult]:
     return [_aggregate("gamma inversion", failures, depth)]
 
 
-def _suite_resolution(depth: int, built: dict) -> list[CheckResult]:
+def _suite_resolution(depth: int) -> list[CheckResult]:
     assemble_failures = []
     rank_failures = []
     bound_failures = []
@@ -122,7 +122,7 @@ def _suite_resolution(depth: int, built: dict) -> list[CheckResult]:
     classical_failures = []
     classical_total = 0
     for n in range(2, depth + 1):
-        res = built[n] = gaeta_resolution(n)
+        res = gaeta_resolution(n)
         ideal = res.ideal_character()
         if ideal.astuple() != (1, 0, -n):
             assemble_failures.append("n=%d terms" % n)
@@ -154,13 +154,13 @@ def _suite_resolution(depth: int, built: dict) -> list[CheckResult]:
     ]
 
 
-def _suite_kronecker(depth: int, built: dict) -> list[CheckResult]:
+def _suite_kronecker(depth: int) -> list[CheckResult]:
     failures = []
     applicable = 0
     for n in range(2, depth + 1):
         try:
-            # the resolution suite's ResolutionData when it ran first, else n
-            kd = kronecker_data(built.get(n, n))
+            # the resolution core of n, which the resolution suite left in the memo
+            kd = kronecker_data(n)
         except KroneckerNotApplicableError:
             continue
         applicable += 1
@@ -177,7 +177,7 @@ def _triad_configs(depth: int):
             yield p, q
 
 
-def _suite_walls(depth: int, built: dict) -> list[CheckResult]:
+def _suite_walls(depth: int) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
         ms = min_slope(n)
@@ -263,8 +263,7 @@ def _suite_walls(depth: int, built: dict) -> list[CheckResult]:
 # time grows about 3x (cf) and 4.5x (intervals) per level; the most depth is the
 # deepest level each finishes in about a minute on a 2-core machine with Python
 # 3.11 (cf: 5.6 s at 14, 19 s at 15, 66 s at 16; intervals: 9.3 s at 10, 53 s at
-# 11).  Each suite also takes a dict, one per run_suite call, where the
-# resolution suite leaves the ResolutionData of each n for the kronecker suite.
+# 11).
 _SUITES = {
     "cf": (_suite_cf, 10, 1, 16),
     "intervals": (_suite_intervals, 8, 1, 11),
@@ -299,8 +298,7 @@ def run_suite(suite: str, depth: int | None = None) -> list[CheckResult]:
         if most is not None and d > most:
             message = "%s enumerates every slope of level <= depth, so depth must be at most %d"
             raise ValueError(message % (name, most))
-    built = {}
-    return [result for name, d in depths.items() for result in _SUITES[name][0](d, built)]
+    return [result for name, d in depths.items() for result in _SUITES[name][0](d)]
 
 
 def format_report(results: list[CheckResult]) -> tuple[str, int]:

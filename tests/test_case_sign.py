@@ -28,6 +28,8 @@ from planecone.resolution import (
 )
 from planecone.stability import min_slope
 
+from core_memo import empty_core_memo
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
 
 _RNG = random.Random(18)
@@ -136,6 +138,9 @@ def test_a_lambda_on_the_wrong_side_of_d_raises(monkeypatch, n):
         return a.value + (Fraction(1, 7) if s > 0 else Fraction(-1, 7)), a
 
     monkeypatch.setattr(stability, "_gamma_inv", wrong_side)
+    # on an empty core memo every answer by n walks through the patched _gamma_inv
+    empty_core_memo(monkeypatch)
     message = "^n=%d: s = -?\\d+ puts lambda \\S+ on the wrong side of D$" % n
-    with pytest.raises(ArithmeticError, match=message):
-        min_slope(n)
+    for fn in (min_slope, gaeta_resolution, collapsing_wall, kronecker_data):
+        with pytest.raises(ArithmeticError, match=message):
+            fn(n)

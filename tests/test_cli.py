@@ -169,6 +169,27 @@ def test_epsilon_deep_address_prints_its_interval(capsys):
     assert out.splitlines()[-1] == "interval (0.3819660112501051, 0.3819660112501051)"
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_epsilon_too_large_to_print_names_its_address_and_rank_digits(capsys, mode):
+    # once "error: Exceeds the limit (4300 digits) for integer string conversion;
+    # use sys.set_int_max_str_digits() to increase the limit", in both modes.
+    # 349525 is 1010...101 in binary: along a zigzag address the rank grows fast.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 13774:
+        pytest.skip("this interpreter prints every int of 13774 digits")
+    code, out, err = run(capsys, ["epsilon", "--p", "349525", "--q", "20", *mode])
+    assert code == 2 and out == ""
+    message = (
+        "error: the slope at address 349525/2^20 is too large to print: its rank has 6887"
+        " digits and its invariants up to 13774, over this interpreter's limit of %d digits"
+        " per int\n" % limit
+    )
+    assert err == message
+    # four levels up the rank has 1005 digits, and every invariant prints
+    code, out, err = run(capsys, ["epsilon", "--p", "21845", "--q", "16", *mode])
+    assert code == 0 and err == ""
+
+
 def test_reader_closing_the_pipe_gets_exit_one_and_no_traceback():
     # `planecone table 2 5000 | head -1` once printed a BrokenPipeError traceback.
     # The table is 81 kB, more than a pipe holds, so the writer is still

@@ -6,8 +6,12 @@ take every twist and dual of alpha, beta and D from their addresses, so on a
 warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
 reads delta from the slope it found.  A caller that holds min_slope(n) passes
 it on, so the resolution, the collapsing wall and the Kronecker data of one n
-cost one walk together.  gamma_inv steers by rationals and kronecker_data
-reads its window off an integer Euler form, so no warm answer builds a surd.
+cost one walk together.  Called with a bare n, the three read one memoized
+resolution core, so together they cost one walk and one core, and a repeat
+costs neither; a test that counts the work of one answer on a repeated n
+reads an empty core memo (core_memo.py).  gamma_inv steers by rationals and
+kronecker_data reads its window off an integer Euler form, so no warm answer
+builds a surd.
 The verify suites name every slope they build by its dyadic address.  Each
 count is taken on a warm memo, because an epsilon that misses the memo walks
 too.  The surd count of a walk steered by a rational is also taken cold: it
@@ -35,7 +39,9 @@ from fractions import Fraction
 
 import pytest
 
+import planecone.chern as chern
 import planecone.exceptional as exceptional
+import planecone.resolution as resolution
 import planecone.stability as stability
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
 from planecone.chern import ChernCharacter, exceptional_character
@@ -49,6 +55,8 @@ from planecone.resolution import (
 )
 from planecone.stability import _gamma_inv, min_slope
 from planecone.verify import run_suite
+
+from core_memo import empty_core_memo
 
 
 def count_calls(monkeypatch, name):
@@ -131,11 +139,14 @@ ANSWERS = [min_slope, gaeta_resolution, collapsing_wall, kronecker_data]
 
 @pytest.mark.parametrize("fn", ANSWERS, ids=lambda fn: fn.__name__)
 def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
+    # the repeat reads an empty core memo, so it still does one whole answer's walk
+    cores = empty_core_memo(monkeypatch)
     walks = count_calls(monkeypatch, "_walk")
     lookups = count_calls(monkeypatch, "exceptional_slope_of")
     for n in range(2, 201):
         answer(fn, n)
         walks.clear()
+        cores.cache_clear()
         answer(fn, n)
         assert len(walks) <= 1, (n, walks)
         assert lookups == [], (n, lookups)
@@ -165,11 +176,73 @@ def test_results_passed_along_cost_one_walk(monkeypatch):
 def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
     # once two walks: the printed wall and the SVG each called collapsing_wall(n)
     argv = ["walls", "--n", "25", "--svg", str(tmp_path / "walls.svg")]
+    cores = empty_core_memo(monkeypatch)
     assert main(argv) == 0
+    cores.cache_clear()
     walks = count_calls(monkeypatch, "_walk")
     assert main(argv) == 0
     assert len(walks) == 1, walks
     capsys.readouterr()
+
+
+def count_cores(monkeypatch):
+    """Record the n of every resolution core built from now on."""
+    original = resolution._numerics
+    built = []
+
+    def counted(ms):
+        built.append(ms.n)
+        return original(ms)
+
+    monkeypatch.setattr(resolution, "_numerics", counted)
+    return built
+
+
+def by_n(n):
+    """Resolution, collapsing wall and Kronecker data, each called with the bare n."""
+    gaeta_resolution(n)
+    collapsing_wall(n)
+    answer(kronecker_data, n)
+
+
+def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
+    # once three walks, two cores and 5 to 7 exceptional_character builds per n:
+    # each answer called min_slope(n), gaeta_resolution and kronecker_data each
+    # ran the core, and collapsing_wall built its destabilizer's character again
+    ns = range(2, 201)
+    for n in ns:
+        by_n(n)
+    empty_core_memo(monkeypatch)
+    walks = count_calls(monkeypatch, "_walk")
+    cores = count_cores(monkeypatch)
+    characters = len(chern._CHARACTERS)
+    for n in ns:
+        by_n(n)
+        assert (len(walks), cores) == (1, [n]), (n, walks, cores)
+        walks.clear()
+        cores.clear()
+        by_n(n)
+        assert (walks, cores) == ([], []), (n, walks, cores)
+    # the memo holds every core of the sweep, and each slope's character was
+    # built once, by the first pass
+    for n in ns:
+        by_n(n)
+    assert (walks, cores) == ([], [])
+    assert len(chern._CHARACTERS) == characters
+
+
+def test_the_core_memo_reads_n_before_its_key(monkeypatch):
+    # lru_cache keys True as 1 and 2.0 as 2, so a memo read first would answer them
+    cores = empty_core_memo(monkeypatch)
+    cores(1)
+    cores(2)
+    for fn, n in [(gaeta_resolution, True), (kronecker_data, True), (collapsing_wall, 2.0)]:
+        with pytest.raises(TypeError, match="^n must be an int, not (bool|float)$"):
+            fn(n)
+    for fn in (gaeta_resolution, collapsing_wall, kronecker_data):
+        with pytest.raises(ValueError, match="is computed for n >= 2$"):
+            fn(1)
+    assert cores.cache_info().currsize == 2
 
 
 def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
@@ -191,10 +264,12 @@ def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
 )
 def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
     """kronecker_data decides its window by the sign of an integer Euler form."""
+    cores = empty_core_memo(monkeypatch)
     built = count_surds(monkeypatch)
     for n in range(2, 201):
         answer(fn, n)
         built.clear()
+        cores.cache_clear()
         out = answer(fn, n)
         assert len(built) <= (bound if out is not None else 0), (n, built)
 

@@ -207,7 +207,7 @@ def test_all_builds_each_resolution_once_and_reports_as_the_suites_do(monkeypatc
 def test_every_depth_is_checked_before_any_suite_runs(monkeypatch, capsys, suite, depth, message):
     # once --depth 50 ran cf over 2^50 slopes and never ended, and run_suite("all", 1)
     # ran cf, intervals and gamma before it refused depth 1 for resolution
-    def refuse(depth, built):
+    def refuse(depth):
         raise AssertionError("a suite ran before every depth was checked")
 
     monkeypatch.setattr(
