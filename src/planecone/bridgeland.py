@@ -25,7 +25,7 @@ from .chern import ChernCharacter, euler_pairing, exceptional_character
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import ExceptionalSlope, _as_slope, dot, epsilon, is_adjacent_pair
 from .resolution import _core
-from .stability import _delta, _euler_excess
+from .stability import _delta
 
 KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
@@ -82,20 +82,18 @@ def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
     )
 
 
-def collapsing_wall(n) -> Wall:
+def collapsing_wall(n: int) -> Wall:
     """Innermost wall, where the ideal sheaf of n general points collapses.
 
-    n is an int or the MinSlopeResult of min_slope(n).  The destabilizing
-    bundle is the last term of the resolution, and its character is the last
-    one that the resolution core built (resolution._core, memoized for an int
-    n and shared with gaeta_resolution and kronecker_data).  The sign of
-    s = chi(E_D) - n r_D fixes that term: E_{-D} when s > 0, E_{-D-3} when
-    s < 0, and E_{-beta} when s = 0, where the minimum is the exceptional slope
-    D itself and the radius^2 is 2 D_D + 1/4.
+    The destabilizing bundle is the last term of the resolution, and its
+    character is the last one that the resolution core built (resolution._core,
+    memoized by n and shared with gaeta_resolution and kronecker_data).  The
+    sign of the core's s = chi(E_D) - n r_D fixes that term: E_{-D} when
+    s > 0, E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is
+    the exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
     """
     ms, core = _core(n, "collapsing wall")
-    n, d = ms.n, ms.associated
-    s = _euler_excess(n, d)
+    d, s = ms.associated, core.s
     wall = wall_between(ChernCharacter._of(1, 0, -n), core.chars[-1])
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
     center = bridgeland_from_mori(-ms.mu)

@@ -7,26 +7,25 @@ the line-bundle resolution of general points for comparison, and
 kronecker_data extracts the Kronecker-quiver numerics that control the
 moduli space of W.
 
-gaeta_resolution, kronecker_data and bridgeland.collapsing_wall all read one
-integer core, _numerics: from min_slope(n) it computes the multiplicities m1,
-m2, m3 and k of the generalized Gaeta resolution, takes each bundle term's
-character, and runs every check of the resolution, the assembly to I_Z
-included, in integers.  gaeta_resolution builds its exact sequences from
-those characters; kronecker_data, given n or min_slope(n), reads m1 and k off
-the core and builds no sequence; collapsing_wall reads the last term, the
-bundle that destabilizes I_Z.  For an int n the pair (min_slope(n), core) is
-memoized (_core_of), so the three answers on one n cost one walk and one core
-together.  The memo keeps the last _CORE_MEMO_SIZE = 512 n used, which holds
-the n = 2..500 that `verify all` sweeps at its default depth; the int is read
-before the memo is.  A MinSlopeResult argument costs no walk and builds its
-core without the memo.
+gaeta_resolution, kronecker_data and bridgeland.collapsing_wall each take
+an int n and read one integer core, _numerics: from min_slope(n) it computes
+s and the multiplicities m1, m2 and k of the generalized Gaeta resolution,
+takes each bundle term's character, and runs every check of the resolution,
+the assembly to I_Z included, in integers.  gaeta_resolution builds its exact
+sequences from those characters; kronecker_data reads m1 and k off the core
+and builds no sequence; collapsing_wall reads the last term, the bundle that
+destabilizes I_Z.  The pair (min_slope(n), core) is memoized by n (_core_of),
+so the three answers on one n cost one walk and one core together.  The memo
+keeps the last _CORE_MEMO_SIZE = 512 n used, which holds the n = 2..500 that
+`verify all` sweeps at its default depth; the int is read before the memo is.
 
 The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z)
-(stability._euler_excess), and nothing here compares a position string.  The
-sign fixes the terms (_term_slopes): E_{-alpha-3} and E_{-beta}, then a third
-term E_{-D}^s when s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So
-m3 = |s|, the resolution is sporadic when 0 < s r_D <= 2, and the Kronecker
-rank of V is the numerator of D, plus 3 r_D when s <= 0.
+(stability._euler_excess), which the core computes once and carries, and
+nothing here compares a position string.  The sign fixes the terms
+(_term_slopes): E_{-alpha-3} and E_{-beta}, then a third term E_{-D}^s when
+s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So m3 = |s|, the
+resolution is sporadic when 0 < s r_D <= 2, and the Kronecker rank of V is
+the numerator of D, plus 3 r_D when s <= 0.
 """
 
 from __future__ import annotations
@@ -40,15 +39,7 @@ from typing import NamedTuple
 from .chern import ChernCharacter, exceptional_character, line_bundle
 from .exactnum import _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
-    MinSlopeResult,
-    _as_n,
-    _euler_excess,
-    min_slope,
-)
+from .stability import MinSlopeResult, _as_n, _euler_excess, min_slope
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
@@ -159,9 +150,10 @@ class _Numerics(NamedTuple):
 
     alpha: ExceptionalSlope
     beta: ExceptionalSlope
+    # s = chi(E_D) - n r_D, whose sign is the case; |s| is m3
+    s: int
     m1: int
     m2: int
-    m3: int
     k: int
     # (slope, mult) pairs presenting I_Z as in ResolutionData.terms, and their characters
     terms: tuple[tuple[ExceptionalSlope, int], ...]
@@ -185,7 +177,7 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
     """The parents, multiplicities and bundle terms of the resolution for min_slope(n).
 
     The sign of s = chi(E_D) - n r_D picks the case and _term_slopes the
-    terms; m3 = |s| is the third term's multiplicity, signed as s.  m1 and m2
+    terms; s is the third term's signed multiplicity, so m3 = |s|.  m1 and m2
     are read at lambda, which is mu except at s = 0, where mu = D.  Every check
     of the resolution runs here: m1 and m2 are integers, m1, m2 and k are
     positive, and the terms assemble to I_Z.  The last is one integer sum of
@@ -224,7 +216,7 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
         den *= nt
     if (r, c, d) != (den, 0, -n * den):
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
-    return _Numerics(a, b, m1, m2, abs(s), k, terms, chars, s > 0 and s * rd <= 2)
+    return _Numerics(a, b, s, m1, m2, k, terms, chars, s > 0 and s * rd <= 2)
 
 
 # cores kept by n, least recently used out first: `verify all` at its default
@@ -240,38 +232,36 @@ def _core_of(n: int) -> tuple[MinSlopeResult, _Numerics]:
     return ms, _numerics(ms)
 
 
-def _core(n, what: str) -> tuple[MinSlopeResult, _Numerics]:
-    """min_slope(n) and its core: memoized for an int n, built for a MinSlopeResult.
+def _core(n: int, what: str) -> tuple[MinSlopeResult, _Numerics]:
+    """min_slope(n) and its core, from the memo.
 
     The int is read before the memo is, so a bool, a float or an n < 2 raises
     as it would without a memo, though lru_cache keys True as 1 and 2.0 as 2.
     """
-    held = isinstance(n, MinSlopeResult)
-    if (n.n if held else _as_int(n, "n")) < 2:
+    if _as_int(n, "n") < 2:
         raise ValueError("the %s is computed for n >= 2" % what)
-    return (n, _numerics(n)) if held else _core_of(n)
+    return _core_of(n)
 
 
-def gaeta_resolution(n) -> ResolutionData:
+def gaeta_resolution(n: int) -> ResolutionData:
     """Resolution of the ideal sheaf of n >= 2 general points.
 
-    n is an int or the MinSlopeResult of min_slope(n).  The slope D =
-    alpha.beta of the minimal-slope computation sorts n into three cases by the
-    sign of s = chi(E_D) - n r_D: mu lies below D when s > 0, at D when s = 0
-    and above D when s < 0, and case records that position.  At s = 0 the
-    ideal sheaf is resolved directly by the parent bundles and W degenerates
-    to I_Z itself, so w_sequence is empty there.  The numbers and their checks come from the
-    integer core that kronecker_data and collapsing_wall share, memoized for an
-    int n, and each bundle term is its multiplicity times the character the
-    core holds.
+    The slope D = alpha.beta of the minimal-slope computation sorts n into
+    three cases by the sign of s = chi(E_D) - n r_D: mu lies below D when
+    s > 0, at D when s = 0 and above D when s < 0, and case records that
+    position.  At s = 0 the ideal sheaf is resolved directly by the parent
+    bundles and W degenerates to I_Z itself, so w_sequence is empty there.
+    The numbers, s and their checks come from the memoized integer core that
+    kronecker_data and collapsing_wall share, and each bundle term is its
+    multiplicity times the character the core holds.
     """
     ms, num = _core(n, "resolution")
     first, second, *third = (
         _bundle_term(t, abs(m), ch) for (t, m), ch in zip(num.terms, num.chars)
     )
-    iz = ChernCharacter._of(1, 0, -ms.n)
+    iz = ChernCharacter._of(1, 0, -n)
     iz_term = SeqTerm("I_Z", iz)
-    s = _euler_excess(ms.n, ms.associated)
+    s = num.s
     if s > 0:
         w_term = SeqTerm("W", first.char - second.char)
         w_seq = (w_term, first, second)
@@ -285,8 +275,8 @@ def gaeta_resolution(n) -> ResolutionData:
         w_seq = ()
         iz_seq = (first, second, iz_term)
     return ResolutionData(
-        ms.n, ms.mu, num.alpha, num.beta, ms.associated, ms.position, num.sporadic,
-        num.m1, num.m2, num.m3, w_term.char, w_seq, iz_seq, num.terms,
+        n, ms.mu, num.alpha, num.beta, ms.associated, ms.position, num.sporadic,
+        num.m1, num.m2, abs(s), w_term.char, w_seq, iz_seq, num.terms,
     )
 
 
@@ -372,13 +362,12 @@ def kronecker_euler(N: int, e, f) -> int:
     return b * bp + a * ap - _as_int(N, "N") * b * ap
 
 
-def kronecker_data(n) -> KroneckerData:
+def kronecker_data(n: int) -> KroneckerData:
     """Kronecker-module invariants of the W bundle for n general points.
 
-    n is an int, a MinSlopeResult or a ResolutionData.  Given an int or a
-    MinSlopeResult it reads m1 and k from the integer core that
-    gaeta_resolution shares, memoized for an int n, which runs every check of
-    the resolution, and builds no sequence.  Raises KroneckerNotApplicableError when the minimal
+    It reads s, m1 and k from the memoized integer core that gaeta_resolution
+    shares, which runs every check of the resolution, and builds no
+    sequence.  Raises KroneckerNotApplicableError when the minimal
     slope is exceptional (the quiver moduli map is birational rather than
     fibered there; that is s = 0, and also the TriangularMinusOne n, where
     s = 1 and mu = lambda = D) or when the case is sporadic, 0 < s r_D <= 2,
@@ -386,27 +375,21 @@ def kronecker_data(n) -> KroneckerData:
     gives rank_v: the numerator of D, plus N = 3 r_D when s < 0.  The window
     test and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
     """
-    if isinstance(n, ResolutionData):
-        res = n
-        n, mu, dot = res.n, res.mu, res.dot_slope
-        m1, k, sporadic = res.m1, res.k, res.sporadic
-    else:
-        ms, num = _core(n, "resolution")
-        n, mu, dot = ms.n, ms.mu, ms.associated
-        m1, k, sporadic = num.m1, num.k, num.sporadic
-    if mu == dot.value:
+    ms, num = _core(n, "resolution")
+    dot = ms.associated
+    if ms.mu == dot.value:
         raise KroneckerNotApplicableError(
             "n=%d has exceptional minimal slope, the moduli map is birational" % n
         )
-    if sporadic:
+    if num.sporadic:
         raise KroneckerNotApplicableError(
             "n=%d is sporadic, W exists only as a two-term complex" % n
         )
     N = 3 * dot.rank
-    a, b = m1, k
+    a, b = num.m1, num.k
     chi = kronecker_euler(N, (b, a), (b, a))
     # r_D D is the numerator of D, and r_D (D + 3) when s < 0 is that plus N
-    rank_v = dot.value.numerator + (N if _euler_excess(n, dot) < 0 else 0)
+    rank_v = dot.value.numerator + (N if num.s < 0 else 0)
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
     kr_dim = 1 - chi
     return KroneckerData(n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * n)

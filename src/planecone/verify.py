@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import resolution
 from .bridgeland import (
     collapsing_wall,
     exceptional_pair_wall,
@@ -20,9 +21,9 @@ from .chern import exceptional_character, euler_pairing
 from .contfrac import check_exceptional_cf
 from .exactnum import _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
-from .resolution import CASE_BELOW_DOT, classical_gaeta, gaeta_resolution, kronecker_data
+from .resolution import classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
-from .stability import gamma, gamma_inv, min_slope
+from .stability import CASE_BELOW_DOT, gamma, gamma_inv
 
 PAIR_DEPTH = 8
 CHAIN_LENGTH = 6
@@ -180,9 +181,10 @@ def _triad_configs(depth: int):
 def _suite_walls(depth: int) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
-        ms = min_slope(n)
-        wall = collapsing_wall(ms)
-        if (ms.lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
+        wall = collapsing_wall(n)
+        # lambda from the min_slope(n) memoized with the core the wall was read from
+        lam = resolution._core_of(n)[0].lam
+        if (lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
             collapse_failures.append("n=%d radius bound" % n)
         if wall.is_empty():
             collapse_failures.append("n=%d empty collapsing wall" % n)

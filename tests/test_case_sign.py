@@ -18,15 +18,8 @@ import pytest
 import planecone.stability as stability
 from planecone.bridgeland import collapsing_wall, wall_between
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
-from planecone.resolution import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
-    KroneckerNotApplicableError,
-    gaeta_resolution,
-    kronecker_data,
-)
-from planecone.stability import min_slope
+from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
+from planecone.stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, min_slope
 
 from core_memo import empty_core_memo
 
@@ -51,7 +44,7 @@ def test_the_sign_of_s_fixes_the_case_and_the_terms(ns):
         # mu = D when s = 0, where lambda > D, and mu = lambda at every other n
         assert ms.mu == (dot.value if s == 0 else ms.lam), n
         assert (ms.mu != ms.lam) == (s == 0), n
-        res = gaeta_resolution(ms)
+        res = gaeta_resolution(n)
         assert res.m3 == abs(s), n
         assert res.sporadic == (s > 0 and s * dot.rank <= 2), n
         # the third term is (D's dual twist by 0 or -3, s), absent at s = 0
@@ -62,11 +55,11 @@ def test_the_sign_of_s_fixes_the_case_and_the_terms(ns):
         # the collapsing wall is destabilized by the core's last term
         iz = ChernCharacter(1, 0, -n)
         last = exceptional_character(res.terms[-1][0])
-        assert collapsing_wall(ms) == wall_between(iz, last), n
+        assert collapsing_wall(n) == wall_between(iz, last), n
         # chi(E_{-D}, I_Z) = chi(E_D (x) I_Z) = s, the value verify checks against +-m3
         assert euler_pairing(exceptional_character(dot.dual_twist(0)), iz) == s, n
         try:
-            kd = kronecker_data(ms)
+            kd = kronecker_data(n)
         except KroneckerNotApplicableError:
             continue
         assert kd.rank_v == dot.value.numerator + (3 * dot.rank if s <= 0 else 0), n

@@ -4,12 +4,11 @@ exceptional._walk is the only loop that goes down the tree; epsilon,
 associated_slope and gamma_inv each steer one.  The resolution and the walls
 take every twist and dual of alpha, beta and D from their addresses, so on a
 warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
-reads delta from the slope it found.  A caller that holds min_slope(n) passes
-it on, so the resolution, the collapsing wall and the Kronecker data of one n
-cost one walk together.  Called with a bare n, the three read one memoized
-resolution core, so together they cost one walk and one core, and a repeat
-costs neither; a test that counts the work of one answer on a repeated n
-reads an empty core memo (core_memo.py).  gamma_inv steers by rationals and
+reads delta from the slope it found.  The resolution, the collapsing wall
+and the Kronecker data take n and read one memoized resolution core, so
+together they cost one walk and one core, and a repeat costs neither; a test
+that counts the work of one answer on a repeated n reads an empty core memo
+(core_memo.py).  gamma_inv steers by rationals and
 kronecker_data reads its window off an integer Euler form, so no warm answer
 builds a surd.
 The verify suites name every slope they build by its dyadic address.  Each
@@ -25,7 +24,7 @@ gamma_inv's round trip is one integer identity, so its answer is the one
 Fraction it builds.  gaeta_resolution and kronecker_data share one integer
 core that builds each bundle term's character once and checks the assembly
 to I_Z in integers, so a warm resolution builds at most 9 characters, and
-the Kronecker data by min_slope(n) at most 3 and no sequence term.  A walk
+the Kronecker data at most 3 and no sequence term, besides min_slope(n).  A walk
 on an empty memo asks about every level and builds exactly the ancestors of
 its landing; on a warm memo it gallops along each run of moves to one side,
 so a landing 60 levels down asks about at most 20 slopes and builds none,
@@ -152,27 +151,6 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
         assert lookups == [], (n, lookups)
 
 
-def all_three(n):
-    """Resolution, collapsing wall and Kronecker data, each passed what is already known."""
-    ms = min_slope(n)
-    res = gaeta_resolution(ms)
-    collapsing_wall(ms)
-    try:
-        kronecker_data(res)
-    except KroneckerNotApplicableError:
-        pass
-
-
-def test_results_passed_along_cost_one_walk(monkeypatch):
-    # by n, the three cost three walks: each of them calls min_slope
-    walks = count_calls(monkeypatch, "_walk")
-    for n in range(2, 201):
-        all_three(n)
-        walks.clear()
-        all_three(n)
-        assert len(walks) == 1, (n, walks)
-
-
 def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
     # once two walks: the printed wall and the SVG each called collapsing_wall(n)
     argv = ["walls", "--n", "25", "--svg", str(tmp_path / "walls.svg")]
@@ -229,6 +207,19 @@ def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
         by_n(n)
     assert (walks, cores) == ([], [])
     assert len(chern._CHARACTERS) == characters
+
+
+def test_a_warm_walls_suite_reads_the_cores_the_resolution_suite_left(monkeypatch):
+    # once 49 walks and 49 cores: the suite passed min_slope(n) to collapsing_wall,
+    # which built its core again outside the memo; the first round warms the
+    # slopes of the pair walls, which a cold epsilon walks to
+    run_suite("walls", 50)
+    empty_core_memo(monkeypatch)
+    run_suite("resolution", 150)
+    walks = count_calls(monkeypatch, "_walk")
+    cores = count_cores(monkeypatch)
+    assert all(r.passed for r in run_suite("walls", 50))
+    assert (len(walks), len(cores)) == (0, 0), (walks, cores)
 
 
 def test_the_core_memo_reads_n_before_its_key(monkeypatch):
@@ -428,7 +419,7 @@ DEPTH = 12
         ("gamma", DEPTH, 2 * DEPTH),  # gamma_inv's one and gamma's one per n
         ("resolution", DEPTH, DEPTH - 1),
         ("kronecker", DEPTH, DEPTH - 1),
-        ("walls", DEPTH, DEPTH - 1),  # min_slope's one per n, passed on to collapsing_wall
+        ("walls", DEPTH, DEPTH - 1),
     ],
 )
 def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
@@ -456,42 +447,49 @@ def test_a_gamma_inv_walk_builds_as_many_fractions_at_any_depth(monkeypatch):
     assert counts == [1] * len(qs), list(zip(depths, counts))
 
 
-def warm_min_slopes():
-    """min_slope(n) for n < 60 and 40 seeded n up to 10^15, each resolution built once."""
+def warm_resolutions(monkeypatch):
+    """n < 60 and 40 seeded n up to 10^15, each resolution built once.
+
+    From then on resolution reads min_slope(n) from the results held here,
+    and each core is built again on an empty core memo, so a count taken on
+    one of these n is the resolution's own work, besides min_slope's.
+    """
     rng = random.Random(23)
     ns = list(range(2, 60)) + [rng.randrange(10**4, 10**5) for _ in range(30)]
     ns += [rng.randrange(10**10, 10**15) for _ in range(10)]
-    results = [min_slope(n) for n in ns]
-    for ms in results:
-        gaeta_resolution(ms)
-    return results
+    held = {n: min_slope(n) for n in ns}
+    for n in ns:
+        gaeta_resolution(n)
+    monkeypatch.setattr(resolution, "min_slope", held.__getitem__)
+    empty_core_memo(monkeypatch)
+    return ns
 
 
 def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
     # once 49, 67 or 69 per n, from Fraction multiplicities and characters
-    results = warm_min_slopes()
+    ns = warm_resolutions(monkeypatch)
     built = count_fractions(monkeypatch)
     counts = {}
-    for ms in results:
+    for n in ns:
         built.clear()
-        gaeta_resolution(ms)
-        counts.setdefault(len(built), []).append(ms.n)
+        gaeta_resolution(n)
+        counts.setdefault(len(built), []).append(n)
     assert list(counts) == [0], counts
 
 
 def test_a_warm_resolution_builds_each_bundle_character_once(monkeypatch):
     # once 18 per n: the assembly check built every bundle character again
-    results = warm_min_slopes()
+    ns = warm_resolutions(monkeypatch)
     built = count_characters(monkeypatch)
-    for ms in results:
+    for n in ns:
         built.clear()
-        gaeta_resolution(ms)
-        assert len(built) <= 9, (ms.n, built)
+        gaeta_resolution(n)
+        assert len(built) <= 9, (n, built)
 
 
 def test_warm_kronecker_data_builds_no_sequence(monkeypatch):
     # once a whole second resolution: 18 characters and every SeqTerm per n
-    results = warm_min_slopes()
+    ns = warm_resolutions(monkeypatch)
     characters = count_characters(monkeypatch)
     terms = []
     original = SeqTerm.__init__
@@ -501,11 +499,11 @@ def test_warm_kronecker_data_builds_no_sequence(monkeypatch):
         terms.append(self)
 
     monkeypatch.setattr(SeqTerm, "__init__", counted)
-    for ms in results:
+    for n in ns:
         characters.clear()
-        answer(kronecker_data, ms)
-        assert len(characters) <= 3, (ms.n, characters)
-        assert terms == [], (ms.n, terms)
+        answer(kronecker_data, n)
+        assert len(characters) <= 3, (n, characters)
+        assert terms == [], (n, terms)
 
 
 def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
@@ -514,6 +512,8 @@ def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
     for n in ns:
         gaeta_resolution(n)
         collapsing_wall(n)
+    # each core is built again below, from the warm slopes
+    empty_core_memo(monkeypatch)
     built = []
     original = exceptional.DyadicAddress.__post_init__
 
@@ -523,8 +523,7 @@ def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
 
     monkeypatch.setattr(exceptional.DyadicAddress, "__post_init__", counted)
     for n in ns:
-        ms = min_slope(n)
-        res = gaeta_resolution(ms)
-        collapsing_wall(ms)
+        res = gaeta_resolution(n)
+        collapsing_wall(n)
         exceptional_pair_wall(res.alpha, res.beta)
     assert built == []

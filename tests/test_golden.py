@@ -90,7 +90,7 @@ def large_n():
         res = gaeta_resolution(n)
         out = [res.to_json(), collapsing_wall(n).to_json()]
         try:
-            out.append(kronecker_data(res).to_json())
+            out.append(kronecker_data(n).to_json())
         except ValueError as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
         out.append(exceptional_pair_wall(res.alpha, res.beta).to_json())

@@ -1,21 +1,17 @@
 """Every name a package module imports is used in that module.
 
 The scan reads each module's AST: an imported name counts as used when it
-appears as a name anywhere in the module.  Deliberate re-exports are listed
-in REEXPORTS and must stay importable from the module that re-exports them.
+appears as a name anywhere in the module.  No module re-exports a name it
+imports: each name is exported by the module that defines it.
 """
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-
-# tests and callers import the mu-versus-D positions from resolution
-REEXPORTS = {"resolution": {"CASE_ABOVE_DOT", "CASE_AT_DOT", "CASE_BELOW_DOT"}}
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -35,15 +31,8 @@ def used_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
-    unused = imported_names(tree) - used_names(tree) - REEXPORTS.get(module, set())
+    unused = imported_names(tree) - used_names(tree)
     assert not unused, "%s.py imports %s and never uses them" % (module, sorted(unused))
-
-
-@pytest.mark.parametrize("module", sorted(REEXPORTS))
-def test_reexports_stay_importable(module):
-    loaded = importlib.import_module("planecone." + module)
-    for name in REEXPORTS[module]:
-        assert hasattr(loaded, name), (module, name)
 
 
 def test_all_is_exactly_what_the_package_imports():

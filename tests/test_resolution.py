@@ -1,6 +1,5 @@
 """Generalized and classical point resolutions, and the Kronecker reduction."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +9,6 @@ from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
 from planecone.exactnum import QuadSurd
 from planecone.resolution import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
     CASE_TWO_S_GEQ,
     CASE_TWO_S_LEQ,
     classical_gaeta,
@@ -21,7 +17,14 @@ from planecone.resolution import (
     kronecker_euler,
     KroneckerNotApplicableError,
 )
-from planecone.stability import CASE_TRIANGULAR_MINUS_ONE, _delta, min_slope
+from planecone.stability import (
+    CASE_ABOVE_DOT,
+    CASE_AT_DOT,
+    CASE_BELOW_DOT,
+    CASE_TRIANGULAR_MINUS_ONE,
+    _delta,
+    min_slope,
+)
 
 from core_memo import empty_core_memo
 from decimal_oracle import oracle_cmp
@@ -170,8 +173,8 @@ def test_gaeta_resolution_input_validation():
         gaeta_resolution(0)
 
 
-@pytest.mark.parametrize("n", [-1, 0, 1, min_slope(1)], ids=["-1", "0", "1", "min_slope(1)"])
-def test_n_below_two_gets_one_message_by_n_or_passed_along(n):
+@pytest.mark.parametrize("n", [-1, 0, 1], ids=str)
+def test_n_below_two_gets_one_message(n):
     # the n < 2 guard runs before min_slope, whose own message for n <= 0 differs
     for fn, what in [
         (gaeta_resolution, "resolution"),
@@ -182,21 +185,11 @@ def test_n_below_two_gets_one_message_by_n_or_passed_along(n):
             fn(n)
 
 
-def kronecker_outcome(arg):
-    try:
-        return kronecker_data(arg).to_json()
-    except KroneckerNotApplicableError as exc:
-        return str(exc)
-
-
-def test_results_passed_along_give_the_answers_by_n():
+def test_the_resolutions_up_to_300_meet_every_case():
     seen = set()
     for n in range(2, 301):
-        ms = min_slope(n)
-        res = gaeta_resolution(ms)
+        res = gaeta_resolution(n)
         seen.add((res.case, res.sporadic))
-        assert res.to_json() == gaeta_resolution(n).to_json(), n
-        assert collapsing_wall(ms).to_json() == collapsing_wall(n).to_json(), n
     # every position of mu against D, and the sporadic case
     assert seen == {
         (CASE_BELOW_DOT, False),
@@ -204,14 +197,6 @@ def test_results_passed_along_give_the_answers_by_n():
         (CASE_AT_DOT, False),
         (CASE_ABOVE_DOT, False),
     }
-    # by n or min_slope(n), kronecker_data reads the integer core and builds no
-    # resolution, so those paths and the ResolutionData path run different code
-    rng = random.Random(16)
-    ns = list(range(2, 2001)) + [rng.randrange(10**5, 10**15) for _ in range(100)]
-    for n in ns:
-        ms = min_slope(n)
-        by_n = kronecker_outcome(n)
-        assert kronecker_outcome(gaeta_resolution(ms)) == kronecker_outcome(ms) == by_n, n
 
 
 # one n of each case of min_slope and of each position of mu against D
@@ -241,8 +226,6 @@ def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, 
     for fn in (gaeta_resolution, kronecker_data):
         with pytest.raises(ArithmeticError, match=message):
             fn(n)
-        with pytest.raises(ArithmeticError, match=message):
-            fn(min_slope(n))
 
 
 def test_classical_gaeta_examples():
@@ -324,7 +307,7 @@ def test_kronecker_dimension_is_the_moduli_dimension_of_w():
     for n in range(2, 1001):
         res = gaeta_resolution(n)
         try:
-            kd = kronecker_data(res)
+            kd = kronecker_data(n)
         except KroneckerNotApplicableError:
             continue
         applicable += 1

@@ -339,14 +339,17 @@ def test_min_slope_rejects_non_int_before_any_arithmetic(monkeypatch):
     def refuse(q):
         raise AssertionError("gamma_inv ran on a non-int n")
 
+    # the results the three answers once also took in place of n
+    held = (min_slope(5), gaeta_resolution(5))
     monkeypatch.setattr(stability, "_gamma_inv", refuse)
     # True once gave a row with n=True; 2.5 failed inside math.isqrt
     for bad in (True, 2.5, 6.0, Fraction(6)):
         with pytest.raises(TypeError):
             min_slope(bad)
     for fn in (gaeta_resolution, collapsing_wall, kronecker_data):
-        with pytest.raises(TypeError):
-            fn(2.5)
+        for bad in (2.5,) + held:
+            with pytest.raises(TypeError, match="^n must be an int, not %s$" % type(bad).__name__):
+                fn(bad)
 
 
 def test_gamma_inv_round_trip_failure_raises_arithmetic_error(monkeypatch):
