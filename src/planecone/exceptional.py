@@ -19,9 +19,9 @@ is an output, built on first use, so no walk builds a QuadSurd.
 
 Twisting by O(k) maps the tree, its intervals and its addresses onto
 themselves: alpha + k sits at p/2^q + k and I_(alpha + k) = I_alpha + k.  So
-epsilon and associated_slope walk only the unit tree between 0 and 1 and
-reach a slope under any other integer part by a twist (_twist), which builds
-that one slope and none of its twisted ancestors.
+all three walks go down only the unit tree between 0 and 1, and _walk twists
+where it stops by the integer part k (_twist), which builds that one slope
+and none of its twisted ancestors.
 """
 
 from __future__ import annotations
@@ -218,20 +218,19 @@ def _make_slope(value: Fraction, address: DyadicAddress) -> ExceptionalSlope:
 
 
 def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
-    """Walk down the slope tree between the integers k and k + 1 to where choose stops.
+    """Walk down the unit tree to where choose stops, and return that slope twisted by k.
 
-    epsilon and associated_slope walk the unit tree, k = 0, and twist what
-    they find; stability's gamma_inv walks from its own integer m.
-
-    choose(slope) returns 0 to stop at slope, or a negative or positive number
-    to go on left or right of it, and it must be the side of one fixed target:
-    of the rational x for associated_slope, of the address for epsilon, and
-    of gamma_inv's answer, whichever branch point steers it.  The walk asks
-    about k, then about k + 1 only if k is rejected, and then about the slope
-    between the two neighbours lo and hi that it holds at level q, read from
-    the memo or built as their product.  So it builds exactly the ancestors of
-    the slope where it stops.  It raises CantorPointError rather than go below
-    level max_depth, and builds nothing below it.  Each new slope costs one
+    choose(slope) is asked about unit slopes.  It returns 0 to stop at slope,
+    or a negative or positive number to go on left or right of it, and it
+    must be the side of one fixed target less k: of x - k for
+    associated_slope, of the unit address for epsilon, and of gamma_inv's
+    answer less m, whichever branch point steers it.  The walk asks about 0,
+    then about 1 only if 0 is rejected, and then about the slope between the
+    two neighbours lo and hi that it holds at level q, read from the memo or
+    built as their product.  So it builds exactly the unit ancestors of the
+    slope where it stops, and that slope's twist.  It raises CantorPointError,
+    naming k and k + 1, rather than go below level max_depth, and builds
+    nothing below it.  Each new slope costs one
     integer product and one integer Euler characteristic; when choose steers
     by side of a rational, every level is decided in integers and the walk
     builds no QuadSurd.
@@ -247,20 +246,18 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
     lies left of every interval the jump skips, so the walk goes on from
     (lo, lo + 2^-t) as the level-by-level walk would.  A probe only reads the
     memo, and an absent slope ends the gallop, so the walk builds nothing the
-    level-by-level walk would not.  A probe may read a twisted slope of
-    gamma_inv's tree whose ancestors are absent; the next level is still the
-    product of two adjacent slopes.
+    level-by-level walk would not.
     """
     ends = []
-    for p in (k, k + 1):
+    for p in (0, 1):
         end = _MEMO.get((p, 0))
         if end is None:
             end = _MEMO[(p, 0)] = _make_slope(Fraction(p), DyadicAddress(p, 0))
         if choose(end) == 0:
-            return end
+            return _twist(end, k)
         ends.append(end)
     lo, hi = ends
-    a, q = k, 0
+    a, q = 0, 0
     while q < max_depth:
         q += 1
         p = 2 * a + 1
@@ -269,7 +266,7 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
             mid = _MEMO[(p, q)] = _make_slope(dot(lo, hi), DyadicAddress(p, q))
         side = choose(mid)
         if side == 0:
-            return mid
+            return _twist(mid, k)
         if side > 0:
             lo, a = mid, p
         else:
@@ -283,7 +280,7 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
                 break
             probe = choose(far)
             if probe == 0:
-                return far
+                return _twist(far, k)
             if (probe > 0) == (side > 0):
                 if side > 0:
                     lo, a = far, p
@@ -303,8 +300,8 @@ def epsilon(addr) -> ExceptionalSlope:
     unit tree towards u/2^q, u = p - k 2^q, steered by comparing u/2^q with
     each address it asks about, and builds the missing unit ancestors; the
     walk asks at most q + 2 slopes, fewer where it gallops along a run the
-    memo holds, and does not recurse.  It then twists that slope by k,
-    so the memo holds the unit tree plus each twisted slope asked for, and no
+    memo holds, and does not recurse.  _walk twists that slope by k, so
+    the memo holds the unit tree plus each twisted slope asked for, and no
     twisted ancestors.  The memo only ever gains value-identical entries for
     a given key, so concurrent readers are safe.
     """
@@ -315,7 +312,7 @@ def epsilon(addr) -> ExceptionalSlope:
         return hit
     k = p >> q
     u = p - (k << q)
-    return _twist(_walk(0, lambda s: u - (s.address.p << (q - s.address.q)), q), k)
+    return _walk(k, lambda s: u - (s.address.p << (q - s.address.q)), q)
 
 
 def _twist(s: ExceptionalSlope, k: int) -> ExceptionalSlope:
@@ -367,7 +364,7 @@ def associated_slope(x: RationalLike, max_depth: int = MAX_DEPTH) -> Exceptional
 
     With x = u/v and k = floor(x), the walk goes down the unit tree, steered
     by the side of x - k = w/v, w = u - kv, in integers at each slope it
-    asks about, and the slope it lands on is twisted by k; x is in I_alpha
+    asks about, and _walk twists the slope it lands on by k; x is in I_alpha
     exactly when x - k is in I_(alpha - k).  A walk that lands at level q
     asks about q + 2 slopes on an empty memo; on a warm one it gallops along
     each run of moves to one side (see _walk), so a decimal near
@@ -382,12 +379,7 @@ def associated_slope(x: RationalLike, max_depth: int = MAX_DEPTH) -> Exceptional
         raise ValueError("max_depth must be nonnegative, not %d" % max_depth)
     u, v = _as_ratio(x)
     k, w = divmod(u, v)
-    try:
-        unit = _walk(0, lambda s: s._side_of(w, v), max_depth)
-    except CantorPointError:
-        message = "no slope between %d and %d within depth %d" % (k, k + 1, max_depth)
-        raise CantorPointError(message) from None
-    return _twist(unit, k)
+    return _walk(k, lambda s: s._side_of(w, v), max_depth)
 
 
 def exceptional_slope_of(value: RationalLike) -> ExceptionalSlope:

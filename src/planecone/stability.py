@@ -14,8 +14,8 @@ read the sign again rather than the position string.
 
 The arithmetic is in integers, with a Fraction built only for an answer.  At
 an exceptional slope a = c/r, gamma(a) = (r chi_a - 1)/r^2, so gamma_inv's
-branch point for q = u/v is an integer pair that steers the walk unreduced
-(see _gamma_inv); delta at mu = u/v is
+branch point for q = u/v at the twist of a unit slope is an integer pair that
+steers the unit-tree walk unreduced (see _gamma_inv); delta at mu = u/v is
 (w^2 - 3wvr + (r^2 + 1)v^2)/(2v^2r^2) with w = |ur - cv|; and min_slope's
 test chi_a/r >= n reads chi_a >= n r.  gamma_inv's round trip is that delta
 numerator again: gamma(x/y) = u/v at the unreduced answer x/y is one integer
@@ -105,23 +105,24 @@ def gamma_inv(q) -> Fraction:
     piece facing q: the solution lies in I_a exactly when the answer does,
     and otherwise on the side of I_a where the answer lies, for every a.  So
     the walk steers by the side of one target and may gallop along a run of
-    memo slopes.  It starts at the integer m with
-    gamma(m) = m(m + 3)/2 <= q < gamma(m + 1), and every decision in it
-    compares integers.
+    memo slopes.  It walks the unit tree and solves at each unit slope a the
+    piece of a + m, for the integer m with gamma(m) = m(m + 3)/2 <= q <
+    gamma(m + 1), and every decision in it compares integers.
     """
     return _gamma_inv(q)[0]
 
 
-def _branch(u: int, v: int, a: ExceptionalSlope) -> tuple[int, int]:
-    """The point where the affine piece of gamma on the half of I_a facing q = u/v takes q.
+def _branch(t: int, v: int, a: ExceptionalSlope, m: int) -> tuple[int, int]:
+    """The branch point of q = u/v at the slope a + m, less m, for t = u - v m(m + 3)/2.
 
-    It is the pair (c v s + w, v r s) that _gamma_inv derives, not reduced.
+    For a = c/r, chi_(a + m) = chi_a + m c + r m(m + 3)/2, and t holds the last term;
+    less m, the point is (c v s + w, v r s), not reduced, with w and s of a + m.
     """
     c, r = a.value.numerator, a.rank
-    w = u * r * r - v * (r * a.euler - 1)
+    w = r * (t * r - v * (a.euler + m * c)) + v
     if w == 0:
         return c, r
-    s = c + 3 * r if w > 0 else c
+    s = c + (m + 3) * r if w > 0 else c + m * r
     return c * v * s + w, v * r * s
 
 
@@ -137,9 +138,14 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     is homogeneous in (u, v) for v > 0, so each level steers by that pair
     unreduced, and only the answer becomes a Fraction.
 
-    The round trip is one integer identity on the unreduced answer x/y, y > 0.
-    It lies in I_a, so gamma(x/y) = P(x/y) - delta(x/y) without a second walk,
-    and with w = |xr - cy| gamma(x/y) = u/v reads
+    I_(a + m) = I_a + m, so the walk asks about unit slopes a and steers by the
+    branch point at a + m less m, with t = u - v m(m + 3)/2 computed once; the
+    memo gains no twisted slope but the answer, which _walk twists by m.
+
+    The round trip is one integer identity on the unreduced answer
+    x/y = _branch(u, v, a, 0), y > 0.  It lies in I_a, so gamma(x/y) =
+    P(x/y) - delta(x/y) without a second walk, and with w = |xr - cy|
+    gamma(x/y) = u/v reads
     v (r^2 (x^2 + 3xy + 2y^2) - (w^2 - 3wyr + (r^2 + 1)y^2)) = 2y^2r^2 u.
     """
     u, v = _as_ratio(q)
@@ -147,8 +153,9 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
         raise ValueError("gamma only takes nonnegative values")
     # gamma(m) = m(m + 3)/2 <= q < gamma(m + 1)
     m = (math.isqrt(9 + 8 * u // v) - 3) // 2
-    a = _walk(m, lambda s: s._side_of(*_branch(u, v, s)), MAX_DEPTH)
-    x, y = _branch(u, v, a)
+    t = u - v * (m * (m + 3) // 2)
+    a = _walk(m, lambda s: s._side_of(*_branch(t, v, s, m)), MAX_DEPTH)
+    x, y = _branch(u, v, a, 0)
     mu = Fraction(x, y)
     r2 = a.rank * a.rank
     if v * (r2 * (x * x + 3 * x * y + 2 * y * y) - _delta_numerator(x, y, a)) != 2 * y * y * r2 * u:

@@ -4,7 +4,10 @@ This is the walk as it was before it galloped along runs through the memo:
 it asks about every slope between the integers k, k + 1 and where choose
 stops, one level at a time, and builds each missing one as the product of
 its two neighbours.  It reads and fills exceptional._MEMO as it is when
-called, so a test that swaps the memo gives it the same one.
+called, so a test that swaps the memo gives it the same one.  With k = 0 it
+is the reference for _walk's unit-tree walk; any other k walks a twisted
+tree, as associated_slope and gamma_inv once did, and the tests compare
+those walks with the twisted answers of the unit tree.
 """
 
 from fractions import Fraction

@@ -18,8 +18,9 @@ decides every level in integers and builds no slope's radius.  gamma_inv's
 walk steers by integer pairs and the Chern characters are integer forms, so
 the Fractions an answer builds do not grow with the depth of its walk or the
 size of n, and a twist, dual or parent read from the memo builds no address.
-associated_slope and epsilon walk the unit tree and twist what they find, so
-a new twist of a slope the unit tree already holds builds that one slope.
+Every walk goes down the unit tree and twists where it stops, so a new twist
+of a slope the unit tree already holds builds that one slope, and min_slope
+leaves no slope outside the unit tree but its answers.
 gamma_inv's round trip is one integer identity, so its answer is the one
 Fraction it builds.  gaeta_resolution and kronecker_data share one integer
 core that builds each bundle term's character once and checks the assembly
@@ -315,6 +316,19 @@ def test_a_new_twist_of_a_warm_unit_slope_builds_one_slope(monkeypatch):
         assert built == [c] and c.value == a.value + k + 1
         built.clear()
         assert exceptional.associated_slope(x + k) is b and built == []
+
+
+def test_min_slope_leaves_no_slope_outside_the_unit_tree_but_its_answers(monkeypatch):
+    # gamma_inv once walked the tree between m and m + 1 and kept that twisted
+    # path, about one ancestor per large n besides the answer
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    rng = random.Random(26)
+    answers = set()
+    for _ in range(300):
+        a = min_slope(rng.randrange(10**3, 10 ** rng.randrange(4, 16))).associated
+        answers.add((a.address.p, a.address.q))
+    twisted = {(p, q) for p, q in exceptional._MEMO if not 0 <= p <= 1 << q}
+    assert twisted and twisted <= answers, sorted(twisted - answers)[:5]
 
 
 def test_a_cantor_point_error_at_a_twist_names_its_integers():

@@ -11,7 +11,8 @@ from the code before stability and chern moved from Fraction arithmetic to
 integer formulas.  The deep section, associated slopes and delta just above
 the twists and duals of (3 - sqrt 5)/2, was recorded from the code before
 associated_slope and epsilon walked only the unit tree [0, 1] and reached
-every other slope by a twist.
+every other slope by a twist.  Every digest held, unedited, when gamma_inv
+moved onto the unit tree too, so that no walk goes down a twisted tree.
 """
 
 import contextlib

@@ -1,5 +1,6 @@
 """The delta and gamma functions, nonemptiness, heights, and minimal slopes."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecone.exceptional as exceptional
 from planecone.bridgeland import (
     Wall,
     bridgeland_from_mori,
@@ -17,7 +19,9 @@ from planecone.bridgeland import (
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle, twist
 from planecone.exactnum import QuadSurd, fraction_str
 from planecone.exceptional import (
+    MAX_DEPTH,
     CantorPointError,
+    _twist,
     associated_slope,
     dot,
     enumerate_slopes,
@@ -45,6 +49,7 @@ from planecone.stability import (
 )
 
 from decimal_oracle import oracle_cmp, times
+from sequential_walk import sequential_walk
 
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(8), max_denominator=120
@@ -399,13 +404,16 @@ def _fraction_branch(q, a):
 def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
     import planecone.stability as stability
 
-    asked = []
+    asked, ks = [], []
     walk = stability._walk
 
     def recording(k, choose, max_depth):
+        ks.append(k)
         return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
 
     monkeypatch.setattr(stability, "_walk", recording)
+    # the reference twists every slope asked; those twists stay in a copy of the memo
+    monkeypatch.setattr(exceptional, "_MEMO", dict(exceptional._MEMO))
     rng = random.Random(22)
     qs = [Fraction(rng.randrange(0, 10 ** rng.randrange(1, 31))) for _ in range(150)]
     qs += [Fraction(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(150)]
@@ -420,17 +428,51 @@ def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
     levels = {}
     for q in qs:
         asked.clear()
+        ks.clear()
         mu, a = _gamma_inv(q)
-        assert asked[-1] is a
+        # the walk asks unit slopes and twists its landing by the integer part m
+        [m] = ks
+        assert _twist(asked[-1], m) is a
+        t = q.numerator - q.denominator * (m * (m + 3) // 2)
         for s in asked:
-            point = _fraction_branch(q, s)
-            u, v = _branch(q.numerator, q.denominator, s)
+            assert 0 <= s.value <= 1
+            point = _fraction_branch(q, _twist(s, m)) - m
+            u, v = _branch(t, q.denominator, s, m)
             assert v > 0 and Fraction(u, v) == point, (q, s.value)
             assert s._side_of(u, v) == s._side_of(3 * u, 3 * v) == s.side(point), (q, s.value)
         assert mu == _fraction_branch(q, a)
         levels[q] = a.address.q
-    # the walk gallops along runs, so it asks fewer slopes than it goes levels down
     assert [levels[q] for q in deep_qs] == [40, 37]
+
+
+def walk_of_the_twisted_tree(monkeypatch, q):
+    """The walk gamma_inv made before it steered unit slopes, on a memo of its own.
+
+    It goes down the tree between m and m + 1, gamma(m) <= q < gamma(m + 1),
+    level by level, and steers by the side of the Fraction branch point at
+    each twisted slope, so the check leans on neither the gallop nor the
+    integer branch it checks.
+    """
+    m = (math.isqrt(9 + 8 * math.floor(q)) - 3) // 2
+    assert m * (m + 3) / 2 <= q < (m + 1) * (m + 4) / 2
+    with monkeypatch.context() as mp:
+        mp.setattr(exceptional, "_MEMO", {})
+        return sequential_walk(m, lambda s: s.side(_fraction_branch(q, s)), MAX_DEPTH)
+
+
+def test_gamma_inv_lands_where_the_walk_of_the_twisted_tree_does(monkeypatch):
+    rng = random.Random(24)
+    qs = [Fraction(rng.randrange(0, 10 ** rng.randrange(1, 16))) for _ in range(120)]
+    qs += [Fraction(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 4)) for _ in range(120)]
+    deep = epsilon((5, 40))
+    at_deep = hilbert_poly(deep.value) - 1 + deep.discriminant
+    qs += [at_deep, at_deep + Fraction(1, 10 ** 60)]
+    fields = ("value", "address", "rank", "discriminant", "euler")
+    for q in qs:
+        mu, a = _gamma_inv(q)
+        ref = walk_of_the_twisted_tree(monkeypatch, q)
+        assert [getattr(a, f) for f in fields] == [getattr(ref, f) for f in fields], q
+        assert mu == _fraction_branch(q, ref), q
 
 
 def test_gamma_inv_gives_up_below_depth_64():
@@ -441,3 +483,5 @@ def test_gamma_inv_gives_up_below_depth_64():
     assert gamma_inv(gamma_at(epsilon((1, 64)))) == epsilon((1, 64)).value
     with pytest.raises(CantorPointError):
         gamma_inv(gamma_at(epsilon((1, 65))))
+    with pytest.raises(CantorPointError, match="between 12 and 13"):
+        gamma_inv(gamma_at(epsilon((12 * 2**65 + 1, 65))))
