@@ -85,18 +85,18 @@ def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
 def collapsing_wall(n: int) -> Wall:
     """Innermost wall, where the ideal sheaf of n general points collapses.
 
-    The destabilizing bundle is the last term of the resolution, and its
-    character is the last one that the resolution core built (resolution._core,
-    memoized by n and shared with gaeta_resolution and kronecker_data).  The
-    sign of the core's s = chi(E_D) - n r_D fixes that term: E_{-D} when
-    s > 0, E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is
-    the exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
+    The destabilizing bundle is the last term of the resolution of n, which
+    resolution._core memoizes by n and shares with gaeta_resolution and
+    kronecker_data; its character is a memo read.  The sign of the
+    resolution's s = chi(E_D) - n r_D fixes that term: E_{-D} when s > 0,
+    E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is the
+    exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
     """
-    ms, core = _core(n, "collapsing wall")
-    d, s = ms.associated, core.s
-    wall = wall_between(ChernCharacter._of(1, 0, -n), core.chars[-1])
+    res = _core(n, "collapsing wall")[1]
+    d, s = res.dot_slope, res.s
+    wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(res.terms[-1][0]))
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
-    center = bridgeland_from_mori(-ms.mu)
+    center = bridgeland_from_mori(-res.mu)
     if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
         raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
     # the radius checks compare cross products of radius^2 = x/y with each bound
@@ -104,7 +104,7 @@ def collapsing_wall(n: int) -> Wall:
     u, v = center.numerator, center.denominator
     if x * v * v != y * (u * u - 2 * n * v * v):
         raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
-    half = _delta(ms.mu, d) if s else d.discriminant
+    half = _delta(res.mu, d) if s else d.discriminant
     # 2 delta + 1/4 = (8 p + q)/(4 q) for delta = p/q
     if 4 * half.denominator * x != (8 * half.numerator + half.denominator) * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)

@@ -11,13 +11,13 @@ compares one or computes with one.  Every decision at an interval end is an
 integer formula on the slope's numerator and rank.  A QuadSurd holds
 (A + B*sqrt(d))/C in Python ints, with C > 0 and gcd(A, B, C) = 1, and offers
 its float, repr and JSON, and an exact == and hash for the tests and callers
-that keep surds in sets.
+that keep surds in sets.  A QuadSurd pulls the small square factors out of
+its radicand when it is built, with no memo: no walk or decision builds one.
 No floating point is used anywhere in a correctness path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -61,11 +61,10 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 _PRIMES = _small_primes(1000)
 
 
-@functools.lru_cache(maxsize=4096)
 def _extract_square(d: int) -> tuple[int, int]:
     """Return (m, d') with d = m^2 * d', pulling out small square factors.
 
-    Memoized: the slope arithmetic meets each radicand, one per rank, many times.
+    It runs once per printed QuadSurd, so nothing keeps its answers.
     """
     m = 1
     for p in _PRIMES:

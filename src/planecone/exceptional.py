@@ -316,11 +316,19 @@ def epsilon(addr) -> ExceptionalSlope:
 
 
 def _twist(s: ExceptionalSlope, k: int) -> ExceptionalSlope:
-    """The slope s.value + k at address p/2^q + k: a memo read, or one new slope stored."""
+    """The slope s.value + k at address p/2^q + k: a memo read, or one new slope stored.
+
+    A new twist of s = c/r is (c + k r)/r, with s's rank and discriminant and
+    chi = chi_s + k c + r k(k + 3)/2: one Fraction, its value, and no divmod.
+    """
     p, q = s.address.p + (k << s.address.q), s.address.q
     hit = _MEMO.get((p, q))
     if hit is None:
-        hit = _MEMO[(p, q)] = _make_slope(s.value + k, DyadicAddress(p, q))
+        c, r = s.value.numerator, s.rank
+        chi = s.euler + k * c + r * (k * (k + 3) // 2)
+        hit = _MEMO[(p, q)] = ExceptionalSlope(
+            Fraction(c + k * r, r), DyadicAddress(p, q), r, s.discriminant, chi
+        )
     return hit
 
 

@@ -8,24 +8,27 @@ kronecker_data extracts the Kronecker-quiver numerics that control the
 moduli space of W.
 
 gaeta_resolution, kronecker_data and bridgeland.collapsing_wall each take
-an int n and read one integer core, _numerics: from min_slope(n) it computes
-s and the multiplicities m1, m2 and k of the generalized Gaeta resolution,
-takes each bundle term's character, and runs every check of the resolution,
-the assembly to I_Z included, in integers.  gaeta_resolution builds its exact
-sequences from those characters; kronecker_data reads m1 and k off the core
-and builds no sequence; collapsing_wall reads the last term, the bundle that
-destabilizes I_Z.  The pair (min_slope(n), core) is memoized by n (_core_of),
-so the three answers on one n cost one walk and one core together.  The memo
-keeps the last _CORE_MEMO_SIZE = 512 n used, which holds the n = 2..500 that
-`verify all` sweeps at its default depth; the int is read before the memo is.
+an int n and read one record of the resolution, the ResolutionData that one
+builder, _numerics, makes from min_slope(n): it computes s and the
+multiplicities m1, m2 and k of the generalized Gaeta resolution, takes each
+bundle term's character, runs every check of the resolution, the assembly to
+I_Z included, in integers, and builds the two exact sequences.
+gaeta_resolution returns that record; kronecker_data reads m1, k and s off
+it; collapsing_wall reads its last term, the bundle that destabilizes I_Z.
+The pair (min_slope(n), record) is memoized by n (_core_of), so the three
+answers on one n cost one walk and one build together, and a repeat returns
+the same record.  The memo keeps the last _CORE_MEMO_SIZE = 512 n used,
+which holds the n = 2..500 that `verify all` sweeps at its default depth; the
+int is read before the memo is.
 
 The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z)
-(stability._euler_excess), which the core computes once and carries, and
-nothing here compares a position string.  The sign fixes the terms
-(_term_slopes): E_{-alpha-3} and E_{-beta}, then a third term E_{-D}^s when
-s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So m3 = |s|, the
-resolution is sporadic when 0 < s r_D <= 2, and the Kronecker rank of V is
-the numerator of D, plus 3 r_D when s <= 0.
+(stability._euler_excess), which _numerics computes once and the record
+carries as its field s, and nothing here compares a position string.  The
+sign fixes the terms (_term_slopes): E_{-alpha-3} and E_{-beta}, then a third
+term E_{-D}^s when s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So
+m3 = |s|, a property of the record, the resolution is sporadic when
+0 < s r_D <= 2, and the Kronecker rank of V is the numerator of D, plus 3 r_D
+when s <= 0.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
 
 from .chern import ChernCharacter, exceptional_character, line_bundle
 from .exactnum import _as_int, fraction_str
@@ -62,12 +64,6 @@ class SeqTerm:
         return out
 
 
-def _bundle_term(slope: ExceptionalSlope, mult: int, char: ChernCharacter) -> SeqTerm:
-    """The term E(slope)^mult, from the character char of E(slope)."""
-    label = "E(%s)^%d" % (fraction_str(slope.value), mult)
-    return SeqTerm(label, mult * char, slope.value, mult)
-
-
 def _normalize_terms(negatives, positives):
     """Drop zero multiplicities and sort each side by slope."""
     return tuple(tuple(sorted(t for t in side if t[1])) for side in (negatives, positives))
@@ -83,6 +79,14 @@ def _total(terms, character) -> ChernCharacter:
 
 @dataclass(frozen=True)
 class ResolutionData:
+    """The generalized Gaeta resolution of I_Z for n general points.
+
+    alpha and beta are the parents of D = dot_slope, and case is min_slope's
+    position of mu against D.  s = chi(E_D) - n r_D is the signed multiplicity
+    of the third term, whose sign is the case, and m3 = |s|.  terms presents
+    I_Z as (slope, mult) pairs, mult < 0 on the left of the complex.
+    """
+
     n: int
     mu: Fraction
     alpha: ExceptionalSlope
@@ -92,12 +96,16 @@ class ResolutionData:
     sporadic: bool
     m1: int
     m2: int
-    m3: int
+    s: int
     w_char: ChernCharacter
     w_sequence: tuple[SeqTerm, ...]
     iz_sequence: tuple[SeqTerm, ...]
-    # (slope, mult) pairs presenting I_Z, mult < 0 on the left of the complex
     terms: tuple[tuple[ExceptionalSlope, int], ...]
+
+    @property
+    def m3(self) -> int:
+        """Multiplicity |s| of the third bundle term."""
+        return abs(self.s)
 
     @property
     def k(self) -> int:
@@ -145,22 +153,6 @@ def _exact_quotient(num: int, den: int, what: str, n: int) -> int:
     return m
 
 
-class _Numerics(NamedTuple):
-    """The integers of one resolution, with each bundle term's character built once."""
-
-    alpha: ExceptionalSlope
-    beta: ExceptionalSlope
-    # s = chi(E_D) - n r_D, whose sign is the case; |s| is m3
-    s: int
-    m1: int
-    m2: int
-    k: int
-    # (slope, mult) pairs presenting I_Z as in ResolutionData.terms, and their characters
-    terms: tuple[tuple[ExceptionalSlope, int], ...]
-    chars: tuple[ChernCharacter, ...]
-    sporadic: bool
-
-
 def _term_slopes(a, b, dot, s: int) -> tuple[ExceptionalSlope, ...]:
     """The slopes of the resolution's bundle terms for s = chi(E_D) - n r_D, in order.
 
@@ -173,8 +165,8 @@ def _term_slopes(a, b, dot, s: int) -> tuple[ExceptionalSlope, ...]:
     return slopes + (dot.dual_twist(0 if s > 0 else -3),) if s else slopes
 
 
-def _numerics(ms: MinSlopeResult) -> _Numerics:
-    """The parents, multiplicities and bundle terms of the resolution for min_slope(n).
+def _numerics(ms: MinSlopeResult) -> ResolutionData:
+    """The resolution for min_slope(n): its one builder, which the memo keeps.
 
     The sign of s = chi(E_D) - n r_D picks the case and _term_slopes the
     terms; s is the third term's signed multiplicity, so m3 = |s|.  m1 and m2
@@ -182,7 +174,7 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
     of the resolution runs here: m1 and m2 are integers, m1, m2 and k are
     positive, and the terms assemble to I_Z.  The last is one integer sum of
     m (R, C, D)/N over the characters (R, C, D)/N of the terms, against
-    (1, 0, -n).
+    (1, 0, -n).  Then it builds the two exact sequences through W.
     """
     n, dot = ms.n, ms.associated
     a, b = parent_pair(dot)
@@ -216,24 +208,46 @@ def _numerics(ms: MinSlopeResult) -> _Numerics:
         den *= nt
     if (r, c, d) != (den, 0, -n * den):
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
-    return _Numerics(a, b, s, m1, m2, k, terms, chars, s > 0 and s * rd <= 2)
+
+    first, second, *third = (
+        SeqTerm("E(%s)^%d" % (fraction_str(t.value), abs(m)), abs(m) * ch, t.value, abs(m))
+        for (t, m), ch in zip(terms, chars)
+    )
+    iz = ChernCharacter._of(1, 0, -n)
+    iz_term = SeqTerm("I_Z", iz)
+    if s > 0:
+        w_term = SeqTerm("W", first.char - second.char)
+        w_seq = (w_term, first, second)
+        iz_seq = (w_term, third[0], iz_term)
+    elif s < 0:
+        w_term = SeqTerm("W", second.char - first.char)
+        w_seq = (first, second, w_term)
+        iz_seq = (third[0], w_term, iz_term)
+    else:
+        w_term = SeqTerm("W", iz)
+        w_seq = ()
+        iz_seq = (first, second, iz_term)
+    return ResolutionData(
+        n, ms.mu, a, b, dot, ms.position, s > 0 and s * rd <= 2,
+        m1, m2, s, w_term.char, w_seq, iz_seq, terms,
+    )
 
 
-# cores kept by n, least recently used out first: `verify all` at its default
-# depth sweeps n = 2..500 through the resolution, kronecker and walls suites,
-# and 512 holds that whole sweep
+# resolutions kept by n, least recently used out first: `verify all` at its
+# default depth sweeps n = 2..500 through the resolution, kronecker and walls
+# suites, and 512 holds that whole sweep
 _CORE_MEMO_SIZE = 512
 
 
 @lru_cache(maxsize=_CORE_MEMO_SIZE)
-def _core_of(n: int) -> tuple[MinSlopeResult, _Numerics]:
-    """min_slope(n) and its core, for an int n >= 2 that _core has read."""
+def _core_of(n: int) -> tuple[MinSlopeResult, ResolutionData]:
+    """min_slope(n) and its resolution, for an int n >= 2 that _core has read."""
     ms = min_slope(n)
     return ms, _numerics(ms)
 
 
-def _core(n: int, what: str) -> tuple[MinSlopeResult, _Numerics]:
-    """min_slope(n) and its core, from the memo.
+def _core(n: int, what: str) -> tuple[MinSlopeResult, ResolutionData]:
+    """min_slope(n) and its resolution, from the memo.
 
     The int is read before the memo is, so a bool, a float or an n < 2 raises
     as it would without a memo, though lru_cache keys True as 1 and 2.0 as 2.
@@ -251,33 +265,11 @@ def gaeta_resolution(n: int) -> ResolutionData:
     s > 0, at D when s = 0 and above D when s < 0, and case records that
     position.  At s = 0 the ideal sheaf is resolved directly by the parent
     bundles and W degenerates to I_Z itself, so w_sequence is empty there.
-    The numbers, s and their checks come from the memoized integer core that
-    kronecker_data and collapsing_wall share, and each bundle term is its
-    multiplicity times the character the core holds.
+    The record is the one _numerics built and the memo keeps for n, which
+    kronecker_data and collapsing_wall read too, so a repeat returns the same
+    object and builds nothing.
     """
-    ms, num = _core(n, "resolution")
-    first, second, *third = (
-        _bundle_term(t, abs(m), ch) for (t, m), ch in zip(num.terms, num.chars)
-    )
-    iz = ChernCharacter._of(1, 0, -n)
-    iz_term = SeqTerm("I_Z", iz)
-    s = num.s
-    if s > 0:
-        w_term = SeqTerm("W", first.char - second.char)
-        w_seq = (w_term, first, second)
-        iz_seq = (w_term, third[0], iz_term)
-    elif s < 0:
-        w_term = SeqTerm("W", second.char - first.char)
-        w_seq = (first, second, w_term)
-        iz_seq = (third[0], w_term, iz_term)
-    else:
-        w_term = SeqTerm("W", iz)
-        w_seq = ()
-        iz_seq = (first, second, iz_term)
-    return ResolutionData(
-        n, ms.mu, num.alpha, num.beta, ms.associated, ms.position, num.sporadic,
-        num.m1, num.m2, abs(s), w_term.char, w_seq, iz_seq, num.terms,
-    )
+    return _core(n, "resolution")[1]
 
 
 @dataclass(frozen=True)
@@ -365,9 +357,9 @@ def kronecker_euler(N: int, e, f) -> int:
 def kronecker_data(n: int) -> KroneckerData:
     """Kronecker-module invariants of the W bundle for n general points.
 
-    It reads s, m1 and k from the memoized integer core that gaeta_resolution
-    shares, which runs every check of the resolution, and builds no
-    sequence.  Raises KroneckerNotApplicableError when the minimal
+    It reads s, m1 and k from the memoized resolution of n, the record that
+    gaeta_resolution returns, whose builder ran every check of the
+    resolution.  Raises KroneckerNotApplicableError when the minimal
     slope is exceptional (the quiver moduli map is birational rather than
     fibered there; that is s = 0, and also the TriangularMinusOne n, where
     s = 1 and mu = lambda = D) or when the case is sporadic, 0 < s r_D <= 2,
@@ -375,21 +367,21 @@ def kronecker_data(n: int) -> KroneckerData:
     gives rank_v: the numerator of D, plus N = 3 r_D when s < 0.  The window
     test and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
     """
-    ms, num = _core(n, "resolution")
-    dot = ms.associated
-    if ms.mu == dot.value:
+    res = _core(n, "resolution")[1]
+    dot = res.dot_slope
+    if res.mu == dot.value:
         raise KroneckerNotApplicableError(
             "n=%d has exceptional minimal slope, the moduli map is birational" % n
         )
-    if num.sporadic:
+    if res.sporadic:
         raise KroneckerNotApplicableError(
             "n=%d is sporadic, W exists only as a two-term complex" % n
         )
     N = 3 * dot.rank
-    a, b = num.m1, num.k
+    a, b = res.m1, res.k
     chi = kronecker_euler(N, (b, a), (b, a))
     # r_D D is the numerator of D, and r_D (D + 3) when s < 0 is that plus N
-    rank_v = dot.value.numerator + (N if num.s < 0 else 0)
+    rank_v = dot.value.numerator + (N if res.s < 0 else 0)
     # dimension of the moduli of Kronecker modules of dimension vector (b, a)
     kr_dim = 1 - chi
     return KroneckerData(n, N, a, b, chi < 0, rank_v, kr_dim, kr_dim < 2 * n)

@@ -23,7 +23,7 @@ from .exactnum import _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
 from .resolution import classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
-from .stability import CASE_BELOW_DOT, gamma, gamma_inv
+from .stability import gamma, gamma_inv
 
 PAIR_DEPTH = 8
 CHAIN_LENGTH = 6
@@ -129,10 +129,10 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
             assemble_failures.append("n=%d terms" % n)
         rd = res.dot_slope.rank
         pairing = euler_pairing(exceptional_character(res.dot_slope.dual_twist(0)), ideal)
-        expected = res.m3 if res.case == CASE_BELOW_DOT else -res.m3
-        if pairing != expected:
+        # chi(E_{-D}, I_Z) = chi(E_D (x) I_Z) is the signed s, and m3 = |s|
+        if pairing != res.s:
             m3_failures.append("n=%d m3 vs pairing" % n)
-        if res.case == CASE_BELOW_DOT and not res.sporadic:
+        if res.s > 0 and not res.sporadic:
             if res.m3 * rd != 1 + res.w_char.r:
                 rank_failures.append("n=%d rank identity" % n)
             ratio = Fraction(res.m1, res.m2)
@@ -160,7 +160,7 @@ def _suite_kronecker(depth: int) -> list[CheckResult]:
     applicable = 0
     for n in range(2, depth + 1):
         try:
-            # the resolution core of n, which the resolution suite left in the memo
+            # the resolution of n, which the resolution suite left in the memo
             kd = kronecker_data(n)
         except KroneckerNotApplicableError:
             continue
@@ -182,7 +182,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
         wall = collapsing_wall(n)
-        # lambda from the min_slope(n) memoized with the core the wall was read from
+        # lambda from the min_slope(n) memoized with the resolution the wall was read from
         lam = resolution._core_of(n)[0].lam
         if (lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
             collapse_failures.append("n=%d radius bound" % n)

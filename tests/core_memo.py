@@ -1,8 +1,9 @@
-"""An empty resolution-core memo for one test.
+"""An empty resolution memo for one test.
 
-resolution._core_of keeps the core of each int n it has built, so a test that
-patches something the core reads, or counts the work of an answer by n, would
-otherwise read a core built before the patch.  empty_core_memo gives the
+resolution._core_of keeps min_slope(n) and the finished resolution of each
+int n it has built, so a test that patches something the resolution reads,
+or counts the work of an answer by n, would otherwise read a resolution built
+before the patch.  empty_core_memo gives the
 resolution module a new, empty memo with the shared memo's bound for the
 rest of the test; monkeypatch puts the shared memo back afterwards, as the
 tests that swap in an empty exceptional._MEMO do.
@@ -14,7 +15,7 @@ import planecone.resolution as resolution
 
 
 def empty_core_memo(monkeypatch):
-    """Install an empty core memo in resolution and return it (it has cache_clear)."""
+    """Install an empty resolution memo and return it (it has cache_clear)."""
     shared = resolution._core_of
     cores = lru_cache(**shared.cache_parameters())(shared.__wrapped__)
     monkeypatch.setattr(resolution, "_core_of", cores)

@@ -2,10 +2,11 @@
 
 min_slope decides the case by the sign of s alone, with one cross-check that
 lambda <= D exactly when s > 0.  The resolution's terms, the collapsing wall's
-destabilizer and the Kronecker rank of V read that sign, never the position
-string.  The rule and what the sign fixes are checked through the public
-results; an AST scan keeps the position strings out of the comparisons in
-resolution and bridgeland; and a lambda on the wrong side of D must raise.
+destabilizer and the Kronecker rank of V read that sign, carried as the
+resolution's s, never the position string.  The rule and what the sign fixes
+are checked through the public results; an AST scan keeps the position
+strings out of the comparisons in resolution, bridgeland and verify; and a
+lambda on the wrong side of D must raise.
 """
 
 import ast
@@ -45,18 +46,18 @@ def test_the_sign_of_s_fixes_the_case_and_the_terms(ns):
         assert ms.mu == (dot.value if s == 0 else ms.lam), n
         assert (ms.mu != ms.lam) == (s == 0), n
         res = gaeta_resolution(n)
-        assert res.m3 == abs(s), n
+        assert (res.s, res.m3) == (s, abs(s)), n
         assert res.sporadic == (s > 0 and s * dot.rank <= 2), n
         # the third term is (D's dual twist by 0 or -3, s), absent at s = 0
         if s:
             assert res.terms[2] == (dot.dual_twist(0 if s > 0 else -3), s), n
         else:
             assert len(res.terms) == 2, n
-        # the collapsing wall is destabilized by the core's last term
+        # the collapsing wall is destabilized by the resolution's last term
         iz = ChernCharacter(1, 0, -n)
         last = exceptional_character(res.terms[-1][0])
         assert collapsing_wall(n) == wall_between(iz, last), n
-        # chi(E_{-D}, I_Z) = chi(E_D (x) I_Z) = s, the value verify checks against +-m3
+        # chi(E_{-D}, I_Z) = chi(E_D (x) I_Z) = s, the value verify checks res.s against
         assert euler_pairing(exceptional_character(dot.dual_twist(0)), iz) == s, n
         try:
             kd = kronecker_data(n)
@@ -109,7 +110,7 @@ def test_the_scan_sees_each_spelling_of_a_position_comparison():
     assert position_comparisons(source) == [3, 5, 6, 8, 10]
 
 
-@pytest.mark.parametrize("module", ["resolution", "bridgeland"])
+@pytest.mark.parametrize("module", ["resolution", "bridgeland", "verify"])
 def test_no_position_string_is_compared(module):
     source = (PACKAGE / (module + ".py")).read_text(encoding="utf-8")
     lines = position_comparisons(source)

@@ -5,9 +5,9 @@ associated_slope and gamma_inv each steer one.  The resolution and the walls
 take every twist and dual of alpha, beta and D from their addresses, so on a
 warm memo their one walk is min_slope's: gamma_inv's, whose round-trip check
 reads delta from the slope it found.  The resolution, the collapsing wall
-and the Kronecker data take n and read one memoized resolution core, so
-together they cost one walk and one core, and a repeat costs neither; a test
-that counts the work of one answer on a repeated n reads an empty core memo
+and the Kronecker data take n and read one memoized resolution, so
+together they cost one walk and one build, and a repeat costs neither; a test
+that counts the work of one answer on a repeated n reads an empty memo
 (core_memo.py).  gamma_inv steers by rationals and
 kronecker_data reads its window off an integer Euler form, so no warm answer
 builds a surd.
@@ -21,11 +21,15 @@ size of n, and a twist, dual or parent read from the memo builds no address.
 Every walk goes down the unit tree and twists where it stops, so a new twist
 of a slope the unit tree already holds builds that one slope, and min_slope
 leaves no slope outside the unit tree but its answers.
+A new twist is built from its slope's integers, so it builds one Fraction,
+its value, and shares its slope's discriminant.
 gamma_inv's round trip is one integer identity, so its answer is the one
-Fraction it builds.  gaeta_resolution and kronecker_data share one integer
-core that builds each bundle term's character once and checks the assembly
-to I_Z in integers, so a warm resolution builds at most 9 characters, and
-the Kronecker data at most 3 and no sequence term, besides min_slope(n).  A walk
+Fraction it builds.  gaeta_resolution, kronecker_data and the collapsing wall
+read one record of the resolution of n, built once: its builder reads each
+bundle term's character once and checks the assembly to I_Z in integers, so
+a resolution built on warm slopes builds at most 9 characters besides
+min_slope(n), and a repeated answer returns the same record and builds no
+character, sequence term or Fraction.  A walk
 on an empty memo asks about every level and builds exactly the ancestors of
 its landing; on a warm memo it gallops along each run of moves to one side,
 so a landing 60 levels down asks about at most 20 slopes and builds none,
@@ -165,7 +169,7 @@ def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
 
 
 def count_cores(monkeypatch):
-    """Record the n of every resolution core built from now on."""
+    """Record the n of every resolution that _numerics builds from now on."""
     original = resolution._numerics
     built = []
 
@@ -298,24 +302,32 @@ def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):
 
 def test_a_new_twist_of_a_warm_unit_slope_builds_one_slope(monkeypatch):
     # a walk from floor(x) once built every ancestor again under each new
-    # integer part, about q slopes for a landing depth q
+    # integer part, about q slopes for a landing depth q; and a new twist once
+    # built its value by Fraction addition and a second discriminant Fraction
     monkeypatch.setattr(exceptional, "_MEMO", {})
     x = first_decimal_above_golden(40)
     a = exceptional.associated_slope(x)
     p, q = a.address.p, a.address.q
     assert q >= 40
     built = count_slopes(monkeypatch)
+    fractions = count_fractions(monkeypatch)
     for k in (10**6 + 3, -(10**15) - 1):
         size = len(exceptional._MEMO)
-        b = exceptional.associated_slope(x + k)
+        y = x + k
+        fractions.clear()
+        b = exceptional.associated_slope(y)
         assert built == [b] and len(exceptional._MEMO) == size + 1
+        assert len(fractions) == 1, fractions
         assert b.address == exceptional.DyadicAddress(p + (k << q), q)
         assert b.value == a.value + k and b.rank == a.rank
+        assert b.discriminant is a.discriminant
         built.clear()
+        fractions.clear()
         c = exceptional.epsilon((p + ((k + 1) << q), q))
+        assert len(fractions) == 1 and c.discriminant is a.discriminant, fractions
         assert built == [c] and c.value == a.value + k + 1
         built.clear()
-        assert exceptional.associated_slope(x + k) is b and built == []
+        assert exceptional.associated_slope(y) is b and built == []
 
 
 def test_min_slope_leaves_no_slope_outside_the_unit_tree_but_its_answers(monkeypatch):
@@ -465,7 +477,7 @@ def warm_resolutions(monkeypatch):
     """n < 60 and 40 seeded n up to 10^15, each resolution built once.
 
     From then on resolution reads min_slope(n) from the results held here,
-    and each core is built again on an empty core memo, so a count taken on
+    and each resolution is built again on an empty memo, so a count taken on
     one of these n is the resolution's own work, besides min_slope's.
     """
     rng = random.Random(23)
@@ -501,23 +513,39 @@ def test_a_warm_resolution_builds_each_bundle_character_once(monkeypatch):
         assert len(built) <= 9, (n, built)
 
 
-def test_warm_kronecker_data_builds_no_sequence(monkeypatch):
-    # once a whole second resolution: 18 characters and every SeqTerm per n
-    ns = warm_resolutions(monkeypatch)
-    characters = count_characters(monkeypatch)
-    terms = []
+def count_seq_terms(monkeypatch):
+    """Record every SeqTerm built from now on."""
     original = SeqTerm.__init__
+    built = []
 
     def counted(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        terms.append(self)
+        built.append(self)
 
     monkeypatch.setattr(SeqTerm, "__init__", counted)
+    return built
+
+
+def test_kronecker_data_builds_the_one_resolution_that_gaeta_resolution_returns(monkeypatch):
+    # once two records of one resolution: the core that kronecker_data read, and
+    # a ResolutionData that every gaeta_resolution call built from it again, with
+    # 4.8 SeqTerms and 5.4 characters per repeated call on n = 2..200
+    ns = warm_resolutions(monkeypatch)
+    characters = count_characters(monkeypatch)
+    terms = count_seq_terms(monkeypatch)
+    fractions = count_fractions(monkeypatch)
     for n in ns:
         characters.clear()
         answer(kronecker_data, n)
-        assert len(characters) <= 3, (n, characters)
-        assert terms == [], (n, terms)
+        assert len(characters) <= 9, (n, characters)
+        characters.clear()
+        terms.clear()
+        fractions.clear()
+        res = gaeta_resolution(n)
+        assert (characters, terms, fractions) == ([], [], []), (n, characters, terms, fractions)
+        assert res is resolution._core_of(n)[1] and gaeta_resolution(n) is res, n
+        answer(kronecker_data, n)
+        assert (characters, terms) == ([], []), (n, characters, terms)
 
 
 def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
@@ -526,7 +554,7 @@ def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
     for n in ns:
         gaeta_resolution(n)
         collapsing_wall(n)
-    # each core is built again below, from the warm slopes
+    # each resolution is built again below, from the warm slopes
     empty_core_memo(monkeypatch)
     built = []
     original = exceptional.DyadicAddress.__post_init__

@@ -493,7 +493,10 @@ def test_associated_slope_is_the_walk_from_floor_and_a_twist(monkeypatch):
             a = associated_slope(y)
             ref = walk_from_floor(monkeypatch, y)
             fields = ("value", "address", "rank", "discriminant", "euler")
-            assert [getattr(a, f) for f in fields] == [getattr(ref, f) for f in fields], (x, k)
+            # _twist builds a new twist from base's integers, _make_slope from its value
+            made = exceptional._make_slope(base.value + k, a.address)
+            got, want = ([getattr(b, f) for f in fields] for b in (a, ref))
+            assert got == want == [getattr(made, f) for f in fields], (x, k)
             assert a is epsilon((p + (k << q), q))
             assert delta(y) == hilbert_poly(-abs(y - ref.value)) - ref.discriminant
             checked += 1

@@ -211,7 +211,7 @@ CASE_NS = {
 
 @pytest.mark.parametrize("n", CASE_NS.values(), ids=CASE_NS.keys())
 def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, n):
-    # kronecker_data by n no longer builds the resolution, so it must keep the check
+    # both answers read the one resolution record of n, whose builder runs the check
     faulty = gaeta_resolution(n).terms[0][0]
     true_character = resolution.exceptional_character
 
@@ -220,7 +220,7 @@ def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, 
         return twist(ch, 1) if slope == faulty else ch
 
     monkeypatch.setattr(resolution, "exceptional_character", character)
-    # the core of n memoized above holds the true characters, so n is built again
+    # the resolution of n memoized above holds the true characters, so n is built again
     empty_core_memo(monkeypatch)
     message = "^resolution terms for n=%d do not assemble to I_Z$" % n
     for fn in (gaeta_resolution, kronecker_data):
