@@ -92,7 +92,7 @@ def collapsing_wall(n: int) -> Wall:
     E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is the
     exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
     """
-    res = _core(n, "collapsing wall")[1]
+    res = _core(n, "collapsing wall")
     d, s = res.dot_slope, res.s
     wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(res.terms[-1][0]))
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2

@@ -49,25 +49,16 @@ def _as_int(x: int, name: str) -> int:
     return x
 
 
-def _small_primes(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(limit + 1) if sieve[i])
-
-
-_PRIMES = _small_primes(1000)
-
-
 def _extract_square(d: int) -> tuple[int, int]:
     """Return (m, d') with d = m^2 * d', pulling out small square factors.
 
-    It runs once per printed QuadSurd, so nothing keeps its answers.
+    It trial-divides by every p in 2..1000 in turn: a composite p's square
+    cannot divide what is left once its prime factors' squares are out, so
+    only primes pull anything.  It runs once per printed QuadSurd, so nothing
+    keeps its answers.
     """
     m = 1
-    for p in _PRIMES:
+    for p in range(2, 1001):
         pp = p * p
         if pp > d:
             break
@@ -86,8 +77,8 @@ class QuadSurd:
     The value is held as (A + B*sqrt(d))/C in Python ints, with C > 0 and
     gcd(A, B, C) = 1; a = A/C and b = B/C are read as Fractions.  Instances
     normalize in __post_init__, which every construction passes through:
-    square factors of d are extracted (best effort, trial division by primes
-    below 1000, once per distinct radicand; equality never depends on it),
+    square factors of d are extracted (best effort, trial division by 2..1000
+    on every build; equality never depends on it),
     perfect squares fold into the rational part, and b = 0 forces d = 0.
     A bool radicand raises TypeError.  It has no order and no arithmetic.
     """

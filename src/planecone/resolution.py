@@ -9,26 +9,27 @@ moduli space of W.
 
 gaeta_resolution, kronecker_data and bridgeland.collapsing_wall each take
 an int n and read one record of the resolution, the ResolutionData that one
-builder, _numerics, makes from min_slope(n): it computes s and the
-multiplicities m1, m2 and k of the generalized Gaeta resolution, takes each
-bundle term's character, runs every check of the resolution, the assembly to
-I_Z included, in integers, and builds the two exact sequences.
-gaeta_resolution returns that record; kronecker_data reads m1, k and s off
-it; collapsing_wall reads its last term, the bundle that destabilizes I_Z.
-The pair (min_slope(n), record) is memoized by n (_core_of), so the three
-answers on one n cost one walk and one build together, and a repeat returns
-the same record.  The memo keeps the last _CORE_MEMO_SIZE = 512 n used,
-which holds the n = 2..500 that `verify all` sweeps at its default depth; the
-int is read before the memo is.
+memoized builder, _core_of, makes from min_slope(n): it reads lambda and s
+off it, computes the multiplicities m1, m2 and k of the generalized Gaeta
+resolution, takes each bundle term's character, runs every check of the
+resolution, the assembly to I_Z included, in integers, and builds the two
+exact sequences.  gaeta_resolution returns that record; kronecker_data reads
+m1, k and s off it; collapsing_wall reads its last term, the bundle that
+destabilizes I_Z.  The record is memoized by n, so the three answers on one n
+cost one walk and one build together, and a repeat returns the same record.
+The memo keeps the last _CORE_MEMO_SIZE = 512 n used, which holds the
+n = 2..500 that `verify all` sweeps at its default depth; the int is read
+before the memo is (_core).
 
-The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z)
-(stability._euler_excess), which _numerics computes once and the record
-carries as its field s, and nothing here compares a position string.  The
-sign fixes the terms (_term_slopes): E_{-alpha-3} and E_{-beta}, then a third
-term E_{-D}^s when s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So
-m3 = |s|, a property of the record, the resolution is sporadic when
-0 < s r_D <= 2, and the Kronecker rank of V is the numerator of D, plus 3 r_D
-when s <= 0.
+The case is the sign of one integer, s = chi(E_D) - n r_D = chi(E_D (x) I_Z),
+which min_slope computes and hands over as MinSlopeResult.s.  The builder
+names the position of mu against D from it, the record's case (CASE_BELOW_DOT,
+CASE_AT_DOT or CASE_ABOVE_DOT, set here only), and carries it as its field s;
+nothing here compares a position string.  The sign fixes the terms
+(_term_slopes): E_{-alpha-3} and E_{-beta}, then a third term E_{-D}^s when
+s > 0, E_{-D-3}^|s| when s < 0 and none when s = 0.  So m3 = |s|, a property
+of the record, the resolution is sporadic when 0 < s r_D <= 2, and the
+Kronecker rank of V is the numerator of D, plus 3 r_D when s <= 0.
 """
 
 from __future__ import annotations
@@ -41,10 +42,15 @@ from math import isqrt
 from .chern import ChernCharacter, exceptional_character, line_bundle
 from .exactnum import _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import MinSlopeResult, _as_n, _euler_excess, min_slope
+from .stability import _as_n, min_slope
 
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
+
+# ResolutionData.case: mu below, at or above D, the slope with lambda in I_D
+CASE_BELOW_DOT = "BelowDot"
+CASE_AT_DOT = "AtDot"
+CASE_ABOVE_DOT = "AboveDot"
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,17 @@ def _total(terms, character) -> ChernCharacter:
 class ResolutionData:
     """The generalized Gaeta resolution of I_Z for n general points.
 
-    alpha and beta are the parents of D = dot_slope, and case is min_slope's
-    position of mu against D.  s = chi(E_D) - n r_D is the signed multiplicity
-    of the third term, whose sign is the case, and m3 = |s|.  terms presents
-    I_Z as (slope, mult) pairs, mult < 0 on the left of the complex.
+    lam = gamma_inv(n) lies in I_D for D = dot_slope, and mu = lam except at
+    s = 0, where mu = D.  alpha and beta are the parents of D.
+    s = chi(E_D) - n r_D, read off min_slope(n), is the signed multiplicity of
+    the third term, and m3 = |s|; case names the position of mu against D
+    that the sign of s gives.  terms presents I_Z as (slope, mult) pairs,
+    mult < 0 on the left of the complex.
     """
 
     n: int
     mu: Fraction
+    lam: Fraction
     alpha: ExceptionalSlope
     beta: ExceptionalSlope
     dot_slope: ExceptionalSlope
@@ -165,23 +174,31 @@ def _term_slopes(a, b, dot, s: int) -> tuple[ExceptionalSlope, ...]:
     return slopes + (dot.dual_twist(0 if s > 0 else -3),) if s else slopes
 
 
-def _numerics(ms: MinSlopeResult) -> ResolutionData:
-    """The resolution for min_slope(n): its one builder, which the memo keeps.
+# resolutions kept by n, least recently used out first: `verify all` at its
+# default depth sweeps n = 2..500 through the resolution, kronecker and walls
+# suites, and 512 holds that whole sweep
+_CORE_MEMO_SIZE = 512
 
-    The sign of s = chi(E_D) - n r_D picks the case and _term_slopes the
-    terms; s is the third term's signed multiplicity, so m3 = |s|.  m1 and m2
-    are read at lambda, which is mu except at s = 0, where mu = D.  Every check
-    of the resolution runs here: m1 and m2 are integers, m1, m2 and k are
-    positive, and the terms assemble to I_Z.  The last is one integer sum of
-    m (R, C, D)/N over the characters (R, C, D)/N of the terms, against
-    (1, 0, -n).  Then it builds the two exact sequences through W.
+
+@lru_cache(maxsize=_CORE_MEMO_SIZE)
+def _core_of(n: int) -> ResolutionData:
+    """The resolution of an int n >= 2 that _core has read: its one builder, memoized.
+
+    It reads lambda, mu and s = chi(E_D) - n r_D off min_slope(n).  The sign
+    of s names the case and _term_slopes the terms; s is the third term's
+    signed multiplicity, so m3 = |s|.  m1 and m2 are read at lambda, which is
+    mu except at s = 0, where mu = D.  Every check of the resolution runs
+    here: m1 and m2 are integers, m1, m2 and k are positive, and the terms
+    assemble to I_Z.  The last is one integer sum of m (R, C, D)/N over the
+    characters (R, C, D)/N of the terms, against (1, 0, -n).  Then it builds
+    the two exact sequences through W.
     """
-    n, dot = ms.n, ms.associated
+    ms = min_slope(n)
+    dot, s = ms.associated, ms.s
     a, b = parent_pair(dot)
     ra, ca = a.rank, a.value.numerator
     rb, cb = b.rank, b.value.numerator
     rd, cd = dot.rank, dot.value.numerator
-    s = _euler_excess(n, dot)
     u, v = ms.lam.numerator, ms.lam.denominator
     if s > 0:
         # r_a (lambda - a) D and r_b (lambda - b + 3) D
@@ -228,26 +245,14 @@ def _numerics(ms: MinSlopeResult) -> ResolutionData:
         w_seq = ()
         iz_seq = (first, second, iz_term)
     return ResolutionData(
-        n, ms.mu, a, b, dot, ms.position, s > 0 and s * rd <= 2,
-        m1, m2, s, w_term.char, w_seq, iz_seq, terms,
+        n, ms.mu, ms.lam, a, b, dot,
+        CASE_BELOW_DOT if s > 0 else CASE_ABOVE_DOT if s else CASE_AT_DOT,
+        s > 0 and s * rd <= 2, m1, m2, s, w_term.char, w_seq, iz_seq, terms,
     )
 
 
-# resolutions kept by n, least recently used out first: `verify all` at its
-# default depth sweeps n = 2..500 through the resolution, kronecker and walls
-# suites, and 512 holds that whole sweep
-_CORE_MEMO_SIZE = 512
-
-
-@lru_cache(maxsize=_CORE_MEMO_SIZE)
-def _core_of(n: int) -> tuple[MinSlopeResult, ResolutionData]:
-    """min_slope(n) and its resolution, for an int n >= 2 that _core has read."""
-    ms = min_slope(n)
-    return ms, _numerics(ms)
-
-
-def _core(n: int, what: str) -> tuple[MinSlopeResult, ResolutionData]:
-    """min_slope(n) and its resolution, from the memo.
+def _core(n: int, what: str) -> ResolutionData:
+    """The resolution of n, from the memo.
 
     The int is read before the memo is, so a bool, a float or an n < 2 raises
     as it would without a memo, though lru_cache keys True as 1 and 2.0 as 2.
@@ -265,11 +270,11 @@ def gaeta_resolution(n: int) -> ResolutionData:
     s > 0, at D when s = 0 and above D when s < 0, and case records that
     position.  At s = 0 the ideal sheaf is resolved directly by the parent
     bundles and W degenerates to I_Z itself, so w_sequence is empty there.
-    The record is the one _numerics built and the memo keeps for n, which
-    kronecker_data and collapsing_wall read too, so a repeat returns the same
-    object and builds nothing.
+    The record is the one _core_of built and keeps for n, which kronecker_data
+    and collapsing_wall read too, so a repeat returns the same object and
+    builds nothing.
     """
-    return _core(n, "resolution")[1]
+    return _core(n, "resolution")
 
 
 @dataclass(frozen=True)
@@ -367,7 +372,7 @@ def kronecker_data(n: int) -> KroneckerData:
     gives rank_v: the numerator of D, plus N = 3 r_D when s < 0.  The window
     test and kr_dim both read the one integer chi(e, e) = b^2 + a^2 - Nab.
     """
-    res = _core(n, "resolution")[1]
+    res = _core(n, "resolution")
     dot = res.dot_slope
     if res.mu == dot.value:
         raise KroneckerNotApplicableError(

@@ -6,11 +6,11 @@ bijection of the nonnegative rationals, and min_slope inverts gamma at an
 integer to find the minimal slope attached to n general points.
 
 Where mu lies against the slope D with lambda in I_D is decided once, by the
-sign of the integer s = chi(E_D) - n r_D = chi(E_D (x) I_Z) (_euler_excess):
-mu is below D when s > 0, at D when s = 0 and above it when s < 0, and mu
-drops from lambda to D exactly when s = 0.  min_slope reads position and case
-off that sign, and the resolution, the collapsing wall and the Kronecker data
-read the sign again rather than the position string.
+sign of the integer s = chi(E_D) - n r_D = chi(E_D (x) I_Z): mu is below D
+when s > 0, at D when s = 0 and above it when s < 0, and mu drops from lambda
+to D exactly when s = 0.  min_slope computes s, reads mu and the case off its
+sign, and hands it over as MinSlopeResult.s; the resolution reads its case
+and terms off that field, and nothing computes s again.
 
 The arithmetic is in integers, with a Fraction built only for an answer.  At
 an exceptional slope a = c/r, gamma(a) = (r chi_a - 1)/r^2, so gamma_inv's
@@ -37,20 +37,22 @@ CASE_NON_EXCEPTIONAL = "NonExceptional"
 CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
 CASE_TRIANGULAR_MINUS_ONE = "TriangularMinusOne"
 
-# MinSlopeResult.position: mu below, at or above D, the slope with lambda in I_D
-CASE_BELOW_DOT = "BelowDot"
-CASE_AT_DOT = "AtDot"
-CASE_ABOVE_DOT = "AboveDot"
-
 
 @dataclass(frozen=True)
 class MinSlopeResult:
+    """The minimal slope mu for n points, with lambda = gamma_inv(n) and D = associated.
+
+    lambda lies in I_D, and s = chi(E_D) - n r_D = chi(E_D (x) I_Z) places mu
+    against D: below when s > 0, at D when s = 0 and above when s < 0.  case
+    is one of the CASE_* names of this module.
+    """
+
     n: int
     mu: Fraction
     lam: Fraction
     associated: ExceptionalSlope
     case: str
-    position: str
+    s: int
 
     def to_json(self) -> dict:
         return {
@@ -199,11 +201,6 @@ def _as_n(n) -> int:
     return n
 
 
-def _euler_excess(n: int, a: ExceptionalSlope) -> int:
-    """s = chi(E_a) - n r_a, the Euler characteristic of E_a (x) I_Z for n points."""
-    return a.euler - n * a.rank
-
-
 def min_slope(n: int) -> MinSlopeResult:
     """Minimal slope mu of the effective-cone computation for n points.
 
@@ -214,15 +211,15 @@ def min_slope(n: int) -> MinSlopeResult:
     s < 0.  For r_D > 1, lambda < D reads n r_D^2 < r_D chi - 1, that is
     s > 0; for r_D = 1, lambda = D exactly when n + 1 is triangular, and there
     s = 1.  The one cross-check against the rationals, lambda <= D exactly when
-    s > 0, raises ArithmeticError.
+    s > 0, raises ArithmeticError.  The result carries s, which the resolution
+    of n reads.
     """
     n = _as_n(n)
     lam, a = _gamma_inv(n)
-    s = _euler_excess(n, a)
+    s = a.euler - n * a.rank
     if (s > 0) != (lam <= a.value):
         raise ArithmeticError("n=%d: s = %d puts lambda %s on the wrong side of D" % (n, s, lam))
     mu = a.value if s == 0 else lam
-    position = CASE_BELOW_DOT if s > 0 else CASE_ABOVE_DOT if s else CASE_AT_DOT
     root = math.isqrt(8 * n + 9)
     if root * root == 8 * n + 9:
         case = CASE_TRIANGULAR_MINUS_ONE
@@ -230,4 +227,4 @@ def min_slope(n: int) -> MinSlopeResult:
             raise ArithmeticError("n + 1 = %d is triangular, but mu %s is not alpha" % (n + 1, mu))
     else:
         case = CASE_EXCEPTIONAL_BUNDLE if s == 0 else CASE_NON_EXCEPTIONAL
-    return MinSlopeResult(n, mu, lam, a, case, position)
+    return MinSlopeResult(n, mu, lam, a, case, s)

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import resolution
 from .bridgeland import (
     collapsing_wall,
     exceptional_pair_wall,
     kernel_cokernel_slopes,
     nested,
 )
-from .chern import exceptional_character, euler_pairing
+from .chern import dual, euler_pairing, exceptional_character
 from .contfrac import check_exceptional_cf
 from .exactnum import _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
@@ -128,8 +127,9 @@ def _suite_resolution(depth: int) -> list[CheckResult]:
         if ideal.astuple() != (1, 0, -n):
             assemble_failures.append("n=%d terms" % n)
         rd = res.dot_slope.rank
-        pairing = euler_pairing(exceptional_character(res.dot_slope.dual_twist(0)), ideal)
-        # chi(E_{-D}, I_Z) = chi(E_D (x) I_Z) is the signed s, and m3 = |s|
+        pairing = euler_pairing(dual(exceptional_character(res.dot_slope)), ideal)
+        # chi(E_D^*, I_Z) = chi(E_D (x) I_Z) is the signed s, and m3 = |s|; the
+        # dual is of D's character, not the term E_{-D} built from its address
         if pairing != res.s:
             m3_failures.append("n=%d m3 vs pairing" % n)
         if res.s > 0 and not res.sporadic:
@@ -182,8 +182,8 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     collapse_failures = []
     for n in range(2, depth + 1):
         wall = collapsing_wall(n)
-        # lambda from the min_slope(n) memoized with the resolution the wall was read from
-        lam = resolution._core_of(n)[0].lam
+        # lambda from the memoized resolution the wall was read from
+        lam = gaeta_resolution(n).lam
         if (lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
             collapse_failures.append("n=%d radius bound" % n)
         if wall.is_empty():

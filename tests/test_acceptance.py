@@ -24,15 +24,15 @@ from planecone.contfrac import check_exceptional_cf
 from planecone.exactnum import QuadSurd, fraction_str
 from planecone.exceptional import dot, enumerate_slopes, epsilon
 from planecone.resolution import (
+    CASE_ABOVE_DOT,
+    CASE_AT_DOT,
+    CASE_BELOW_DOT,
     KroneckerNotApplicableError,
     classical_gaeta,
     gaeta_resolution,
     kronecker_data,
 )
 from planecone.stability import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
     CASE_TRIANGULAR_MINUS_ONE,
     delta,
     gamma,

@@ -1,10 +1,11 @@
 """One integer places mu against D: s = chi(E_D) - n r_D = chi(E_D (x) I_Z).
 
-min_slope decides the case by the sign of s alone, with one cross-check that
-lambda <= D exactly when s > 0.  The resolution's terms, the collapsing wall's
-destabilizer and the Kronecker rank of V read that sign, carried as the
-resolution's s, never the position string.  The rule and what the sign fixes
-are checked through the public results; an AST scan keeps the position
+min_slope computes s, decides the case by its sign alone, with one
+cross-check that lambda <= D exactly when s > 0, and carries it as its field
+s.  The resolution of n reads that field: it names the position of mu against
+D, and its terms, the collapsing wall's destabilizer and the Kronecker rank
+of V follow the sign, never the position string.  The rule and what the sign
+fixes are checked through the public results; an AST scan keeps the position
 strings out of the comparisons in resolution, bridgeland and verify; and a
 lambda on the wrong side of D must raise.
 """
@@ -16,11 +17,19 @@ from pathlib import Path
 
 import pytest
 
+import planecone.resolution as resolution
 import planecone.stability as stability
 from planecone.bridgeland import collapsing_wall, wall_between
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
-from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
-from planecone.stability import CASE_ABOVE_DOT, CASE_AT_DOT, CASE_BELOW_DOT, min_slope
+from planecone.resolution import (
+    CASE_ABOVE_DOT,
+    CASE_AT_DOT,
+    CASE_BELOW_DOT,
+    KroneckerNotApplicableError,
+    gaeta_resolution,
+    kronecker_data,
+)
+from planecone.stability import min_slope
 
 from core_memo import empty_core_memo
 
@@ -39,13 +48,16 @@ def test_the_sign_of_s_fixes_the_case_and_the_terms(ns):
         ms = min_slope(n)
         dot = ms.associated
         s = dot.euler - n * dot.rank
+        assert ms.s == s, n
         position = CASE_BELOW_DOT if s > 0 else CASE_ABOVE_DOT if s < 0 else CASE_AT_DOT
-        assert ms.position == position, n
         positions.add(position)
         # mu = D when s = 0, where lambda > D, and mu = lambda at every other n
         assert ms.mu == (dot.value if s == 0 else ms.lam), n
         assert (ms.mu != ms.lam) == (s == 0), n
+        # the one record of the resolution carries min_slope's lambda and s
         res = gaeta_resolution(n)
+        assert resolution._core_of(n) is res, n
+        assert (res.case, res.lam, res.mu) == (position, ms.lam, ms.mu), n
         assert (res.s, res.m3) == (s, abs(s)), n
         assert res.sporadic == (s > 0 and s * dot.rank <= 2), n
         # the third term is (D's dual twist by 0 or -3, s), absent at s = 0
@@ -95,16 +107,16 @@ def position_comparisons(source: str) -> list[int]:
 
 def test_the_scan_sees_each_spelling_of_a_position_comparison():
     source = (
-        "from .stability import CASE_AT_DOT, CASE_BELOW_DOT\n"
+        "from .resolution import CASE_AT_DOT, CASE_BELOW_DOT\n"
         "def f(ms, res):\n"
-        "    if ms.position == CASE_AT_DOT:\n"
+        "    if res.case == CASE_AT_DOT:\n"
         "        return 1\n"
         "    at_dot = CASE_BELOW_DOT != res.case\n"
-        "    below = ms.position in (stability.CASE_ABOVE_DOT,)\n"
-        "    match ms.position:\n"
-        "        case stability.CASE_BELOW_DOT:\n"
+        "    below = res.case in (resolution.CASE_ABOVE_DOT,)\n"
+        "    match res.case:\n"
+        "        case resolution.CASE_BELOW_DOT:\n"
         "            return 2\n"
-        "    return ms.position == 'AboveDot' or ms.case == 'TwoSLeq'\n"
+        "    return res.case == 'AboveDot' or ms.case == 'TwoSLeq'\n"
         "CASE = CASE_AT_DOT\n"
     )
     assert position_comparisons(source) == [3, 5, 6, 8, 10]

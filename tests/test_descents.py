@@ -60,7 +60,7 @@ from planecone.resolution import (
 from planecone.stability import _gamma_inv, min_slope
 from planecone.verify import run_suite
 
-from core_memo import empty_core_memo
+from core_memo import count_cores, empty_core_memo
 
 
 def count_calls(monkeypatch, name):
@@ -166,19 +166,6 @@ def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
     assert main(argv) == 0
     assert len(walks) == 1, walks
     capsys.readouterr()
-
-
-def count_cores(monkeypatch):
-    """Record the n of every resolution that _numerics builds from now on."""
-    original = resolution._numerics
-    built = []
-
-    def counted(ms):
-        built.append(ms.n)
-        return original(ms)
-
-    monkeypatch.setattr(resolution, "_numerics", counted)
-    return built
 
 
 def by_n(n):
@@ -543,7 +530,7 @@ def test_kronecker_data_builds_the_one_resolution_that_gaeta_resolution_returns(
         fractions.clear()
         res = gaeta_resolution(n)
         assert (characters, terms, fractions) == ([], [], []), (n, characters, terms, fractions)
-        assert res is resolution._core_of(n)[1] and gaeta_resolution(n) is res, n
+        assert res is resolution._core_of(n) and gaeta_resolution(n) is res, n
         answer(kronecker_data, n)
         assert (characters, terms) == ([], []), (n, characters, terms)
 

@@ -5,6 +5,8 @@ Equality is exact and checked against a high-precision Decimal oracle.
 
 import hashlib
 import json
+import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from planecone.exactnum import (
     QuadSurd,
     _as_rational,
+    _extract_square,
     fraction_str,
     parse_fraction,
 )
@@ -92,7 +95,7 @@ def test_to_json_shape():
 
 
 def test_hash_agrees_with_eq_across_unextracted_squares():
-    # 1009 is past the trial-division primes, so its square stays in the radicand
+    # 1009 is past the trial divisors, so its square stays in the radicand
     x = QuadSurd(Fraction(0), Fraction(1), 2 * 1009**2)
     y = QuadSurd(Fraction(0), Fraction(1009), 2)
     assert x.d != y.d and x == y
@@ -153,6 +156,50 @@ def test_interval_end_text_is_unchanged():
     assert lines[321] == 'QuadSurd(2 + -1*sqrt(2)) {"a": "2", "b": "-1", "d": 2}'
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "fa2a67fbbdca489330996b7fba6bb08cccb5663741a5f1e6f8fe2c37f9ef7e7c"
+
+
+def sieve_primes(limit):
+    """The primes up to limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i in range(limit + 1) if sieve[i]]
+
+
+PRIMES_TO_1000 = sieve_primes(1000)
+
+
+def sieve_extract_square(d):
+    """The reference: trial division by the primes up to 1000 only."""
+    m = 1
+    for p in PRIMES_TO_1000:
+        if p * p > d:
+            break
+        while d % (p * p) == 0:
+            d //= p * p
+            m *= p
+    s = math.isqrt(d)
+    return (m * s, 1) if s * s == d else (m, d)
+
+
+def seeded_radicands():
+    """0..20000, 9r^2 - 4 for seeded r < 10^5, and seeded products with square factors."""
+    rng = random.Random(24)
+    yield from range(20001)
+    for _ in range(2000):
+        r = rng.randrange(1, 10**5)
+        yield 9 * r * r - 4
+    for factor in (36, 997**2, 1009**2, 2**40):
+        for _ in range(250):
+            yield factor * rng.randrange(1, 10**6)
+
+
+def test_trial_division_by_every_integer_matches_the_prime_sieve():
+    # a composite divisor's square cannot divide once its primes' squares are out
+    for d in seeded_radicands():
+        assert _extract_square(d) == sieve_extract_square(d), d
 
 
 def test_value_is_held_as_integers_in_lowest_terms():

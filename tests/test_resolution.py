@@ -9,6 +9,9 @@ from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
 from planecone.exactnum import QuadSurd
 from planecone.resolution import (
+    CASE_ABOVE_DOT,
+    CASE_AT_DOT,
+    CASE_BELOW_DOT,
     CASE_TWO_S_GEQ,
     CASE_TWO_S_LEQ,
     classical_gaeta,
@@ -18,9 +21,6 @@ from planecone.resolution import (
     KroneckerNotApplicableError,
 )
 from planecone.stability import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
     CASE_TRIANGULAR_MINUS_ONE,
     _delta,
     min_slope,

@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
-import planecone.resolution as resolution
 import planecone.verify as verify
 from planecone.bridgeland import Wall, exceptional_pair_wall
 from planecone.cli import main
 from planecone.exceptional import epsilon
 from planecone.verify import CheckResult, format_report, run_suite
+
+from core_memo import count_cores, empty_core_memo
 
 
 def test_unknown_suite_rejected():
@@ -176,22 +177,16 @@ def test_depth_is_an_int_and_not_a_bool(suite, depth):
 def test_all_builds_each_resolution_once_and_reports_as_the_suites_do(monkeypatch):
     # once twice per n: the kronecker suite rebuilt every resolution
     alone = [r for suite in verify._SUITES for r in run_suite(suite, 6)]
-    calls = []
-    original = resolution.gaeta_resolution
-
-    def counted(n):
-        calls.append(n)
-        return original(n)
-
-    for module in (verify, resolution):
-        monkeypatch.setattr(module, "gaeta_resolution", counted)
+    empty_core_memo(monkeypatch)
+    built = count_cores(monkeypatch)
     together = run_suite("all", 6)
-    assert calls == [2, 3, 4, 5, 6]
+    assert built == [2, 3, 4, 5, 6]
     assert format_report(together) == format_report(alone)
-    calls.clear()
+    run_suite("resolution", 20)
+    built.clear()
     # once one per n: kronecker_data(n) built a whole resolution for m1, k and the case
     run_suite("kronecker", 20)
-    assert calls == []
+    assert built == []
 
 
 @pytest.mark.parametrize(
