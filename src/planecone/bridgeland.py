@@ -12,7 +12,11 @@ the characters' integer numerators, whose common denominators cancel, and
 builds one Fraction each for the center and the squared radius.  The closed
 center and radius that exceptional_pair_wall and collapsing_wall check their
 walls against are compared by integer cross products, never by Fraction
-arithmetic.
+arithmetic, and so are walls against each other.  For center a/b, radius^2
+x/y and a reference line s = u/v, the wall lies on the side of the sign of
+g = av - ub exactly when g != 0 and g^2 y >= x b^2 v^2 (_wall_side); nested
+orders two centers by one more cross product, is_empty reads the sign of
+x, and exceptional_pair_wall tells two slopes apart by their addresses.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class Wall:
         return cls(KIND_VERTICAL, vertical_s=_as_rational(s))
 
     def is_empty(self) -> bool:
-        return self.kind == KIND_SEMICIRCLE and self.radius_sq <= 0
+        """A semicircle whose radius^2 is not positive, read off its numerator's sign."""
+        return self.kind == KIND_SEMICIRCLE and self.radius_sq.numerator <= 0
 
     def to_json(self) -> dict:
         if self.kind == KIND_VERTICAL:
@@ -114,14 +119,19 @@ def collapsing_wall(n: int) -> Wall:
 
 
 def _wall_side(w: Wall, ref: Fraction) -> int:
-    """-1 or +1 when w lies (weakly) left or right of s = ref."""
+    """-1 or +1 when w lies (weakly) left or right of s = ref, decided in integers.
+
+    For center a/b, ref = u/v and radius^2 x/y, the gap from the line is
+    a/b - u/v = g/(bv) with g = av - ub, and w lies on one side exactly when
+    g != 0 and gap^2 >= radius^2, that is g^2 y >= x b^2 v^2: the side is
+    the sign of g.  A wall that touches the line counts as a side.
+    """
     if w.kind != KIND_SEMICIRCLE:
         raise ValueError("nesting compares semicircular walls")
-    gap = w.center_s - ref
-    if gap < 0 and gap * gap >= w.radius_sq:
-        return -1
-    if gap > 0 and gap * gap >= w.radius_sq:
-        return 1
+    b, v = w.center_s.denominator, ref.denominator
+    g = w.center_s.numerator * v - ref.numerator * b
+    if g and g * g * w.radius_sq.denominator >= w.radius_sq.numerator * (b * v) ** 2:
+        return 1 if g > 0 else -1
     raise ValueError("wall crosses the vertical line s = %s" % ref)
 
 
@@ -131,17 +141,18 @@ def nested(inner: Wall, outer: Wall, reference_slope) -> bool:
     For walls left of the reference line the radius grows as the center
     moves left, so inner sits strictly inside outer exactly when its center
     is strictly to the right; mirrored on the right side.  Identical centers
-    give False, and walls on opposite sides raise.
+    give False, and walls on opposite sides raise.  Each side is decided by
+    _wall_side's cross products and the centers by one more, so a Fraction
+    reference slope builds no Fraction.
     """
     ref = _as_rational(reference_slope)
     side = _wall_side(inner, ref)
     if side != _wall_side(outer, ref):
         raise ValueError("walls lie on opposite sides of s = %s" % ref)
-    if inner.center_s == outer.center_s:
-        return False
-    if side < 0:
-        return inner.center_s > outer.center_s
-    return inner.center_s < outer.center_s
+    # inner's center less outer's has the sign of c, which is -side when nested
+    a, b = inner.center_s.numerator, inner.center_s.denominator
+    c = a * outer.center_s.denominator - outer.center_s.numerator * b
+    return side * c < 0
 
 
 def bridgeland_from_mori(y) -> Fraction:
@@ -158,7 +169,7 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
     formula additionally needs adjacency, and is checked only then.
     """
     a, b = _as_slope(alpha), _as_slope(beta)
-    if a.value == b.value:
+    if a.address == b.address:
         raise ValueError("a wall needs two distinct slopes")
     wall = wall_between(exceptional_character(a), exceptional_character(b))
     # with a = c/r, b = c'/r', h = r r', e = h (a - b) and k = r'^2 - r^2, the ratio

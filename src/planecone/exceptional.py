@@ -296,23 +296,18 @@ def _walk(k: int, choose, max_depth: int) -> ExceptionalSlope:
 def epsilon(addr) -> ExceptionalSlope:
     """The exceptional slope at a dyadic address p/2^q; memoized by canonical address.
 
-    A memo hit is one dict read.  A miss with k = floor(p/2^q) walks down the
-    unit tree towards u/2^q, u = p - k 2^q, steered by comparing u/2^q with
-    each address it asks about, and builds the missing unit ancestors; the
-    walk asks at most q + 2 slopes, fewer where it gallops along a run the
-    memo holds, and does not recurse.  _walk twists that slope by k, so
-    the memo holds the unit tree plus each twisted slope asked for, and no
-    twisted ancestors.  The memo only ever gains value-identical entries for
-    a given key, so concurrent readers are safe.
+    A pair (p, q) of plain ints with q >= 0 goes straight to _epsilon_at, so
+    a memo hit reduces it in ints, reads the memo once and builds no
+    DyadicAddress.  Any other argument, a DyadicAddress, an int, a dyadic
+    Fraction or a pair of other types, is read by DyadicAddress.coerce, which
+    raises on a bool, a float or a negative q, and then read the same way.
     """
+    if type(addr) is tuple and len(addr) == 2:
+        p, q = addr
+        if type(p) is int and type(q) is int and q >= 0:
+            return _epsilon_at(p, q)
     addr = DyadicAddress.coerce(addr)
-    p, q = addr.p, addr.q
-    hit = _MEMO.get((p, q))
-    if hit is not None:
-        return hit
-    k = p >> q
-    u = p - (k << q)
-    return _walk(k, lambda s: u - (s.address.p << (q - s.address.q)), q)
+    return _epsilon_at(addr.p, addr.q)
 
 
 def _twist(s: ExceptionalSlope, k: int) -> ExceptionalSlope:
@@ -333,10 +328,26 @@ def _twist(s: ExceptionalSlope, k: int) -> ExceptionalSlope:
 
 
 def _epsilon_at(p: int, q: int) -> ExceptionalSlope:
-    """epsilon((p, q)) for ints p and q >= 0; a memo hit builds no DyadicAddress."""
+    """epsilon((p, q)) for ints p and q >= 0: the one memo read of an address.
+
+    The address is reduced to canonical form in ints, so a hit is one dict
+    read and builds no DyadicAddress.  A miss with k = floor(p/2^q) walks
+    down the unit tree towards u/2^q, u = p - k 2^q, steered by comparing
+    u/2^q with each address it asks about, and builds the missing unit
+    ancestors; the walk asks at most q + 2 slopes, fewer where it gallops
+    along a run the memo holds, and does not recurse.  _walk twists that
+    slope by k, so the memo holds the unit tree plus each twisted slope asked
+    for, and no twisted ancestors.  The memo only ever gains value-identical
+    entries for a given key, so concurrent readers are safe.
+    """
     while q and not p & 1:
         p, q = p >> 1, q - 1
-    return _MEMO.get((p, q)) or epsilon((p, q))
+    hit = _MEMO.get((p, q))
+    if hit is not None:
+        return hit
+    k = p >> q
+    u = p - (k << q)
+    return _walk(k, lambda s: u - (s.address.p << (q - s.address.q)), q)
 
 
 def _as_slope(x) -> ExceptionalSlope:

@@ -178,13 +178,36 @@ def _triad_configs(depth: int):
             yield p, q
 
 
+def _below(x: Fraction, p: int, q: int) -> bool:
+    """x < p/q for q > 0, as x's numerator times q against p times its denominator."""
+    return x.numerator * q < p * x.denominator
+
+
+def _center_ratio(a, b) -> tuple[int, int]:
+    """(N, M) with (D_b - D_a)/(a - b) = N/M, for slopes a = c/r and b = d/s.
+
+    D_x = 1/2 - 1/(2 rank^2), so D_b - D_a = (s^2 - r^2)/(2 r^2 s^2) and
+    a - b = (cs - dr)/(rs): N = s^2 - r^2 and M = 2rs(cs - dr), which has
+    the sign of a - b.
+    """
+    r, s = a.rank, b.rank
+    return s * s - r * r, 2 * r * s * (a.value.numerator * s - b.value.numerator * r)
+
+
 def _suite_walls(depth: int) -> list[CheckResult]:
+    """The collapsing walls, the pair walls of each triad, their nesting and their chains.
+
+    Every bound is decided in integers, each by cross-multiplying the
+    Fraction inequality it stands for, and nested decides in integers too.
+    """
     collapse_failures = []
     for n in range(2, depth + 1):
         wall = collapsing_wall(n)
-        # lambda from the memoized resolution the wall was read from
+        # lambda from the memoized resolution the wall was read from; for lambda = u/v,
+        # (lambda + 3/2)^2 - 2n <= 5/4 reads (2u + 3v)^2 <= (8n + 5) v^2
         lam = gaeta_resolution(n).lam
-        if (lam + Fraction(3, 2)) ** 2 - 2 * n <= Fraction(5, 4):
+        u, v = lam.numerator, lam.denominator
+        if (2 * u + 3 * v) ** 2 <= (8 * n + 5) * v * v:
             collapse_failures.append("n=%d radius bound" % n)
         if wall.is_empty():
             collapse_failures.append("n=%d empty collapsing wall" % n)
@@ -197,7 +220,6 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     balance_failures = []
     pair_total = 0
     chain_total = 0
-    bound = Fraction(5, 4)
     # W(x, y) = W(y, x), and neighbouring triads and chains share walls
     pair_walls = {}
 
@@ -225,14 +247,15 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         ]
         right = pair_wall(beta, eta)
         for x, y, wall in ((alpha, beta, links[0]), (beta, eta, right)):
-            if wall.radius_sq >= bound:
+            if not _below(wall.radius_sq, 5, 4):
                 radius_failures.append("pair (%s, %s)" % (x.value, y.value))
-        r1 = (beta.discriminant - alpha.discriminant) / (alpha.value - beta.value)
-        r2 = (eta.discriminant - beta.discriminant) / (beta.value - eta.value)
+        # r1 and r2 are N/M for these pairs, and r1 < -1, r2 > 1 read, times M^2,
+        # M(N + M) < 0 and M(N - M) > 0 whatever the sign of M
+        (n1, m1), (n2, m2) = _center_ratio(alpha, beta), _center_ratio(beta, eta)
         if q == 1:
-            ok = r1 == Fraction(-3, 4) and r2 == Fraction(3, 4)
+            ok = 4 * n1 == -3 * m1 and 4 * n2 == 3 * m2
         else:
-            ok = r1 < -1 and r2 > 1
+            ok = m1 * (n1 + m1) < 0 and m2 * (n2 - m2) > 0
         if not ok:
             ratio_failures.append("triad p=%d q=%d" % (p, q))
         # beta.eta is the child of the adjacent addresses (p + 1, q) and (p + 2, q)
@@ -240,13 +263,16 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         right_ok = nested(
             right, pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
         )
-        if not (left_ok and right_ok and 2 * beta.discriminant < 1):
+        if not (left_ok and right_ok and _below(beta.discriminant, 1, 2)):
             nest_failures.append("triad p=%d q=%d" % (p, q))
         if not chained:
             continue
         chain_total += 1
         radii = [w.radius_sq for w in links]
-        if not all(r < s < bound for r, s in zip(radii, radii[1:])):
+        if not all(
+            _below(r, s.numerator, s.denominator) and _below(s, 5, 4)
+            for r, s in zip(radii, radii[1:])
+        ):
             chain_failures.append("chain at p=%d q=%d" % (p, q))
         triad = kernel_cokernel_slopes(p, q)
         if not (triad.balance_first and triad.balance_second):

@@ -11,7 +11,10 @@ that counts the work of one answer on a repeated n reads an empty memo
 (core_memo.py).  gamma_inv steers by rationals and
 kronecker_data reads its window off an integer Euler form, so no warm answer
 builds a surd.
-The verify suites name every slope they build by its dyadic address.  Each
+The verify suites name every slope they build by its dyadic address, as a
+pair of ints that epsilon reads from the memo without building a
+DyadicAddress, and the walls suite decides its walls in integers, so a warm
+round of it builds 2 Fractions a pair wall and few others.  Each
 count is taken on a warm memo, because an epsilon that misses the memo walks
 too.  The surd count of a walk steered by a rational is also taken cold: it
 decides every level in integers and builds no slope's radius.  gamma_inv's
@@ -101,6 +104,19 @@ def count_slopes(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(exceptional.ExceptionalSlope, "__init__", counted)
+    return built
+
+
+def count_addresses(monkeypatch):
+    """Record every DyadicAddress built from now on."""
+    original = exceptional.DyadicAddress.__post_init__
+    built = []
+
+    def counted(self):
+        original(self)
+        built.append(self)
+
+    monkeypatch.setattr(exceptional.DyadicAddress, "__post_init__", counted)
     return built
 
 
@@ -556,3 +572,36 @@ def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
         collapsing_wall(n)
         exceptional_pair_wall(res.alpha, res.beta)
     assert built == []
+
+
+def test_a_warm_epsilon_on_an_int_pair_builds_no_address(monkeypatch):
+    # once every epsilon((p, q)) built a DyadicAddress before it read the memo
+    pairs = [(1, 2), (2, 3), (4, 4), (-3, 1), (12, 2), (5, 0), (40, 3), (7, 10)]
+    slopes = [exceptional.epsilon(exceptional.DyadicAddress(*pq)) for pq in pairs]
+    built = count_addresses(monkeypatch)
+    assert all(exceptional.epsilon(pq) is s for pq, s in zip(pairs, slopes))
+    assert built == []
+    # any other argument is read by DyadicAddress, on a warm memo too
+    assert exceptional.epsilon(Fraction(1, 4)) is slopes[0] and len(built) == 1
+    for bad, error in (((True, 0), TypeError), ((2.0, 0), TypeError), ((1, -1), ValueError)):
+        with pytest.raises(error):
+            exceptional.epsilon(bad)
+
+
+@pytest.mark.parametrize("suite, depth", [("cf", 9), ("intervals", 5), ("walls", 50)])
+def test_warm_slope_suites_build_no_address(monkeypatch, suite, depth):
+    # once 513, 97 and 2,097: each epsilon((p, q)) built a DyadicAddress to read the memo
+    run_suite(suite, depth)
+    built = count_addresses(monkeypatch)
+    assert all(r.passed for r in run_suite(suite, depth))
+    assert built == []
+
+
+def test_a_warm_walls_suite_builds_at_most_2100_fractions(monkeypatch):
+    # once 6,152: nesting subtracted and squared Fractions, and every bound was a
+    # Fraction expression; now 2 per distinct pair wall, each wall's center and
+    # radius^2, plus what collapsing_wall and kernel_cokernel_slopes build
+    run_suite("walls", 50)
+    built = count_fractions(monkeypatch)
+    assert all(r.passed for r in run_suite("walls", 50))
+    assert len(built) <= 2100, len(built)
