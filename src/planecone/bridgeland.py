@@ -17,6 +17,14 @@ x/y and a reference line s = u/v, the wall lies on the side of the sign of
 g = av - ub exactly when g != 0 and g^2 y >= x b^2 v^2 (_wall_side); nested
 orders two centers by one more cross product, is_empty reads the sign of
 x, and exceptional_pair_wall tells two slopes apart by their addresses.
+
+Each wall is built once and carried by the object it depends on.  The
+collapsing wall of n depends on n alone and lives on the resolution record
+of n that resolution._core_of keeps.  A pair wall depends on its two slopes;
+when they are a slope and one of its parents, or the two parents of a slope,
+the wall lives on that slope, which keeps the at most three walls of its
+triad.  Both slots are filled here, on first use, since neither resolution
+nor exceptional can import this module.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 
 from .chern import ChernCharacter, euler_pairing, exceptional_character
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
-from .exceptional import ExceptionalSlope, _as_slope, dot, epsilon, is_adjacent_pair
+from .exceptional import ExceptionalSlope, _as_slope, _epsilon_at, dot, epsilon, is_adjacent_pair
 from .resolution import _core
 from .stability import _delta
 
@@ -96,8 +104,14 @@ def collapsing_wall(n: int) -> Wall:
     resolution's s = chi(E_D) - n r_D fixes that term: E_{-D} when s > 0,
     E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is the
     exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
+
+    The wall lives on that resolution record: the first call builds it and
+    runs its checks, and leaves it in the record's _wall, so a repeat is one
+    memo read and returns the same Wall for as long as the memo keeps n.
     """
     res = _core(n, "collapsing wall")
+    if res._wall is not None:
+        return res._wall
     d, s = res.dot_slope, res.s
     wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(res.terms[-1][0]))
     # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
@@ -115,6 +129,8 @@ def collapsing_wall(n: int) -> Wall:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
     if s and 4 * x <= 5 * y:
         raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
+    # kept only once every check has passed
+    object.__setattr__(res, "_wall", wall)
     return wall
 
 
@@ -167,10 +183,52 @@ def exceptional_pair_wall(alpha, beta) -> Wall:
     The center always matches the closed formula
     (alpha+beta)/2 + (D_beta - D_alpha)/(alpha-beta); the closed radius
     formula additionally needs adjacency, and is checked only then.
+
+    A wall of a triad lives on the triad's slope, which _triad_home finds
+    from the two addresses: the first call builds it and runs both checks,
+    and leaves it in that slope's _walls, so a repeat, in either order,
+    returns the same Wall.  Any other pair's wall is built and checked on
+    each call and kept nowhere.
     """
     a, b = _as_slope(alpha), _as_slope(beta)
-    if a.address == b.address:
+    home = _triad_home(a, b)
+    if home is None:
+        return _pair_wall(a, b)
+    slope, slot = home
+    wall = slope._walls.get(slot)
+    if wall is None:
+        wall = slope._walls[slot] = _pair_wall(a, b)
+    return wall
+
+
+def _triad_home(a: ExceptionalSlope, b: ExceptionalSlope):
+    """(c, slot) when (a, b) is a pair of c's triad and W(a, b) lives in c._walls[slot], else None.
+
+    Decided on the addresses p/2^q of a and b.  When a is the deeper, q > 0,
+    b is a parent of a exactly when the two are consecutive at a's level,
+    |b_p 2^(q - b_q) - p| = 1, and the wall lives on a, the child, at the
+    slot of that difference: -1 for its lower parent, +1 for its upper one.
+    The parents of a slope of level >= 2 are a slope and one of its own
+    parents, so the pair is a child with its parent again.  Two integers
+    1 or 2 apart are the parents of their midpoint k + 1/2 or k, and their
+    wall lives there, at slot 0; that midpoint is read by _epsilon_at, one
+    memo read when it is held, as the dot slope of a resolution is.
+    """
+    p, q, pb, qb = a.address.p, a.address.q, b.address.p, b.address.q
+    if (p, q) == (pb, qb):
         raise ValueError("a wall needs two distinct slopes")
+    if q < qb:
+        a, p, q, pb, qb = b, pb, qb, p, q
+    if q > qb:
+        gap = (pb << (q - qb)) - p
+        return (a, gap) if gap == 1 or gap == -1 else None
+    if q == 0 and 0 < abs(pb - p) <= 2:
+        return _epsilon_at(p + pb, 1), 0
+    return None
+
+
+def _pair_wall(a: ExceptionalSlope, b: ExceptionalSlope) -> Wall:
+    """The wall of two distinct slopes, built from their characters and checked."""
     wall = wall_between(exceptional_character(a), exceptional_character(b))
     # with a = c/r, b = c'/r', h = r r', e = h (a - b) and k = r'^2 - r^2, the ratio
     # (D_b - D_a)/(a - b) is k/(2 h e), so the closed center is ((c r' + c' r) e + k)/(2 h e)

@@ -1,10 +1,12 @@
 """Continued fractions for rationals.
 
 A rational is read as an int or a Fraction and expanded by the integer Euclid
-on its numerator and denominator.  Expansions are kept in the even-length
-canonical form (an odd-length raw expansion is renormalized by merging or
-splitting the last term), with the full convergent list carried along so
-structural predicates stay cheap.
+on its numerator and denominator, _even_terms, the one expansion.  Expansions
+are kept in the even-length canonical form (an odd-length raw expansion is
+renormalized by merging or splitting the last term), and each is checked to
+rebuild its input from two rolling convergents.  check_exceptional_cf reads
+the terms alone; cf_expand_even builds the public ContinuedFraction, which
+carries the full convergent list.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ class ContinuedFraction:
         }
 
 
-def _expand(num: int, den: int) -> ContinuedFraction:
-    """Even-length expansion of num/den, den > 0, by the integer Euclid on (num, den)."""
+def _even_terms(num: int, den: int) -> tuple[int, tuple[int, ...]]:
+    """a0 and the even-length terms of num/den, den > 0, by the integer Euclid on (num, den).
+
+    The last convergent, rolled along in two (p, q) pairs, must be num/den.
+    """
     a0, rem = divmod(num, den)
     terms: list[int] = []
     u, v = den, rem
@@ -54,23 +59,29 @@ def _expand(num: int, den: int) -> ContinuedFraction:
         # Euclid never ends on a 1: its last quotient is >= 2
         terms[-1] -= 1
         terms.append(1)
-    ps = [1, a0]
-    qs = [0, 1]
+    p0, q0, p, q = 1, 0, a0, 1
     for a in terms:
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
+        p, p0 = a * p + p0, p
+        q, q0 = a * q + q0, q
     # the last convergent is in lowest terms with a positive denominator, as num/den is
-    if (ps[-1], qs[-1]) != (num, den):
+    if p != num or q != den:
         raise ArithmeticError(
             "expansion of %s did not reconstruct its input" % Fraction(num, den)
         )
-    return ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
+    return a0, tuple(terms)
 
 
 def cf_expand_even(x: RationalLike) -> ContinuedFraction:
     """Expand an int or a Fraction into the even-length canonical continued fraction."""
     x = _as_rational(x)
-    return _expand(x.numerator, x.denominator)
+    a0, terms = _even_terms(x.numerator, x.denominator)
+    p0, q0, p, q = 1, 0, a0, 1
+    convergents = [(p, q)]
+    for a in terms:
+        p, p0 = a * p + p0, p
+        q, q0 = a * q + q0, q
+        convergents.append((p, q))
+    return ContinuedFraction(a0, terms, tuple(convergents))
 
 
 def is_palindrome(cf: ContinuedFraction) -> bool:
@@ -100,10 +111,9 @@ def check_exceptional_cf(alpha) -> dict:
     """
     value = _slope_value(alpha)
     num, den = value.numerator, value.denominator
-    cf = _expand(num % den, den)
-    terms = cf.terms
+    _, terms = _even_terms(num % den, den)
     return {
-        "palindrome": is_palindrome(cf),
+        "palindrome": terms == terms[::-1],
         "terms_in_12": all(t in (1, 2) for t in terms),
         "ones_blocks_even": all(n % 2 == 0 for n in _block_lengths(terms, 1)),
         "interior_twos_blocks_even": all(

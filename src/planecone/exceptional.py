@@ -115,6 +115,11 @@ class ExceptionalSlope:
     holds a slope never has to find -alpha + k again by tree descent.  Where x
     lies against I_alpha is decided by side(x) alone, in integers; the tree
     descent reads it.
+
+    A slope also keeps the walls of its triad, its two parents lo < hi with
+    it, in _walls: W(slope, lo) at -1, W(slope, hi) at +1 and W(lo, hi) at 0,
+    each put there on first use by bridgeland.exceptional_pair_wall, which
+    this module cannot import.  So the walls live and die with the slope.
     """
 
     value: Fraction
@@ -127,6 +132,10 @@ class ExceptionalSlope:
     def interval_radius(self) -> QuadSurd:
         r = self.rank
         return QuadSurd(Fraction(3, 2), Fraction(-1, 2 * r), 9 * r * r - 4)
+
+    @cached_property
+    def _walls(self) -> dict:
+        return {}
 
     def interval(self) -> tuple[QuadSurd, QuadSurd]:
         c, r = self.value.numerator, self.rank

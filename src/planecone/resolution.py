@@ -15,8 +15,10 @@ resolution, takes each bundle term's character, runs every check of the
 resolution, the assembly to I_Z included, in integers, and builds the two
 exact sequences.  gaeta_resolution returns that record; kronecker_data reads
 m1, k and s off it; collapsing_wall reads its last term, the bundle that
-destabilizes I_Z.  The record is memoized by n, so the three answers on one n
-cost one walk and one build together, and a repeat returns the same record.
+destabilizes I_Z, builds the wall once and leaves it on the record, which
+carries it from then on.  The record is memoized by n, so the three answers
+on one n cost one walk and one build together, and a repeat returns the same
+record and the same wall.
 The memo keeps the last _CORE_MEMO_SIZE = 512 n used, which holds the
 n = 2..500 that `verify all` sweeps at its default depth; the int is read
 before the memo is (_core).
@@ -93,6 +95,11 @@ class ResolutionData:
     the third term, and m3 = |s|; case names the position of mu against D
     that the sign of s gives.  terms presents I_Z as (slope, mult) pairs,
     mult < 0 on the left of the complex.
+
+    The record also carries its collapsing wall in _wall, None until
+    bridgeland.collapsing_wall, which this module cannot import, builds it
+    from the record and puts it there; so the wall lives and dies with the
+    record in _core_of's memo.
     """
 
     n: int
@@ -110,6 +117,9 @@ class ResolutionData:
     w_sequence: tuple[SeqTerm, ...]
     iz_sequence: tuple[SeqTerm, ...]
     terms: tuple[tuple[ExceptionalSlope, int], ...]
+
+    # not a field: the collapsing wall, set once by bridgeland.collapsing_wall
+    _wall = None
 
     @property
     def m3(self) -> int:

@@ -199,6 +199,10 @@ def _suite_walls(depth: int) -> list[CheckResult]:
 
     Every bound is decided in integers, each by cross-multiplying the
     Fraction inequality it stands for, and nested decides in integers too.
+    Every pair wall the suite reads is of a slope and one of its parents, so
+    it lives on that slope, and each collapsing wall lives on the resolution
+    record of its n: a warm round builds no wall, and reads each through
+    exceptional_pair_wall or collapsing_wall.
     """
     collapse_failures = []
     for n in range(2, depth + 1):
@@ -220,17 +224,6 @@ def _suite_walls(depth: int) -> list[CheckResult]:
     balance_failures = []
     pair_total = 0
     chain_total = 0
-    # W(x, y) = W(y, x), and neighbouring triads and chains share walls
-    pair_walls = {}
-
-    def pair_wall(x, y):
-        a, b = (x.address.p, x.address.q), (y.address.p, y.address.q)
-        key = (a, b) if a <= b else (b, a)
-        wall = pair_walls.get(key)
-        if wall is None:
-            wall = pair_walls[key] = exceptional_pair_wall(x, y)
-        return wall
-
     # the chains and balances take the triads of level <= CHAIN_LENGTH, a prefix
     # of this loop's because CHAIN_LENGTH <= PAIR_DEPTH
     for p, q in _triad_configs(min(depth, PAIR_DEPTH)):
@@ -242,10 +235,10 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         # link 0 of alpha's chain is beta and link j + 1 is alpha.(link j), so link j
         # is ((p << j) + 1, q + j); links 0 and 1 are also the left nesting pair
         links = [
-            pair_wall(alpha, epsilon(((p << j) + 1, q + j)))
+            exceptional_pair_wall(alpha, epsilon(((p << j) + 1, q + j)))
             for j in range(CHAIN_LENGTH if chained else 2)
         ]
-        right = pair_wall(beta, eta)
+        right = exceptional_pair_wall(beta, eta)
         for x, y, wall in ((alpha, beta, links[0]), (beta, eta, right)):
             if not _below(wall.radius_sq, 5, 4):
                 radius_failures.append("pair (%s, %s)" % (x.value, y.value))
@@ -261,7 +254,7 @@ def _suite_walls(depth: int) -> list[CheckResult]:
         # beta.eta is the child of the adjacent addresses (p + 1, q) and (p + 2, q)
         left_ok = nested(links[0], links[1], alpha.value)
         right_ok = nested(
-            right, pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
+            right, exceptional_pair_wall(eta, epsilon((2 * p + 3, q + 1))), eta.value
         )
         if not (left_ok and right_ok and _below(beta.discriminant, 1, 2)):
             nest_failures.append("triad p=%d q=%d" % (p, q))

@@ -1,19 +1,22 @@
 """Even-length continued fractions and the exceptional structure flags."""
 
 from fractions import Fraction
+from itertools import groupby
 from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecone.exceptional as exceptional
 from planecone.contfrac import (
     ContinuedFraction,
     cf_expand_even,
     check_exceptional_cf,
     is_palindrome,
 )
-from planecone.exceptional import enumerate_slopes, epsilon
+from planecone.exceptional import _slope_value, enumerate_slopes, epsilon
+from planecone.verify import run_suite
 
 
 def terms_of(x):
@@ -170,3 +173,72 @@ def test_a_float_is_not_read_as_a_rational(fn):
     # once each answered for the float 0.5 as for 1/2
     with pytest.raises(TypeError, match="as a rational"):
         fn(0.5)
+
+
+def reference_expand(num, den):
+    """The list-building integer Euclid that check_exceptional_cf once read, kept as a reference.
+
+    It builds the convergent lists and a ContinuedFraction, which the flags
+    never read; check_exceptional_cf now reads the terms alone.
+    """
+    a0, rem = divmod(num, den)
+    terms = []
+    u, v = den, rem
+    while v:
+        a, rem = divmod(u, v)
+        terms.append(a)
+        u, v = v, rem
+    if len(terms) % 2:
+        terms[-1] -= 1
+        terms.append(1)
+    ps = [1, a0]
+    qs = [0, 1]
+    for a in terms:
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    assert (ps[-1], qs[-1]) == (num, den)
+    return ContinuedFraction(a0, tuple(terms), tuple(zip(ps[1:], qs[1:])))
+
+
+def reference_check(alpha):
+    """The four flags on the reference expansion of alpha's fractional part, blocks by groupby."""
+    value = _slope_value(alpha)
+    cf = reference_expand(value.numerator % value.denominator, value.denominator)
+    terms = cf.terms
+
+    def blocks_even(word, symbol):
+        return all(len(list(run)) % 2 == 0 for t, run in groupby(word) if t == symbol)
+
+    return {
+        "palindrome": is_palindrome(cf),
+        "terms_in_12": all(t in (1, 2) for t in terms),
+        "ones_blocks_even": blocks_even(terms, 1),
+        "interior_twos_blocks_even": blocks_even(terms[1:-1], 2),
+    }
+
+
+def test_the_terms_only_check_matches_the_list_building_reference(monkeypatch):
+    # an empty memo, so the 4,097 slopes of level <= 12 leave the shared one as it was
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    slopes = enumerate_slopes(12, 0, 1)
+    assert len(slopes) == 4097
+    twists = [epsilon((s.address.p + (k << s.address.q), s.address.q))
+              for s in slopes[::97] for k in (-3, -1, 2, 5)]
+    others = [Fraction(1, 3), Fraction(3, 10), Fraction(7, 2), Fraction(5, 7), 3, Fraction(-8, 13)]
+    for x in slopes + twists + others:
+        assert check_exceptional_cf(x) == reference_check(x), x
+
+
+def test_a_warm_cf_suite_builds_no_continued_fraction(monkeypatch):
+    run_suite("cf", 9)
+    built = []
+    original = ContinuedFraction.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(ContinuedFraction, "__init__", counted)
+    assert all(r.passed for r in run_suite("cf", 9))
+    assert built == []
+    assert cf_expand_even(Fraction(5, 13)).terms == (2, 1, 1, 2) and len(built) == 1

@@ -597,11 +597,12 @@ def test_warm_slope_suites_build_no_address(monkeypatch, suite, depth):
     assert built == []
 
 
-def test_a_warm_walls_suite_builds_at_most_2100_fractions(monkeypatch):
+def test_a_warm_walls_suite_builds_at_most_250_fractions(monkeypatch):
     # once 6,152: nesting subtracted and squared Fractions, and every bound was a
-    # Fraction expression; now 2 per distinct pair wall, each wall's center and
-    # radius^2, plus what collapsing_wall and kernel_cokernel_slopes build
+    # Fraction expression; then 2,079, 2 per distinct pair wall, each wall's center
+    # and radius^2, rebuilt each round; now each wall is kept, on its slope or on
+    # the resolution record of its n, and only kernel_cokernel_slopes builds (189)
     run_suite("walls", 50)
     built = count_fractions(monkeypatch)
     assert all(r.passed for r in run_suite("walls", 50))
-    assert len(built) <= 2100, len(built)
+    assert len(built) <= 250, len(built)

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import planecone.bridgeland as bridgeland
+import planecone.exceptional as exceptional
 import planecone.verify as verify
 from planecone.bridgeland import Wall, exceptional_pair_wall
 from planecone.cli import main
@@ -98,17 +100,25 @@ def test_walls_triad_levels_follow_depth():
 def test_walls_build_each_pair_wall_of_a_triad_once(monkeypatch, depth, built):
     # once 84 and 1908: the chain rebuilt W(alpha, beta) and W(alpha, alpha.beta),
     # and the nesting check rebuilt W(beta, eta); then 56 and 1272, one per ordered
-    # use, with neighbouring triads and chains still building a shared wall again
+    # use, with neighbouring triads and chains still building a shared wall again;
+    # then one per distinct pair and round, and now one per distinct pair, kept on
+    # its slope, so a second round builds none.  The empty slope memo holds no
+    # kept wall.
+    monkeypatch.setattr(exceptional, "_MEMO", {})
     calls = []
+    build = bridgeland._pair_wall
 
     def counted(alpha, beta):
         calls.append((alpha, beta))
-        return exceptional_pair_wall(alpha, beta)
+        return build(alpha, beta)
 
-    monkeypatch.setattr(verify, "exceptional_pair_wall", counted)
+    monkeypatch.setattr(bridgeland, "_pair_wall", counted)
     run_suite("walls", depth)
     assert len(calls) == built
     assert len({frozenset((x.address, y.address)) for x, y in calls}) == built
+    calls.clear()
+    run_suite("walls", depth)
+    assert calls == []
 
 
 def test_walls_failures_report_in_triad_order(monkeypatch):

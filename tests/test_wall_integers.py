@@ -223,7 +223,8 @@ def moved_wall(monkeypatch, seed):
 
     def moved(x, y):
         w = real(x, y)
-        # W(x, y) = W(y, x), which the suite builds once, in the order it meets first
+        # W(x, y) = W(y, x), which the suite may read in either order and more than
+        # once, so the seed is the sorted pair and every read is moved alike
         pair = sorted(((x.address.p, x.address.q), (y.address.p, y.address.q)))
         rng = random.Random("%s %s" % (seed, pair))
         k = rng.choice((1, 4, 8, 16, 100, 10**9))

@@ -2,10 +2,12 @@
 
 For each suite it prints the Fractions, DyadicAddresses and ChernCharacters
 that one run_suite(suite, depth) builds after a first round has warmed every
-memo, at the depths of the benchmark's verify_suites workload
-(SUITE_DEPTHS in bench/workloads.py, which it reads with ast and does not
-import or edit).  The counts depend on no machine, so they can be compared
-across commits.  Stdlib only; run from anywhere:
+memo, and the walls it builds, counted as calls of bridgeland.wall_between,
+which builds every pair wall and collapsing wall.  The depths are those of
+the benchmark's verify_suites workload (SUITE_DEPTHS in bench/workloads.py,
+which it reads with ast and does not import or edit).  The counts depend
+on no machine, so they can be compared across commits.  Stdlib only; run
+from anywhere:
 
     python tools/suite_work.py
 
@@ -22,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from planecone import bridgeland  # noqa: E402
 from planecone.chern import ChernCharacter  # noqa: E402
 from planecone.exceptional import DyadicAddress  # noqa: E402
 from planecone.verify import run_suite  # noqa: E402
@@ -39,10 +42,10 @@ def suite_depths() -> dict[str, int]:
 
 
 class Counter:
-    """Counts, while installed, each Fraction, DyadicAddress and ChernCharacter built."""
+    """Counts, while installed, each Fraction, DyadicAddress, ChernCharacter and wall built."""
 
     def __init__(self) -> None:
-        self.counts = {"fractions": 0, "addresses": 0, "characters": 0}
+        self.counts = {"fractions": 0, "addresses": 0, "characters": 0, "walls": 0}
         self._saved = []
 
     def _wrap(self, owner, name, key, kind=None) -> None:
@@ -66,6 +69,7 @@ class Counter:
         self._wrap(DyadicAddress, "__post_init__", "addresses")
         self._wrap(ChernCharacter, "__init__", "characters")
         self._wrap(ChernCharacter, "_of", "characters", classmethod)
+        self._wrap(bridgeland, "wall_between", "walls")
         return self
 
     def __exit__(self, *exc) -> None:
@@ -77,15 +81,16 @@ def main() -> int:
     depths = suite_depths()
     for suite, depth in depths.items():
         run_suite(suite, depth)
-    totals = {"fractions": 0, "addresses": 0, "characters": 0}
-    print("%-12s %6s %10s %10s %11s" % ("suite", "depth", "fractions", "addresses", "characters"))
+    totals = {"fractions": 0, "addresses": 0, "characters": 0, "walls": 0}
+    header = ("suite", "depth", "fractions", "addresses", "characters", "walls")
+    print("%-12s %6s %10s %10s %11s %6s" % header)
     for suite, depth in depths.items():
         with Counter() as counter:
             run_suite(suite, depth)
         for key, value in counter.counts.items():
             totals[key] += value
-        print("%-12s %6d %10d %10d %11d" % (suite, depth, *counter.counts.values()))
-    print("%-12s %6s %10d %10d %11d" % ("total", "", *totals.values()))
+        print("%-12s %6d %10d %10d %11d %6d" % (suite, depth, *counter.counts.values()))
+    print("%-12s %6s %10d %10d %11d %6d" % ("total", "", *totals.values()))
     return 0
 
 
