@@ -8,152 +8,25 @@ the package is exact.  A QuadSurd is only printed: every argument is
 rational, and no function of the package compares a surd or computes with one.
 """
 
-from .bridgeland import (
-    KIND_SEMICIRCLE,
-    KIND_VERTICAL,
-    TriadSlopes,
-    Wall,
-    bridgeland_from_mori,
-    collapsing_wall,
-    exceptional_pair_wall,
-    kernel_cokernel_slopes,
-    nested,
-    render_walls,
-    wall_between,
-)
-from .chern import (
-    ChernCharacter,
-    ZeroRankError,
-    discriminant,
-    dual,
-    euler_char,
-    euler_pairing,
-    exceptional_character,
-    line_bundle,
-    slope,
-    twist,
-)
-from .contfrac import (
-    ContinuedFraction,
-    cf_expand_even,
-    check_exceptional_cf,
-    is_palindrome,
-)
-from .exactnum import (
-    QuadSurd,
-    fraction_str,
-    parse_fraction,
-)
-from .exceptional import (
-    CantorPointError,
-    DyadicAddress,
-    ExceptionalSlope,
-    associated_slope,
-    dot,
-    enumerate_slopes,
-    epsilon,
-    exceptional_slope_of,
-    hilbert_poly,
-    is_adjacent_pair,
-    parent_pair,
-)
-from .resolution import (
-    CASE_ABOVE_DOT,
-    CASE_AT_DOT,
-    CASE_BELOW_DOT,
-    CASE_TWO_S_GEQ,
-    CASE_TWO_S_LEQ,
-    ClassicalGaeta,
-    KroneckerData,
-    KroneckerNotApplicableError,
-    ResolutionData,
-    SeqTerm,
-    classical_gaeta,
-    gaeta_resolution,
-    kronecker_data,
-    kronecker_euler,
-)
-from .stability import (
-    CASE_EXCEPTIONAL_BUNDLE,
-    CASE_NON_EXCEPTIONAL,
-    CASE_TRIANGULAR_MINUS_ONE,
-    MinSlopeResult,
-    delta,
-    gamma,
-    gamma_inv,
-    height,
-    min_slope,
-    moduli_nonempty,
-)
-from .verify import CheckResult, format_report, run_suite
+from . import bridgeland, chern, contfrac, exactnum, exceptional, resolution, stability, verify
+from .bridgeland import *
+from .chern import *
+from .contfrac import *
+from .exactnum import *
+from .exceptional import *
+from .resolution import *
+from .stability import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_ABOVE_DOT",
-    "CASE_AT_DOT",
-    "CASE_BELOW_DOT",
-    "CASE_EXCEPTIONAL_BUNDLE",
-    "CASE_NON_EXCEPTIONAL",
-    "CASE_TRIANGULAR_MINUS_ONE",
-    "CASE_TWO_S_GEQ",
-    "CASE_TWO_S_LEQ",
-    "CantorPointError",
-    "ChernCharacter",
-    "CheckResult",
-    "ClassicalGaeta",
-    "ContinuedFraction",
-    "DyadicAddress",
-    "ExceptionalSlope",
-    "KIND_SEMICIRCLE",
-    "KIND_VERTICAL",
-    "KroneckerData",
-    "KroneckerNotApplicableError",
-    "MinSlopeResult",
-    "QuadSurd",
-    "ResolutionData",
-    "SeqTerm",
-    "TriadSlopes",
-    "Wall",
-    "ZeroRankError",
-    "associated_slope",
-    "bridgeland_from_mori",
-    "cf_expand_even",
-    "check_exceptional_cf",
-    "classical_gaeta",
-    "collapsing_wall",
-    "delta",
-    "discriminant",
-    "dot",
-    "dual",
-    "enumerate_slopes",
-    "epsilon",
-    "euler_char",
-    "euler_pairing",
-    "exceptional_character",
-    "exceptional_pair_wall",
-    "exceptional_slope_of",
-    "format_report",
-    "fraction_str",
-    "gaeta_resolution",
-    "gamma",
-    "gamma_inv",
-    "height",
-    "hilbert_poly",
-    "is_adjacent_pair",
-    "is_palindrome",
-    "kernel_cokernel_slopes",
-    "kronecker_data",
-    "kronecker_euler",
-    "line_bundle",
-    "min_slope",
-    "moduli_nonempty",
-    "nested",
-    "parent_pair",
-    "parse_fraction",
-    "render_walls",
-    "run_suite",
-    "slope",
-    "twist",
-    "wall_between",
+    *bridgeland.__all__,
+    *chern.__all__,
+    *contfrac.__all__,
+    *exactnum.__all__,
+    *exceptional.__all__,
+    *resolution.__all__,
+    *stability.__all__,
+    *verify.__all__,
 ]

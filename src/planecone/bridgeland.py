@@ -39,6 +39,20 @@ from .exceptional import ExceptionalSlope, _as_slope, _epsilon_at, dot, epsilon,
 from .resolution import _core
 from .stability import _delta
 
+__all__ = [
+    "KIND_SEMICIRCLE",
+    "KIND_VERTICAL",
+    "TriadSlopes",
+    "Wall",
+    "bridgeland_from_mori",
+    "collapsing_wall",
+    "exceptional_pair_wall",
+    "kernel_cokernel_slopes",
+    "nested",
+    "render_walls",
+    "wall_between",
+]
+
 KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
 

@@ -23,6 +23,19 @@ from fractions import Fraction
 from .exactnum import _as_ratio, fraction_str
 from .exceptional import _as_slope
 
+__all__ = [
+    "ChernCharacter",
+    "ZeroRankError",
+    "discriminant",
+    "dual",
+    "euler_char",
+    "euler_pairing",
+    "exceptional_character",
+    "line_bundle",
+    "slope",
+    "twist",
+]
+
 
 class ZeroRankError(ValueError):
     """Raised when slope or discriminant is requested at rank zero."""
@@ -150,24 +163,20 @@ def dual(ch: ChernCharacter) -> ChernCharacter:
     return ChernCharacter._of(r, -c, d, n)
 
 
-# each exceptional slope's character by its address (p, q), built on first use
-_CHARACTERS: dict[tuple[int, int], ChernCharacter] = {}
-
-
 def exceptional_character(alpha) -> ChernCharacter:
     """Character of the exceptional bundle of slope alpha.
 
     The rank r is the denominator of the slope c/r, and with
     Delta_alpha = (1 - 1/r^2)/2 the character r(1, alpha, alpha^2/2 - Delta_alpha)
     is (r, c, (c^2 - r^2 + 1)/(2r)) in integers.  Each slope's character is
-    built once and kept by address, like the slope in the epsilon memo; a
-    ChernCharacter is immutable, so every caller shares that one object.
+    built once and kept on the slope, in its _character, so it goes when the
+    slope leaves the epsilon memo; a ChernCharacter is immutable, so every
+    caller that holds the slope shares that one object.
     """
     alpha = _as_slope(alpha)
-    address = alpha.address
-    key = (address.p, address.q)
-    ch = _CHARACTERS.get(key)
+    ch = alpha._character
     if ch is None:
         r, c = alpha.rank, alpha.value.numerator
-        ch = _CHARACTERS[key] = ChernCharacter._of(2 * r * r, 2 * r * c, c * c - r * r + 1, 2 * r)
+        ch = ChernCharacter._of(2 * r * r, 2 * r * c, c * c - r * r + 1, 2 * r)
+        object.__setattr__(alpha, "_character", ch)
     return ch

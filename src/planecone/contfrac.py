@@ -17,6 +17,12 @@ from fractions import Fraction
 from .exactnum import RationalLike, _as_rational
 from .exceptional import _slope_value
 
+__all__ = [
+    "ContinuedFraction",
+    "cf_expand_even",
+    "check_exceptional_cf",
+]
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -82,11 +88,6 @@ def cf_expand_even(x: RationalLike) -> ContinuedFraction:
         q, q0 = a * q + q0, q
         convergents.append((p, q))
     return ContinuedFraction(a0, terms, tuple(convergents))
-
-
-def is_palindrome(cf: ContinuedFraction) -> bool:
-    """True when the term word a1..ak reads the same in both directions."""
-    return cf.terms == cf.terms[::-1]
 
 
 def _block_lengths(word, symbol) -> list[int]:

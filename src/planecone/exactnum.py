@@ -22,6 +22,12 @@ import math
 from fractions import Fraction
 from typing import Union
 
+__all__ = [
+    "QuadSurd",
+    "fraction_str",
+    "parse_fraction",
+]
+
 RationalLike = Union[int, Fraction]
 
 

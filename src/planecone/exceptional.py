@@ -34,6 +34,20 @@ from fractions import Fraction
 
 from .exactnum import QuadSurd, RationalLike, _as_int, _as_ratio, _as_rational, fraction_str
 
+__all__ = [
+    "CantorPointError",
+    "DyadicAddress",
+    "ExceptionalSlope",
+    "associated_slope",
+    "dot",
+    "enumerate_slopes",
+    "epsilon",
+    "exceptional_slope_of",
+    "hilbert_poly",
+    "is_adjacent_pair",
+    "parent_pair",
+]
+
 
 # levels below the integers that associated_slope and gamma_inv walk before giving up
 MAX_DEPTH = 64
@@ -78,10 +92,6 @@ class DyadicAddress:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, 1 << self.q)
-
     @classmethod
     def coerce(cls, x) -> "DyadicAddress":
         if isinstance(x, DyadicAddress):
@@ -118,8 +128,10 @@ class ExceptionalSlope:
 
     A slope also keeps the walls of its triad, its two parents lo < hi with
     it, in _walls: W(slope, lo) at -1, W(slope, hi) at +1 and W(lo, hi) at 0,
-    each put there on first use by bridgeland.exceptional_pair_wall, which
-    this module cannot import.  So the walls live and die with the slope.
+    each put there on first use by bridgeland.exceptional_pair_wall, and its
+    Chern character in _character, None until chern.exceptional_character
+    builds it; this module can import neither.  So the walls and the
+    character live and die with the slope.
     """
 
     value: Fraction
@@ -127,6 +139,9 @@ class ExceptionalSlope:
     rank: int
     discriminant: Fraction
     euler: int
+
+    # not a field: the character, set once by chern.exceptional_character
+    _character = None
 
     @cached_property
     def interval_radius(self) -> QuadSurd:

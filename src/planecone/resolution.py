@@ -46,6 +46,23 @@ from .exactnum import _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
 from .stability import _as_n, min_slope
 
+__all__ = [
+    "CASE_ABOVE_DOT",
+    "CASE_AT_DOT",
+    "CASE_BELOW_DOT",
+    "CASE_TWO_S_GEQ",
+    "CASE_TWO_S_LEQ",
+    "ClassicalGaeta",
+    "KroneckerData",
+    "KroneckerNotApplicableError",
+    "ResolutionData",
+    "SeqTerm",
+    "classical_gaeta",
+    "gaeta_resolution",
+    "kronecker_data",
+    "kronecker_euler",
+]
+
 CASE_TWO_S_LEQ = "TwoSLeq"
 CASE_TWO_S_GEQ = "TwoSGeq"
 

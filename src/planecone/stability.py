@@ -33,6 +33,19 @@ from .chern import slope as character_slope
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
+__all__ = [
+    "CASE_EXCEPTIONAL_BUNDLE",
+    "CASE_NON_EXCEPTIONAL",
+    "CASE_TRIANGULAR_MINUS_ONE",
+    "MinSlopeResult",
+    "delta",
+    "gamma",
+    "gamma_inv",
+    "height",
+    "min_slope",
+    "moduli_nonempty",
+]
+
 CASE_NON_EXCEPTIONAL = "NonExceptional"
 CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
 CASE_TRIANGULAR_MINUS_ONE = "TriangularMinusOne"

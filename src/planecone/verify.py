@@ -24,6 +24,12 @@ from .resolution import classical_gaeta, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
 from .stability import gamma, gamma_inv
 
+__all__ = [
+    "CheckResult",
+    "format_report",
+    "run_suite",
+]
+
 PAIR_DEPTH = 8
 CHAIN_LENGTH = 6
 

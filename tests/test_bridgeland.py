@@ -31,9 +31,10 @@ from decimal_oracle import times
 def fresh_memos(monkeypatch):
     """Empty slope and resolution memos, so a wall read next is built and checked anew.
 
-    Slopes keep their pair walls and resolution records their collapsing
-    wall, so without this a test that patches what a wall build reads would
-    read a wall kept from before the patch.
+    Slopes keep their pair walls and their characters, and resolution records
+    their collapsing wall, so without this a test that patches what a wall
+    build reads would read a wall kept from before the patch.  A slope built
+    after the reset builds its character anew too.
     """
     monkeypatch.setattr(exceptional, "_MEMO", {})
     empty_core_memo(monkeypatch)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecone.exceptional as exceptional
 from planecone.bridgeland import kernel_cokernel_slopes
 from planecone.chern import (
     ChernCharacter,
@@ -55,6 +56,18 @@ def test_exceptional_character_accepts_slope_objects():
     ch = exceptional_character(epsilon((1, 2)))
     assert ch.r == 5 and ch.c1 == 2
     assert discriminant(ch) == Fraction(12, 25)
+
+
+def test_a_slope_keeps_its_character_and_a_new_slope_builds_its_own(monkeypatch):
+    # once kept by address in a second memo, which a slope built after the
+    # epsilon memo was emptied still read
+    kept = exceptional_character(epsilon((1, 2)))
+    assert exceptional_character(epsilon((1, 2))) is kept is epsilon((1, 2))._character
+    monkeypatch.setattr(exceptional, "_MEMO", {})
+    fresh = epsilon((1, 2))
+    ch = exceptional_character(fresh)
+    assert ch is not kept and ch == kept
+    assert ch is fresh._character
 
 
 def test_exceptional_character_reads_a_pair_as_an_address():

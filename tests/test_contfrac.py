@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planecone.exceptional as exceptional
-from planecone.contfrac import (
-    ContinuedFraction,
-    cf_expand_even,
-    check_exceptional_cf,
-    is_palindrome,
-)
+from planecone.contfrac import ContinuedFraction, cf_expand_even, check_exceptional_cf
 from planecone.exceptional import _slope_value, enumerate_slopes, epsilon
 from planecone.verify import run_suite
 
@@ -79,7 +74,7 @@ def test_palindrome_iff_mirror_convergent(x):
         return
     p_last = cf.convergents[-1][0]
     q_prev = cf.convergents[-2][1]
-    assert is_palindrome(cf) == (p_last == q_prev)
+    assert (cf.terms == cf.terms[::-1]) == (p_last == q_prev)
 
 
 def test_exceptional_flags_all_true_on_samples():
@@ -210,7 +205,7 @@ def reference_check(alpha):
         return all(len(list(run)) % 2 == 0 for t, run in groupby(word) if t == symbol)
 
     return {
-        "palindrome": is_palindrome(cf),
+        "palindrome": terms == terms[::-1],
         "terms_in_12": all(t in (1, 2) for t in terms),
         "ones_blocks_even": blocks_even(terms, 1),
         "interior_twos_blocks_even": blocks_even(terms[1:-1], 2),

@@ -46,7 +46,6 @@ from fractions import Fraction
 
 import pytest
 
-import planecone.chern as chern
 import planecone.exceptional as exceptional
 import planecone.resolution as resolution
 import planecone.stability as stability
@@ -191,6 +190,11 @@ def by_n(n):
     answer(kronecker_data, n)
 
 
+def term_characters(ns):
+    """The character each term slope of each resolution of n in ns keeps."""
+    return [t._character for n in ns for t, _ in gaeta_resolution(n).terms]
+
+
 def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
     # once three walks, two cores and 5 to 7 exceptional_character builds per n:
     # each answer called min_slope(n), gaeta_resolution and kronecker_data each
@@ -198,10 +202,11 @@ def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
     ns = range(2, 201)
     for n in ns:
         by_n(n)
+    characters = term_characters(ns)
+    assert None not in characters
     empty_core_memo(monkeypatch)
     walks = count_calls(monkeypatch, "_walk")
     cores = count_cores(monkeypatch)
-    characters = len(chern._CHARACTERS)
     for n in ns:
         by_n(n)
         assert (len(walks), cores) == (1, [n]), (n, walks, cores)
@@ -209,12 +214,12 @@ def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
         cores.clear()
         by_n(n)
         assert (walks, cores) == ([], []), (n, walks, cores)
-    # the memo holds every core of the sweep, and each slope's character was
-    # built once, by the first pass
+    # the memo holds every core of the sweep, and each term slope's character
+    # was built once, by the first pass
     for n in ns:
         by_n(n)
     assert (walks, cores) == ([], [])
-    assert len(chern._CHARACTERS) == characters
+    assert all(a is b for a, b in zip(term_characters(ns), characters, strict=True))
 
 
 def test_a_warm_walls_suite_reads_the_cores_the_resolution_suite_left(monkeypatch):
