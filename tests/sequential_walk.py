@@ -7,13 +7,29 @@ its two neighbours.  It reads and fills exceptional._MEMO as it is when
 called, so a test that swaps the memo gives it the same one.  With k = 0 it
 is the reference for _walk's unit-tree walk; any other k walks a twisted
 tree, as associated_slope and gamma_inv once did, and the tests compare
-those walks with the twisted answers of the unit tree.
+those walks with the twisted answers of the unit tree.  The walk tests steer
+by two inputs kept here too: decimals that land deeper as they grow, and
+gamma at a slope, which gamma_inv walks back to.
 """
 
+import math
 from fractions import Fraction
 
 import planecone.exceptional as exceptional
 from planecone.exceptional import CantorPointError, DyadicAddress, _make_slope, dot
+
+
+def first_decimal_above_golden(e):
+    """The least e-digit decimal above (3 - sqrt 5)/2, the slopes' accumulation point."""
+    n = 10**e
+    # sqrt(5 n^2) lies strictly between s and s + 1, so this is floor(n (3 - sqrt 5)/2)
+    s = math.isqrt(5 * n * n)
+    return Fraction((3 * n - s - 1) // 2 + 1, n)
+
+
+def gamma_at(s):
+    """gamma at the slope s, P(s) - 1 + D_s, found without a walk."""
+    return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
 
 
 def sequential_walk(k: int, choose, max_depth: int):

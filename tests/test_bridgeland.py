@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 import planecone.bridgeland as bridgeland
-import planecone.exceptional as exceptional
 from planecone.bridgeland import (
     KIND_SEMICIRCLE,
     KIND_VERTICAL,
@@ -24,20 +23,8 @@ from planecone.exactnum import QuadSurd
 from planecone.exceptional import dot, enumerate_slopes, epsilon, hilbert_poly
 from planecone.stability import delta
 
-from core_memo import empty_core_memo
+import counting
 from decimal_oracle import times
-
-
-def fresh_memos(monkeypatch):
-    """Empty slope and resolution memos, so a wall read next is built and checked anew.
-
-    Slopes keep their pair walls and their characters, and resolution records
-    their collapsing wall, so without this a test that patches what a wall
-    build reads would read a wall kept from before the patch.  A slope built
-    after the reset builds its character anew too.
-    """
-    monkeypatch.setattr(exceptional, "_MEMO", {})
-    empty_core_memo(monkeypatch)
 
 
 def test_wall_between_anchor():
@@ -325,7 +312,7 @@ def test_delta_consistency_of_collapsing_radius():
 @pytest.mark.parametrize("n", [2, 11])  # BelowDot and AboveDot
 def test_collapsing_wall_radius_failure_raises_arithmetic_error(monkeypatch, n):
     # once an assert, so an AssertionError that vanished under python -O
-    fresh_memos(monkeypatch)
+    counting.empty_memos(monkeypatch.setattr)
     true_delta = bridgeland._delta
     monkeypatch.setattr(bridgeland, "_delta", lambda mu, a: true_delta(mu, a) + 1)
     with pytest.raises(ArithmeticError, match="radius"):
@@ -363,7 +350,7 @@ def moved_walls(monkeypatch, dc, dr):
         wall = true(ch1, ch2)
         return Wall.semicircle(wall.center_s + dc, wall.radius_sq + dr)
 
-    monkeypatch.setattr(bridgeland, "wall_between", moved)
+    counting.walls(monkeypatch.setattr, call=moved)
 
 
 @pytest.mark.parametrize(
@@ -371,7 +358,7 @@ def moved_walls(monkeypatch, dc, dr):
     [(Fraction(1, 10**9), 0, "closed center"), (0, Fraction(1, 10**9), "closed radius")],
 )
 def test_a_pair_wall_off_its_closed_forms_raises(monkeypatch, dc, dr, match):
-    fresh_memos(monkeypatch)
+    counting.empty_memos(monkeypatch.setattr)
     moved_walls(monkeypatch, dc, dr)
     with pytest.raises(ArithmeticError, match=match):
         exceptional_pair_wall(epsilon((1, 2)), epsilon((1, 1)))
@@ -383,7 +370,7 @@ def test_a_pair_wall_off_its_closed_forms_raises(monkeypatch, dc, dr, match):
     [(Fraction(1, 10**9), 0, "centered"), (0, Fraction(1, 10**9), "numerical wall")],
 )
 def test_a_collapsing_wall_off_its_closed_forms_raises(monkeypatch, n, dc, dr, match):
-    fresh_memos(monkeypatch)
+    counting.empty_memos(monkeypatch.setattr)
     moved_walls(monkeypatch, dc, dr)
     with pytest.raises(ArithmeticError, match=match):
         collapsing_wall(n)

@@ -31,7 +31,7 @@ from planecone.resolution import (
 )
 from planecone.stability import min_slope
 
-from core_memo import empty_core_memo
+import counting
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planecone"
 
@@ -145,7 +145,7 @@ def test_a_lambda_on_the_wrong_side_of_d_raises(monkeypatch, n):
 
     monkeypatch.setattr(stability, "_gamma_inv", wrong_side)
     # on an empty core memo every answer by n walks through the patched _gamma_inv
-    empty_core_memo(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
     message = "^n=%d: s = -?\\d+ puts lambda \\S+ on the wrong side of D$" % n
     for fn in (min_slope, gaeta_resolution, collapsing_wall, kronecker_data):
         with pytest.raises(ArithmeticError, match=message):

@@ -13,6 +13,8 @@ from planecone.contfrac import ContinuedFraction, cf_expand_even, check_exceptio
 from planecone.exceptional import _slope_value, enumerate_slopes, epsilon
 from planecone.verify import run_suite
 
+import counting
+
 
 def terms_of(x):
     return cf_expand_even(Fraction(x)).terms
@@ -226,14 +228,7 @@ def test_the_terms_only_check_matches_the_list_building_reference(monkeypatch):
 
 def test_a_warm_cf_suite_builds_no_continued_fraction(monkeypatch):
     run_suite("cf", 9)
-    built = []
-    original = ContinuedFraction.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        original(self, *args)
-
-    monkeypatch.setattr(ContinuedFraction, "__init__", counted)
+    built = counting.continued_fractions(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("cf", 9))
     assert built == []
     assert cf_expand_even(Fraction(5, 13)).terms == (2, 1, 1, 2) and len(built) == 1

@@ -8,7 +8,7 @@ reads delta from the slope it found.  The resolution, the collapsing wall
 and the Kronecker data take n and read one memoized resolution, so
 together they cost one walk and one build, and a repeat costs neither; a test
 that counts the work of one answer on a repeated n reads an empty memo
-(core_memo.py).  gamma_inv steers by rationals and
+(counting.empty_core_memo).  gamma_inv steers by rationals and
 kronecker_data reads its window off an integer Euler form, so no warm answer
 builds a surd.
 The verify suites name every slope they build by its dyadic address, as a
@@ -39,111 +39,26 @@ so a landing 60 levels down asks about at most 20 slopes and builds none,
 and no probe goes below max_depth.
 """
 
-import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
 import planecone.exceptional as exceptional
 import planecone.resolution as resolution
-import planecone.stability as stability
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
-from planecone.chern import ChernCharacter, exceptional_character
+from planecone.chern import exceptional_character
 from planecone.cli import main
-from planecone.exactnum import QuadSurd
 from planecone.resolution import (
     KroneckerNotApplicableError,
-    SeqTerm,
     gaeta_resolution,
     kronecker_data,
 )
 from planecone.stability import _gamma_inv, min_slope
 from planecone.verify import run_suite
 
-from core_memo import count_cores, empty_core_memo
-
-
-def count_calls(monkeypatch, name):
-    """Wrap planecone's function `name` wherever a package module binds it."""
-    original = getattr(exceptional, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] == "planecone" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def count_surds(monkeypatch):
-    """Record every QuadSurd built from now on."""
-    original = QuadSurd.__post_init__
-    built = []
-
-    def counted(self):
-        original(self)
-        built.append(self)
-
-    monkeypatch.setattr(QuadSurd, "__post_init__", counted)
-    return built
-
-
-def count_slopes(monkeypatch):
-    """Record every ExceptionalSlope built from now on."""
-    original = exceptional.ExceptionalSlope.__init__
-    built = []
-
-    def counted(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(exceptional.ExceptionalSlope, "__init__", counted)
-    return built
-
-
-def count_addresses(monkeypatch):
-    """Record every DyadicAddress built from now on."""
-    original = exceptional.DyadicAddress.__post_init__
-    built = []
-
-    def counted(self):
-        original(self)
-        built.append(self)
-
-    monkeypatch.setattr(exceptional.DyadicAddress, "__post_init__", counted)
-    return built
-
-
-def count_fractions(monkeypatch):
-    """Record the arguments of every Fraction built from now on."""
-    original = Fraction.__new__
-    built = []
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    return built
-
-
-def count_characters(monkeypatch):
-    """Record every ChernCharacter built by ChernCharacter._of from now on."""
-    original = ChernCharacter._of
-    built = []
-
-    def counted(cls, *args):
-        out = original(*args)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(ChernCharacter, "_of", classmethod(counted))
-    return built
+import counting
+from sequential_walk import first_decimal_above_golden, gamma_at
 
 
 def answer(fn, n):
@@ -159,9 +74,9 @@ ANSWERS = [min_slope, gaeta_resolution, collapsing_wall, kronecker_data]
 @pytest.mark.parametrize("fn", ANSWERS, ids=lambda fn: fn.__name__)
 def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
     # the repeat reads an empty core memo, so it still does one whole answer's walk
-    cores = empty_core_memo(monkeypatch)
-    walks = count_calls(monkeypatch, "_walk")
-    lookups = count_calls(monkeypatch, "exceptional_slope_of")
+    cores = counting.empty_core_memo(monkeypatch.setattr)
+    walks = counting.walks(monkeypatch.setattr)
+    lookups = counting.lookups(monkeypatch.setattr)
     for n in range(2, 201):
         answer(fn, n)
         walks.clear()
@@ -174,10 +89,10 @@ def test_at_most_two_descents_and_no_lookup_by_value(monkeypatch, fn):
 def test_walls_command_with_svg_walks_once(monkeypatch, tmp_path, capsys):
     # once two walks: the printed wall and the SVG each called collapsing_wall(n)
     argv = ["walls", "--n", "25", "--svg", str(tmp_path / "walls.svg")]
-    cores = empty_core_memo(monkeypatch)
+    cores = counting.empty_core_memo(monkeypatch.setattr)
     assert main(argv) == 0
     cores.cache_clear()
-    walks = count_calls(monkeypatch, "_walk")
+    walks = counting.walks(monkeypatch.setattr)
     assert main(argv) == 0
     assert len(walks) == 1, walks
     capsys.readouterr()
@@ -204,9 +119,9 @@ def test_the_three_answers_by_n_share_one_walk_and_one_core(monkeypatch):
         by_n(n)
     characters = term_characters(ns)
     assert None not in characters
-    empty_core_memo(monkeypatch)
-    walks = count_calls(monkeypatch, "_walk")
-    cores = count_cores(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
+    walks = counting.walks(monkeypatch.setattr)
+    cores = counting.cores(monkeypatch.setattr)
     for n in ns:
         by_n(n)
         assert (len(walks), cores) == (1, [n]), (n, walks, cores)
@@ -227,17 +142,17 @@ def test_a_warm_walls_suite_reads_the_cores_the_resolution_suite_left(monkeypatc
     # which built its core again outside the memo; the first round warms the
     # slopes of the pair walls, which a cold epsilon walks to
     run_suite("walls", 50)
-    empty_core_memo(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
     run_suite("resolution", 150)
-    walks = count_calls(monkeypatch, "_walk")
-    cores = count_cores(monkeypatch)
+    walks = counting.walks(monkeypatch.setattr)
+    cores = counting.cores(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("walls", 50))
     assert (len(walks), len(cores)) == (0, 0), (walks, cores)
 
 
 def test_the_core_memo_reads_n_before_its_key(monkeypatch):
     # lru_cache keys True as 1 and 2.0 as 2, so a memo read first would answer them
-    cores = empty_core_memo(monkeypatch)
+    cores = counting.empty_core_memo(monkeypatch.setattr)
     cores(1)
     cores(2)
     for fn, n in [(gaeta_resolution, True), (kronecker_data, True), (collapsing_wall, 2.0)]:
@@ -250,7 +165,7 @@ def test_the_core_memo_reads_n_before_its_key(monkeypatch):
 
 
 def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
-    lookups = count_calls(monkeypatch, "exceptional_slope_of")
+    lookups = counting.lookups(monkeypatch.setattr)
     alpha, beta = exceptional.epsilon((1, 2)), exceptional.epsilon((1, 1))
     exceptional.parent_pair(alpha)
     exceptional.is_adjacent_pair(alpha, beta)
@@ -268,8 +183,8 @@ def test_a_slope_argument_is_not_looked_up_by_value(monkeypatch):
 )
 def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
     """kronecker_data decides its window by the sign of an integer Euler form."""
-    cores = empty_core_memo(monkeypatch)
-    built = count_surds(monkeypatch)
+    cores = counting.empty_core_memo(monkeypatch.setattr)
+    built = counting.surds(monkeypatch.setattr)
     for n in range(2, 201):
         answer(fn, n)
         built.clear()
@@ -281,20 +196,14 @@ def test_warm_answers_build_no_surd(monkeypatch, fn, bound):
 def test_warm_kronecker_suite_builds_no_surd(monkeypatch):
     # once two per applicable n, the ends of the window
     run_suite("kronecker", 40)
-    built = count_surds(monkeypatch)
+    built = counting.surds(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("kronecker", 40))
     assert built == []
 
 
-def first_decimal_above_golden(e):
-    """The least e-digit decimal above (3 - sqrt 5)/2, which lands deeper as e grows."""
-    n = 10**e
-    return Fraction((3 * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
-
-
 def test_cold_walks_steered_by_rationals_build_no_surd(monkeypatch):
     monkeypatch.setattr(exceptional, "_MEMO", {})
-    built = count_surds(monkeypatch)
+    built = counting.surds(monkeypatch.setattr)
     x = first_decimal_above_golden(40)
     a = exceptional.associated_slope(x)
     assert a.address.q > 40
@@ -317,8 +226,8 @@ def test_a_new_twist_of_a_warm_unit_slope_builds_one_slope(monkeypatch):
     a = exceptional.associated_slope(x)
     p, q = a.address.p, a.address.q
     assert q >= 40
-    built = count_slopes(monkeypatch)
-    fractions = count_fractions(monkeypatch)
+    built = counting.slopes(monkeypatch.setattr)
+    fractions = counting.fractions(monkeypatch.setattr)
     for k in (10**6 + 3, -(10**15) - 1):
         size = len(exceptional._MEMO)
         y = x + k
@@ -360,19 +269,6 @@ def test_a_cantor_point_error_at_a_twist_names_its_integers():
                 exceptional.associated_slope(y, max_depth=64)
 
 
-def recording_walks(monkeypatch):
-    """Record every slope a walk asks choose about, from now on."""
-    asked = []
-    walk = exceptional._walk
-
-    def recording(k, choose, max_depth):
-        return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
-
-    for module in (exceptional, stability):
-        monkeypatch.setattr(module, "_walk", recording)
-    return asked
-
-
 def ancestors(p, q):
     """The memo keys of the slope at p/2^q and of every slope its product needs."""
     out, todo = set(), [(p, q)]
@@ -385,10 +281,6 @@ def ancestors(p, q):
             if q:
                 todo += [(p >> 1, q - 1), ((p >> 1) + 1, q - 1)]
     return out
-
-
-def gamma_at(s):
-    return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
 
 
 @pytest.mark.parametrize("e", [5, 20, 40, 53])
@@ -404,7 +296,7 @@ def test_a_cold_walk_asks_every_level_and_builds_the_ancestors(monkeypatch, e):
     ):
         with monkeypatch.context() as m:
             m.setattr(exceptional, "_MEMO", {})
-            asked = recording_walks(m)
+            asked = counting.asked(m.setattr)
             a = ask()
             assert a.address == address
             assert len(asked) == address.q + 2 and asked[-1] is a
@@ -418,8 +310,8 @@ def test_a_warm_walk_to_level_60_asks_at_most_20_slopes(monkeypatch, k):
     inputs = [y for x in deep for y in (x + k, -x - k)]
     for y in inputs:
         exceptional.associated_slope(y)
-    built = count_slopes(monkeypatch)
-    asked = recording_walks(monkeypatch)
+    built = counting.slopes(monkeypatch.setattr)
+    asked = counting.asked(monkeypatch.setattr)
     for y in inputs:
         asked.clear()
         a = exceptional.associated_slope(y)
@@ -432,7 +324,7 @@ def test_a_walk_capped_at_depth_40_asks_nothing_below_it(monkeypatch):
     # the memo holds slopes of level 64 on the run, and the gallop stops at the cap
     x = first_decimal_above_golden(53)
     assert exceptional.associated_slope(x).address.q == 64
-    asked = recording_walks(monkeypatch)
+    asked = counting.asked(monkeypatch.setattr)
     for k in (0, 7):
         for y, lo in ((x + k, k), (-x - k, -k - 1)):
             asked.clear()
@@ -458,8 +350,8 @@ DEPTH = 12
 )
 def test_verify_suites_name_slopes_by_address(monkeypatch, suite, depth, bound):
     run_suite(suite, depth)
-    walks = count_calls(monkeypatch, "_walk")
-    lookups = count_calls(monkeypatch, "exceptional_slope_of")
+    walks = counting.walks(monkeypatch.setattr)
+    lookups = counting.lookups(monkeypatch.setattr)
     assert all(r.passed for r in run_suite(suite, depth))
     assert lookups == []
     assert len(walks) <= bound, len(walks)
@@ -471,7 +363,7 @@ def test_a_gamma_inv_walk_builds_as_many_fractions_at_any_depth(monkeypatch):
     qs = [shallow, deep, deep + Fraction(1, 10**40), Fraction(10**29 + 3), Fraction(123457, 1000)]
     depths = [_gamma_inv(q)[1].address.q for q in qs]
     assert depths[0] <= 3 and depths[1] >= 40 and depths[2] >= 40
-    built = count_fractions(monkeypatch)
+    built = counting.fractions(monkeypatch.setattr)
     counts = []
     for q in qs:
         built.clear()
@@ -494,15 +386,15 @@ def warm_resolutions(monkeypatch):
     held = {n: min_slope(n) for n in ns}
     for n in ns:
         gaeta_resolution(n)
-    monkeypatch.setattr(resolution, "min_slope", held.__getitem__)
-    empty_core_memo(monkeypatch)
+    counting.cores(monkeypatch.setattr, call=held.__getitem__)
+    counting.empty_core_memo(monkeypatch.setattr)
     return ns
 
 
 def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
     # once 49, 67 or 69 per n, from Fraction multiplicities and characters
     ns = warm_resolutions(monkeypatch)
-    built = count_fractions(monkeypatch)
+    built = counting.fractions(monkeypatch.setattr)
     counts = {}
     for n in ns:
         built.clear()
@@ -514,24 +406,11 @@ def test_a_warm_resolution_builds_no_fraction_for_any_n(monkeypatch):
 def test_a_warm_resolution_builds_each_bundle_character_once(monkeypatch):
     # once 18 per n: the assembly check built every bundle character again
     ns = warm_resolutions(monkeypatch)
-    built = count_characters(monkeypatch)
+    built = counting.characters(monkeypatch.setattr)
     for n in ns:
         built.clear()
         gaeta_resolution(n)
         assert len(built) <= 9, (n, built)
-
-
-def count_seq_terms(monkeypatch):
-    """Record every SeqTerm built from now on."""
-    original = SeqTerm.__init__
-    built = []
-
-    def counted(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(SeqTerm, "__init__", counted)
-    return built
 
 
 def test_kronecker_data_builds_the_one_resolution_that_gaeta_resolution_returns(monkeypatch):
@@ -539,9 +418,9 @@ def test_kronecker_data_builds_the_one_resolution_that_gaeta_resolution_returns(
     # a ResolutionData that every gaeta_resolution call built from it again, with
     # 4.8 SeqTerms and 5.4 characters per repeated call on n = 2..200
     ns = warm_resolutions(monkeypatch)
-    characters = count_characters(monkeypatch)
-    terms = count_seq_terms(monkeypatch)
-    fractions = count_fractions(monkeypatch)
+    characters = counting.characters(monkeypatch.setattr)
+    terms = counting.seq_terms(monkeypatch.setattr)
+    fractions = counting.fractions(monkeypatch.setattr)
     for n in ns:
         characters.clear()
         answer(kronecker_data, n)
@@ -563,15 +442,8 @@ def test_warm_twists_duals_and_parents_build_no_address(monkeypatch):
         gaeta_resolution(n)
         collapsing_wall(n)
     # each resolution is built again below, from the warm slopes
-    empty_core_memo(monkeypatch)
-    built = []
-    original = exceptional.DyadicAddress.__post_init__
-
-    def counted(self):
-        original(self)
-        built.append(self)
-
-    monkeypatch.setattr(exceptional.DyadicAddress, "__post_init__", counted)
+    counting.empty_core_memo(monkeypatch.setattr)
+    built = counting.addresses(monkeypatch.setattr)
     for n in ns:
         res = gaeta_resolution(n)
         collapsing_wall(n)
@@ -583,7 +455,7 @@ def test_a_warm_epsilon_on_an_int_pair_builds_no_address(monkeypatch):
     # once every epsilon((p, q)) built a DyadicAddress before it read the memo
     pairs = [(1, 2), (2, 3), (4, 4), (-3, 1), (12, 2), (5, 0), (40, 3), (7, 10)]
     slopes = [exceptional.epsilon(exceptional.DyadicAddress(*pq)) for pq in pairs]
-    built = count_addresses(monkeypatch)
+    built = counting.addresses(monkeypatch.setattr)
     assert all(exceptional.epsilon(pq) is s for pq, s in zip(pairs, slopes))
     assert built == []
     # any other argument is read by DyadicAddress, on a warm memo too
@@ -597,7 +469,7 @@ def test_a_warm_epsilon_on_an_int_pair_builds_no_address(monkeypatch):
 def test_warm_slope_suites_build_no_address(monkeypatch, suite, depth):
     # once 513, 97 and 2,097: each epsilon((p, q)) built a DyadicAddress to read the memo
     run_suite(suite, depth)
-    built = count_addresses(monkeypatch)
+    built = counting.addresses(monkeypatch.setattr)
     assert all(r.passed for r in run_suite(suite, depth))
     assert built == []
 
@@ -608,6 +480,6 @@ def test_a_warm_walls_suite_builds_at_most_250_fractions(monkeypatch):
     # and radius^2, rebuilt each round; now each wall is kept, on its slope or on
     # the resolution record of its n, and only kernel_cokernel_slopes builds (189)
     run_suite("walls", 50)
-    built = count_fractions(monkeypatch)
+    built = counting.fractions(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("walls", 50))
     assert len(built) <= 250, len(built)

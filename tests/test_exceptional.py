@@ -30,7 +30,7 @@ from planecone.exceptional import (
 from planecone.stability import delta
 
 from decimal_oracle import oracle_cmp, times
-from sequential_walk import sequential_walk
+from sequential_walk import first_decimal_above_golden, sequential_walk
 
 # every slope of denominator 2^q for q <= 3, in order
 LOW_DEPTH_VALUES = {
@@ -205,14 +205,6 @@ def side_by_endpoints(slope, x):
     if oracle_cmp(x, lo) < 0:
         return -1
     return 1 if oracle_cmp(x, hi) > 0 else 0
-
-
-def first_decimal_above_golden(e):
-    """The least e-digit decimal above (3 - sqrt 5)/2, the slopes' accumulation point."""
-    n = 10**e
-    # sqrt(5 n^2) lies strictly between s and s + 1, so this is floor(n (3 - sqrt 5)/2)
-    s = math.isqrt(5 * n * n)
-    return Fraction((3 * n - s - 1) // 2 + 1, n)
 
 
 def convergents(end, count):

@@ -10,7 +10,6 @@ then answers the same seeded queries through associated_slope, delta,
 _gamma_inv and epsilon, once with each walk.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -19,19 +18,11 @@ import pytest
 import planecone.exceptional as exceptional
 import planecone.stability as stability
 from planecone.exceptional import CantorPointError, ExceptionalSlope, associated_slope, epsilon
-from sequential_walk import sequential_walk
+
+import counting
+from sequential_walk import first_decimal_above_golden, gamma_at, sequential_walk
 
 TWISTS = (0, 7, -7, 10**6, -(10**6), 10**15, -(10**15))
-
-
-def first_decimal_above_golden(e):
-    """The least e-digit decimal above (3 - sqrt 5)/2, which lands deeper as e grows."""
-    n = 10**e
-    return Fraction((3 * n - math.isqrt(5 * n * n) - 1) // 2 + 1, n)
-
-
-def gamma_at(s):
-    return exceptional.hilbert_poly(s.value) - 1 + s.discriminant
 
 
 def warm_nothing():
@@ -127,23 +118,13 @@ def unit_walk(k, choose, max_depth):
     return exceptional._twist(unit, k)
 
 
-def counting(walk, asked):
-    def counted(k, choose, max_depth):
-        return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
-
-    return counted
-
-
 def answer_all(monkeypatch, walk, warm, todo):
     """warm() by the level-by-level walk, then every query by walk, on a memo of their own."""
-    asked = []
     with monkeypatch.context() as m:
         m.setattr(exceptional, "_MEMO", {})
-        for module in (exceptional, stability):
-            m.setattr(module, "_walk", unit_walk)
+        counting.walks(m.setattr, call=unit_walk)
         warm()
-        for module in (exceptional, stability):
-            m.setattr(module, "_walk", counting(walk, asked))
+        asked = counting.asked(m.setattr, walk)
         outcomes = [outcome(fn, args) for fn, args in todo]
         memo = dict(exceptional._MEMO)
     return outcomes, memo, len(asked)

@@ -12,7 +12,6 @@ wall is the wall a fresh wall_between gives.
 
 import pytest
 
-import planecone.bridgeland as bridgeland
 import planecone.exceptional as exceptional
 import planecone.verify as verify
 from planecone.bridgeland import collapsing_wall, exceptional_pair_wall, wall_between
@@ -21,25 +20,7 @@ from planecone.exceptional import enumerate_slopes, epsilon, parent_pair
 from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
 from planecone.verify import run_suite
 
-from core_memo import empty_core_memo
-
-# the depths of one verify_suites round
-SUITE_DEPTHS = {
-    "cf": 9, "intervals": 5, "gamma": 250, "resolution": 150, "kronecker": 150, "walls": 50,
-}
-
-
-def count_wall_builds(monkeypatch):
-    """Record the characters of every wall_between call from now on."""
-    original = bridgeland.wall_between
-    built = []
-
-    def counted(ch1, ch2):
-        built.append((ch1, ch2))
-        return original(ch1, ch2)
-
-    monkeypatch.setattr(bridgeland, "wall_between", counted)
-    return built
+import counting
 
 
 def fresh(x, y):
@@ -55,14 +36,14 @@ def kept_walls():
 def test_a_warm_walls_round_builds_no_wall(monkeypatch):
     # once 879: the 830 pair walls, rebuilt each round, and the 49 collapsing walls
     run_suite("walls", 50)
-    built = count_wall_builds(monkeypatch)
+    built = counting.walls(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("walls", 50))
     assert built == []
 
 
 def test_a_collapsing_wall_is_carried_by_its_record(monkeypatch):
-    empty_core_memo(monkeypatch)
-    built = count_wall_builds(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
+    built = counting.walls(monkeypatch.setattr)
     for n in (2, 11, 12, 25, 1000):  # BelowDot, AboveDot, AtDot and two more
         wall = collapsing_wall(n)
         assert collapsing_wall(n) is wall is gaeta_resolution(n)._wall
@@ -102,7 +83,7 @@ def test_a_triad_wall_is_one_object_in_either_order(monkeypatch, child, parent, 
 )
 def test_a_pair_outside_any_triad_leaves_no_slot(monkeypatch, x, y):
     monkeypatch.setattr(exceptional, "_MEMO", {})
-    built = count_wall_builds(monkeypatch)
+    built = counting.walls(monkeypatch.setattr)
     a, b = epsilon(x), epsilon(y)
     slopes = dict(exceptional._MEMO)
     wall = exceptional_pair_wall(a, b)
@@ -129,7 +110,7 @@ def test_no_slope_keeps_more_than_three_walls_and_each_parent_wall_is_fresh():
     # a verify_suites round, then the answers of a resolution_walls input for
     # n = 2..5000; D's parents are k - 1 and k + 1 for an integer D = k, k and
     # k + 1 for D = k + 1/2, and otherwise a slope and one of its parents
-    for suite, depth in SUITE_DEPTHS.items():
+    for suite, depth in counting.suite_depths().items():
         assert all(r.passed for r in run_suite(suite, depth))
     homes = {"integer": 0, "half": 0, "child": 0}
     for n in range(2, 5001):
@@ -156,8 +137,7 @@ def test_a_cold_walls_round_keeps_its_walls_on_the_slopes_it_reads(monkeypatch):
     # round builds no slope: the memo ends as it does when no wall is kept
     memos = []
     for keep in (True, False):
-        monkeypatch.setattr(exceptional, "_MEMO", {})
-        empty_core_memo(monkeypatch)
+        counting.empty_memos(monkeypatch.setattr)
         if not keep:
             monkeypatch.setattr(verify, "exceptional_pair_wall", fresh)
         run_suite("resolution", 150)
@@ -171,9 +151,8 @@ def test_a_cold_walls_round_keeps_its_walls_on_the_slopes_it_reads(monkeypatch):
 
 def test_a_kept_wall_is_built_by_the_first_call_only(monkeypatch):
     # both closed-form checks run once per wall: on the build, not on a repeat
-    monkeypatch.setattr(exceptional, "_MEMO", {})
-    empty_core_memo(monkeypatch)
-    built = count_wall_builds(monkeypatch)
+    counting.empty_memos(monkeypatch.setattr)
+    built = counting.walls(monkeypatch.setattr)
     alpha, beta = epsilon((1, 2)), epsilon((1, 1))
     for _ in range(3):
         exceptional_pair_wall(alpha, beta)

@@ -26,7 +26,7 @@ from planecone.stability import (
     min_slope,
 )
 
-from core_memo import empty_core_memo
+import counting
 from decimal_oracle import oracle_cmp
 
 IDEAL = {n: ChernCharacter(1, 0, -n) for n in range(2, 60)}
@@ -221,7 +221,7 @@ def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, 
 
     monkeypatch.setattr(resolution, "exceptional_character", character)
     # the resolution of n memoized above holds the true characters, so n is built again
-    empty_core_memo(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
     message = "^resolution terms for n=%d do not assemble to I_Z$" % n
     for fn in (gaeta_resolution, kronecker_data):
         with pytest.raises(ArithmeticError, match=message):

@@ -48,8 +48,9 @@ from planecone.stability import (
     moduli_nonempty,
 )
 
+import counting
 from decimal_oracle import oracle_cmp, times
-from sequential_walk import sequential_walk
+from sequential_walk import gamma_at, sequential_walk
 
 small_rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(8), max_denominator=120
@@ -402,16 +403,8 @@ def _fraction_branch(q, a):
 
 
 def test_integer_branch_matches_the_fraction_branch_at_every_level(monkeypatch):
-    import planecone.stability as stability
-
-    asked, ks = [], []
-    walk = stability._walk
-
-    def recording(k, choose, max_depth):
-        ks.append(k)
-        return walk(k, lambda s: asked.append(s) or choose(s), max_depth)
-
-    monkeypatch.setattr(stability, "_walk", recording)
+    ks = counting.walks(monkeypatch.setattr)
+    asked = counting.asked(monkeypatch.setattr)
     # the reference twists every slope asked; those twists stay in a copy of the memo
     monkeypatch.setattr(exceptional, "_MEMO", dict(exceptional._MEMO))
     rng = random.Random(22)
@@ -476,10 +469,7 @@ def test_gamma_inv_lands_where_the_walk_of_the_twisted_tree_does(monkeypatch):
 
 
 def test_gamma_inv_gives_up_below_depth_64():
-    # gamma at a slope is P(alpha) - 1 + D_alpha; gamma() itself would walk too deep
-    def gamma_at(s):
-        return hilbert_poly(s.value) - 1 + s.discriminant
-
+    # gamma() itself would walk too deep
     assert gamma_inv(gamma_at(epsilon((1, 64)))) == epsilon((1, 64)).value
     with pytest.raises(CantorPointError):
         gamma_inv(gamma_at(epsilon((1, 65))))

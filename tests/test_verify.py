@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-import planecone.bridgeland as bridgeland
 import planecone.exceptional as exceptional
 import planecone.verify as verify
 from planecone.bridgeland import Wall, exceptional_pair_wall
@@ -12,7 +11,7 @@ from planecone.cli import main
 from planecone.exceptional import epsilon
 from planecone.verify import CheckResult, format_report, run_suite
 
-from core_memo import count_cores, empty_core_memo
+import counting
 
 
 def test_unknown_suite_rejected():
@@ -105,14 +104,7 @@ def test_walls_build_each_pair_wall_of_a_triad_once(monkeypatch, depth, built):
     # its slope, so a second round builds none.  The empty slope memo holds no
     # kept wall.
     monkeypatch.setattr(exceptional, "_MEMO", {})
-    calls = []
-    build = bridgeland._pair_wall
-
-    def counted(alpha, beta):
-        calls.append((alpha, beta))
-        return build(alpha, beta)
-
-    monkeypatch.setattr(bridgeland, "_pair_wall", counted)
+    calls = counting.pair_walls(monkeypatch.setattr)
     run_suite("walls", depth)
     assert len(calls) == built
     assert len({frozenset((x.address, y.address)) for x, y in calls}) == built
@@ -149,7 +141,7 @@ def test_walls_failures_report_in_triad_order(monkeypatch):
         out = triad(p, q)
         return dataclasses.replace(out, balance_first=False) if (p, q) in ((2, 4), (0, 2)) else out
 
-    monkeypatch.setattr(verify, "nested", broken_nested)
+    counting.nestings(monkeypatch.setattr, call=broken_nested)
     monkeypatch.setattr(verify, "exceptional_pair_wall", broken_wall)
     monkeypatch.setattr(verify, "kernel_cokernel_slopes", broken_triad)
     text, code = format_report(run_suite("walls", 8))
@@ -187,8 +179,8 @@ def test_depth_is_an_int_and_not_a_bool(suite, depth):
 def test_all_builds_each_resolution_once_and_reports_as_the_suites_do(monkeypatch):
     # once twice per n: the kronecker suite rebuilt every resolution
     alone = [r for suite in verify._SUITES for r in run_suite(suite, 6)]
-    empty_core_memo(monkeypatch)
-    built = count_cores(monkeypatch)
+    counting.empty_core_memo(monkeypatch.setattr)
+    built = counting.cores(monkeypatch.setattr)
     together = run_suite("all", 6)
     assert built == [2, 3, 4, 5, 6]
     assert format_report(together) == format_report(alone)

@@ -28,6 +28,8 @@ from planecone.exceptional import epsilon
 from planecone.stability import min_slope
 from planecone.verify import CheckResult, run_suite
 
+import counting
+
 FIVE_FOURTHS = Fraction(5, 4)
 
 
@@ -75,15 +77,8 @@ def triads(depth):
 
 
 def test_every_nesting_of_the_walls_suite_to_level_10_matches_the_fraction_forms(monkeypatch):
-    calls = []
-    original = verify.nested
-
-    def recorded(inner, outer, ref):
-        calls.append((inner, outer, ref))
-        return original(inner, outer, ref)
-
     monkeypatch.setattr(verify, "PAIR_DEPTH", 10)
-    monkeypatch.setattr(verify, "nested", recorded)
+    calls = counting.nestings(monkeypatch.setattr)
     results = run_suite("walls", 10)
     assert all(r.passed for r in results), results
     assert len(calls) == 2 * 1023
@@ -232,7 +227,7 @@ def moved_wall(monkeypatch, seed):
         return Wall.semicircle(w.center_s, Fraction(units, k))
 
     monkeypatch.setattr(verify, "exceptional_pair_wall", moved)
-    monkeypatch.setattr(verify, "nested", lambda inner, outer, ref: True)
+    counting.nestings(monkeypatch.setattr, call=lambda inner, outer, ref: True)
     return moved
 
 
@@ -307,15 +302,9 @@ def test_a_touching_wall_still_counts_as_a_side_in_the_suite(monkeypatch):
     patch_one_wall(
         monkeypatch, ((2, 3), (3, 3)), lambda x, y, w: (w.center_s - x.value) ** 2
     )
-    calls = []
-    original = verify.nested
-
-    def recorded(inner, outer, ref):
-        answer = original(inner, outer, ref)
-        calls.append((inner, ref, answer))
-        return answer
-
-    monkeypatch.setattr(verify, "nested", recorded)
+    calls = counting.nestings(
+        monkeypatch.setattr, record=lambda args, answer: (args[0], args[2], answer)
+    )
     results = report()
     assert results["pair wall nesting"] == CheckResult("pair wall nesting", True, "255 checks")
     # a wall off an integer slope touches its line only when moved there: 2 D > 0
