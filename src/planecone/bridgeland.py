@@ -2,16 +2,19 @@
 
 A potential wall between two characters is a vertical line or a semicircle
 in the (s,t) upper half-plane, stored by exact center and squared radius.
-collapsing_wall builds the innermost wall where the general n-point ideal
-sheaf is destabilized, nested implements the center criterion for walls on a
-common side of a vertical line, and the remaining helpers cover the walls
-between exceptional bundles and a deterministic SVG picture.
+nested implements the center criterion for walls on a common side of a
+vertical line, and the remaining helpers cover the walls between exceptional
+bundles, the triads around them and a deterministic SVG picture.  The
+innermost wall where the general n-point ideal sheaf is destabilized belongs
+to the resolution of n (resolution.ResolutionData.wall), which builds it with
+wall_between and bridgeland_from_mori; this module imports neither
+resolution nor stability.
 
 Walls are found in integers.  wall_between takes its three cross products of
 the characters' integer numerators, whose common denominators cancel, and
 builds one Fraction each for the center and the squared radius.  The closed
-center and radius that exceptional_pair_wall and collapsing_wall check their
-walls against are compared by integer cross products, never by Fraction
+center and radius that exceptional_pair_wall and the collapsing wall check
+their walls against are compared by integer cross products, never by Fraction
 arithmetic, and so are walls against each other.  For center a/b, radius^2
 x/y and a reference line s = u/v, the wall lies on the side of the sign of
 g = av - ub exactly when g != 0 and g^2 y >= x b^2 v^2 (_wall_side); nested
@@ -23,8 +26,8 @@ collapsing wall of n depends on n alone and lives on the resolution record
 of n that resolution._core_of keeps.  A pair wall depends on its two slopes;
 when they are a slope and one of its parents, or the two parents of a slope,
 the wall lives on that slope, which keeps the at most three walls of its
-triad.  Both slots are filled here, on first use, since neither resolution
-nor exceptional can import this module.
+triad.  That slot is filled here, on first use, since exceptional cannot
+import this module.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .chern import ChernCharacter, euler_pairing, exceptional_character
+from .chern import ChernCharacter, _sum_ints, euler_pairing, exceptional_character
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import ExceptionalSlope, _as_slope, _epsilon_at, dot, epsilon, is_adjacent_pair
-from .resolution import _core
-from .stability import _delta
 
 __all__ = [
     "KIND_SEMICIRCLE",
@@ -45,7 +46,6 @@ __all__ = [
     "TriadSlopes",
     "Wall",
     "bridgeland_from_mori",
-    "collapsing_wall",
     "exceptional_pair_wall",
     "kernel_cokernel_slopes",
     "nested",
@@ -107,45 +107,6 @@ def wall_between(ch1: ChernCharacter, ch2: ChernCharacter) -> Wall:
     return Wall.semicircle(
         Fraction(x_cross, denom), Fraction(x_cross * x_cross - 2 * y_cross * denom, denom * denom)
     )
-
-
-def collapsing_wall(n: int) -> Wall:
-    """Innermost wall, where the ideal sheaf of n general points collapses.
-
-    The destabilizing bundle is the last term of the resolution of n, which
-    resolution._core memoizes by n and shares with gaeta_resolution and
-    kronecker_data; its character is a memo read.  The sign of the
-    resolution's s = chi(E_D) - n r_D fixes that term: E_{-D} when s > 0,
-    E_{-D-3} when s < 0, and E_{-beta} when s = 0, where the minimum is the
-    exceptional slope D itself and the radius^2 is 2 D_D + 1/4.
-
-    The wall lives on that resolution record: the first call builds it and
-    runs its checks, and leaves it in the record's _wall, so a repeat is one
-    memo read and returns the same Wall for as long as the memo keeps n.
-    """
-    res = _core(n, "collapsing wall")
-    if res._wall is not None:
-        return res._wall
-    d, s = res.dot_slope, res.s
-    wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(res.terms[-1][0]))
-    # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
-    center = bridgeland_from_mori(-res.mu)
-    if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
-        raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
-    # the radius checks compare cross products of radius^2 = x/y with each bound
-    x, y = wall.radius_sq.numerator, wall.radius_sq.denominator
-    u, v = center.numerator, center.denominator
-    if x * v * v != y * (u * u - 2 * n * v * v):
-        raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
-    half = _delta(res.mu, d) if s else d.discriminant
-    # 2 delta + 1/4 = (8 p + q)/(4 q) for delta = p/q
-    if 4 * half.denominator * x != (8 * half.numerator + half.denominator) * y:
-        raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
-    if s and 4 * x <= 5 * y:
-        raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
-    # kept only once every check has passed
-    object.__setattr__(res, "_wall", wall)
-    return wall
 
 
 def _wall_side(w: Wall, ref: Fraction) -> int:
@@ -320,8 +281,11 @@ def kernel_cokernel_slopes(p: int, q: int) -> TriadSlopes:
     ce = exceptional_character(eta)
     hom_ab = _integer_pairing(ca, cb)
     hom_be = _integer_pairing(cb, ce)
-    balance_first = exceptional_character(zeta) + cb == hom_ab * ca
-    balance_second = cb + exceptional_character(omega) == hom_be * ce
+    # each balance holds exactly when its integer sum is zero in R, C and D
+    first = _sum_ints(((1, exceptional_character(zeta)), (1, cb), (-hom_ab, ca)))
+    second = _sum_ints(((1, cb), (1, exceptional_character(omega)), (-hom_be, ce)))
+    balance_first = first[:3] == (0, 0, 0)
+    balance_second = second[:3] == (0, 0, 0)
     return TriadSlopes(
         p, q, branch, zeta, alpha, beta, eta, omega,
         hom_ab, hom_be, balance_first, balance_second,

@@ -104,6 +104,21 @@ class ChernCharacter:
         }
 
 
+def _sum_ints(pairs) -> tuple[int, int, int, int]:
+    """The ints (R, C, D, N) of the sum of m ch over the (m, ch) pairs, for int m.
+
+    The sum is (R, C, D)/N, unreduced, with N the product of the characters'
+    denominators, and no character is built; it is zero exactly when
+    R = C = D = 0.
+    """
+    r = c = d = 0
+    n = 1
+    for m, ch in pairs:
+        rt, ct, dt, nt = ch._ints
+        r, c, d, n = r * nt + m * rt * n, c * nt + m * ct * n, d * nt + m * dt * n, n * nt
+    return r, c, d, n
+
+
 def line_bundle(k) -> ChernCharacter:
     """Character (1, k, k^2/2) of the line bundle of degree k."""
     p, q = _as_ratio(k)

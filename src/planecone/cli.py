@@ -8,11 +8,11 @@ import math
 import os
 import sys
 
-from .bridgeland import collapsing_wall, exceptional_pair_wall, render_walls
+from .bridgeland import exceptional_pair_wall, render_walls
 from .contfrac import cf_expand_even, check_exceptional_cf
 from .exactnum import fraction_str, parse_fraction
 from .exceptional import epsilon
-from .resolution import gaeta_resolution
+from .resolution import collapsing_wall, gaeta_resolution
 from .stability import min_slope
 from .verify import DEFAULT_DEPTHS, format_report, run_suite
 

@@ -7,18 +7,19 @@ the line-bundle resolution of general points for comparison, and
 kronecker_data extracts the Kronecker-quiver numerics that control the
 moduli space of W.
 
-gaeta_resolution, kronecker_data and bridgeland.collapsing_wall each take
-an int n and read one record of the resolution, the ResolutionData that one
-memoized builder, _core_of, makes from min_slope(n): it reads lambda and s
-off it, computes the multiplicities m1, m2 and k of the generalized Gaeta
+gaeta_resolution, kronecker_data and collapsing_wall each take an int n and
+read one record of the resolution, the ResolutionData that one memoized
+builder, _core_of, makes from min_slope(n): it reads lambda and s off it,
+computes the multiplicities m1, m2 and k of the generalized Gaeta
 resolution, takes each bundle term's character, runs every check of the
 resolution, the assembly to I_Z included, in integers, and builds the two
 exact sequences.  gaeta_resolution returns that record; kronecker_data reads
-m1, k and s off it; collapsing_wall reads its last term, the bundle that
-destabilizes I_Z, builds the wall once and leaves it on the record, which
-carries it from then on.  The record is memoized by n, so the three answers
-on one n cost one walk and one build together, and a repeat returns the same
-record and the same wall.
+m1, k and s off it; collapsing_wall reads its wall, which the record builds
+from its last term, the bundle that destabilizes I_Z, on first use and keeps
+from then on.  The record is memoized by n, so the three answers on one n
+cost one walk and one build together, and a repeat returns the same record
+and the same wall.  Every sum of the terms' characters, the assembly check's
+and ideal_character's, is one chern._sum_ints.
 The memo keeps the last _CORE_MEMO_SIZE = 512 n used, which holds the
 n = 2..500 that `verify all` sweeps at its default depth; the int is read
 before the memo is (_core).
@@ -38,13 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
-from .chern import ChernCharacter, exceptional_character, line_bundle
+from .bridgeland import KIND_SEMICIRCLE, Wall, bridgeland_from_mori, wall_between
+from .chern import ChernCharacter, _sum_ints, exceptional_character, line_bundle
 from .exactnum import _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
-from .stability import _as_n, min_slope
+from .stability import _as_n, _delta, min_slope
 
 __all__ = [
     "CASE_ABOVE_DOT",
@@ -58,6 +60,7 @@ __all__ = [
     "ResolutionData",
     "SeqTerm",
     "classical_gaeta",
+    "collapsing_wall",
     "gaeta_resolution",
     "kronecker_data",
     "kronecker_euler",
@@ -94,14 +97,6 @@ def _normalize_terms(negatives, positives):
     return tuple(tuple(sorted(t for t in side if t[1])) for side in (negatives, positives))
 
 
-def _total(terms, character) -> ChernCharacter:
-    """Sum of m * character(s) over the (s, m) pairs."""
-    total = ChernCharacter._of(0, 0, 0)
-    for s, m in terms:
-        total = total + m * character(s)
-    return total
-
-
 @dataclass(frozen=True)
 class ResolutionData:
     """The generalized Gaeta resolution of I_Z for n general points.
@@ -113,9 +108,8 @@ class ResolutionData:
     that the sign of s gives.  terms presents I_Z as (slope, mult) pairs,
     mult < 0 on the left of the complex.
 
-    The record also carries its collapsing wall in _wall, None until
-    bridgeland.collapsing_wall, which this module cannot import, builds it
-    from the record and puts it there; so the wall lives and dies with the
+    The record also carries its collapsing wall, wall, built and checked on
+    first use and kept from then on, so the wall lives and dies with the
     record in _core_of's memo.
     """
 
@@ -134,9 +128,6 @@ class ResolutionData:
     w_sequence: tuple[SeqTerm, ...]
     iz_sequence: tuple[SeqTerm, ...]
     terms: tuple[tuple[ExceptionalSlope, int], ...]
-
-    # not a field: the collapsing wall, set once by bridgeland.collapsing_wall
-    _wall = None
 
     @property
     def m3(self) -> int:
@@ -161,7 +152,37 @@ class ResolutionData:
         return _normalize_terms(self.negative_terms, self.positive_terms)
 
     def ideal_character(self) -> ChernCharacter:
-        return _total(self.terms, exceptional_character)
+        return ChernCharacter._of(*_sum_ints((m, exceptional_character(t)) for t, m in self.terms))
+
+    @cached_property
+    def wall(self) -> Wall:
+        """Innermost wall, where the ideal sheaf of n general points collapses.
+
+        The destabilizing bundle is the last term of the resolution; its
+        character is a memo read.  The sign of s = chi(E_D) - n r_D fixes that
+        term: E_{-D} when s > 0, E_{-D-3} when s < 0, and E_{-beta} when s = 0,
+        where the minimum is the exceptional slope D itself and the radius^2 is
+        2 D_D + 1/4.  The first read builds the wall and runs its checks; the
+        record keeps it only once they pass, so a repeat returns the same Wall.
+        """
+        n, d, s = self.n, self.dot_slope, self.s
+        wall = wall_between(ChernCharacter._of(1, 0, -n), exceptional_character(self.terms[-1][0]))
+        # the ABCH correspondence: the wall's center is the Mori edge -mu, moved by -3/2
+        center = bridgeland_from_mori(-self.mu)
+        if wall.kind != KIND_SEMICIRCLE or wall.center_s != center:
+            raise ArithmeticError("collapsing wall for n=%d is not centered at -mu - 3/2" % n)
+        # the radius checks compare cross products of radius^2 = x/y with each bound
+        x, y = wall.radius_sq.numerator, wall.radius_sq.denominator
+        u, v = center.numerator, center.denominator
+        if x * v * v != y * (u * u - 2 * n * v * v):
+            raise ArithmeticError("collapsing wall for n=%d is not a numerical wall of I_Z" % n)
+        half = _delta(self.mu, d) if s else d.discriminant
+        # 2 delta + 1/4 = (8 p + q)/(4 q) for delta = p/q
+        if 4 * half.denominator * x != (8 * half.numerator + half.denominator) * y:
+            raise ArithmeticError("collapsing wall for n=%d: radius^2 is not 2 delta + 1/4" % n)
+        if s and 4 * x <= 5 * y:
+            raise ArithmeticError("collapsing wall for n=%d: radius^2 <= 5/4" % n)
+        return wall
 
     def to_json(self) -> dict:
         return {
@@ -216,9 +237,9 @@ def _core_of(n: int) -> ResolutionData:
     signed multiplicity, so m3 = |s|.  m1 and m2 are read at lambda, which is
     mu except at s = 0, where mu = D.  Every check of the resolution runs
     here: m1 and m2 are integers, m1, m2 and k are positive, and the terms
-    assemble to I_Z.  The last is one integer sum of m (R, C, D)/N over the
-    characters (R, C, D)/N of the terms, against (1, 0, -n).  Then it builds
-    the two exact sequences through W.
+    assemble to I_Z.  The last is one integer sum, chern._sum_ints, of
+    m (R, C, D)/N over the characters (R, C, D)/N of the terms, against
+    (1, 0, -n).  Then it builds the two exact sequences through W.
     """
     ms = min_slope(n)
     dot, s = ms.associated, ms.s
@@ -243,13 +264,7 @@ def _core_of(n: int) -> ResolutionData:
     mults = (-m1, k, s) if s > 0 else (-k, m1, s)
     terms = tuple(zip(_term_slopes(a, b, dot, s), mults))
     chars = tuple(exceptional_character(t) for t, _ in terms)
-    # the sum of m (R, C, D)/N over the terms, over the product of the N
-    r = c = d = 0
-    den = 1
-    for (_, m), ch in zip(terms, chars):
-        rt, ct, dt, nt = ch._ints
-        r, c, d = r * nt + m * rt * den, c * nt + m * ct * den, d * nt + m * dt * den
-        den *= nt
+    r, c, d, den = _sum_ints(zip(mults, chars))
     if (r, c, d) != (den, 0, -n * den):
         raise ArithmeticError("resolution terms for n=%d do not assemble to I_Z" % n)
 
@@ -304,6 +319,16 @@ def gaeta_resolution(n: int) -> ResolutionData:
     return _core(n, "resolution")
 
 
+def collapsing_wall(n: int) -> Wall:
+    """Innermost wall, where the ideal sheaf of n >= 2 general points collapses.
+
+    It is the wall of the resolution of n, gaeta_resolution(n).wall, which
+    the record builds on first use and carries for as long as the memo keeps
+    n, so a repeat returns the same Wall.
+    """
+    return _core(n, "collapsing wall").wall
+
+
 @dataclass(frozen=True)
 class ClassicalGaeta:
     """Line-bundle resolution of n general points, split by the sign of 2s - r."""
@@ -319,7 +344,9 @@ class ClassicalGaeta:
         return _normalize_terms(self.sub_terms, self.quot_terms)
 
     def character(self) -> ChernCharacter:
-        return _total(self.quot_terms, line_bundle) - _total(self.sub_terms, line_bundle)
+        quot = ((m, line_bundle(k)) for k, m in self.quot_terms)
+        sub = ((-m, line_bundle(k)) for k, m in self.sub_terms)
+        return ChernCharacter._of(*_sum_ints((*quot, *sub)))
 
 
 def classical_gaeta(n: int) -> ClassicalGaeta:

@@ -10,17 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bridgeland import (
-    collapsing_wall,
-    exceptional_pair_wall,
-    kernel_cokernel_slopes,
-    nested,
-)
+from .bridgeland import exceptional_pair_wall, kernel_cokernel_slopes, nested
 from .chern import dual, euler_pairing, exceptional_character
 from .contfrac import check_exceptional_cf
 from .exactnum import _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
-from .resolution import classical_gaeta, gaeta_resolution, kronecker_data
+from .resolution import classical_gaeta, collapsing_wall, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
 from .stability import gamma, gamma_inv
 

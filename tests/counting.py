@@ -81,9 +81,10 @@ slopes = partial(wrap, owner=exceptional.ExceptionalSlope, name="__init__", reco
 surds = partial(wrap, owner=QuadSurd, name="__post_init__", record=_first)
 seq_terms = partial(wrap, owner=resolution.SeqTerm, name="__init__", record=_first)
 continued_fractions = partial(wrap, owner=ContinuedFraction, name="__init__", record=_first)
-# wall_between builds every pair and collapsing wall; walks record k, and cores the n of
-# each min_slope(n) in resolution, which only the core memo's builder calls, once a miss
-walls = partial(wrap, owner=bridgeland, name="wall_between")
+# wall_between builds every pair wall, in bridgeland, and every collapsing wall, in
+# resolution; walks record k, and cores the n of each min_slope(n) in resolution,
+# which only the core memo's builder calls, once a miss
+walls = partial(wrap, owner=bridgeland, name="wall_between", everywhere=True)
 pair_walls = partial(wrap, owner=bridgeland, name="_pair_wall")
 nestings = partial(wrap, owner=verify, name="nested")
 lookups = partial(wrap, owner=exceptional, name="exceptional_slope_of", everywhere=True)

@@ -10,15 +10,10 @@ import itertools
 import os
 import random
 import time
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from planecone.bridgeland import (
-    collapsing_wall,
-    exceptional_pair_wall,
-    kernel_cokernel_slopes,
-    nested,
-)
+from planecone.bridgeland import exceptional_pair_wall, kernel_cokernel_slopes, nested
 from planecone.chern import ChernCharacter
 from planecone.contfrac import check_exceptional_cf
 from planecone.exactnum import QuadSurd, fraction_str
@@ -29,6 +24,7 @@ from planecone.resolution import (
     CASE_BELOW_DOT,
     KroneckerNotApplicableError,
     classical_gaeta,
+    collapsing_wall,
     gaeta_resolution,
     kronecker_data,
 )
@@ -41,7 +37,7 @@ from planecone.stability import (
 )
 from planecone.verify import _ends_apart
 
-from decimal_oracle import times
+from decimal_oracle import DIGITS, decimal_of, times
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "effective_cone_table.csv")
 
@@ -253,17 +249,16 @@ def test_criterion_12_interval_end_oracle():
     # ten thousand randomized exact decisions at interval ends checked against a
     # 220-digit Decimal evaluation: the integer disjointness test of a slope
     # pair, side(x) of a rational, and equality of surds.  Disagreement is only
-    # tolerated within 1e-180, where the exact result must report a tie
-    getcontext().prec = 220
+    # tolerated within 1e-180, where the exact result must report a tie.  The
+    # digits are set in a local context, so no later test computes at 220
+    prec = getcontext().prec
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        interval_end_decisions()
+    assert getcontext().prec == prec
 
-    def evaluate(x):
-        if isinstance(x, QuadSurd):
-            a = Decimal(x.a.numerator) / Decimal(x.a.denominator)
-            b = Decimal(x.b.numerator) / Decimal(x.b.denominator)
-            return a + b * Decimal(x.d).sqrt()
-        f = Fraction(x)
-        return Decimal(f.numerator) / Decimal(f.denominator)
 
+def interval_end_decisions():
     slopes = enumerate_slopes(6, Fraction(0), Fraction(2))
     pool = []
     for slope in slopes:
@@ -280,8 +275,8 @@ def test_criterion_12_interval_end_oracle():
         pool.append(QuadSurd(Fraction(big_n, 2), Fraction(1, 2), big_n**2 - 4))
         pool.append(QuadSurd(Fraction(big_n, 2), Fraction(-1, 2), big_n**2 - 4))
     pool.extend(Fraction(rng.randint(-40, 40), rng.randint(1, 23)) for _ in range(60))
-    values = [evaluate(x) for x in pool]
-    ends = [tuple(evaluate(end) for end in slope.interval()) for slope in slopes]
+    values = [decimal_of(x) for x in pool]
+    ends = [tuple(decimal_of(end) for end in slope.interval()) for slope in slopes]
 
     threshold = Decimal("1e-180")
     for _ in range(10_000):
@@ -300,7 +295,7 @@ def test_criterion_12_interval_end_oracle():
         k = rng.randrange(len(slopes))
         r = slopes[k].rank
         x = slopes[k].value + Fraction(rng.randint(-30, 30), rng.randint(1, 30) * r * r)
-        below, above = evaluate(x) - ends[k][0], evaluate(x) - ends[k][1]
+        below, above = decimal_of(x) - ends[k][0], decimal_of(x) - ends[k][1]
         assert abs(below) > threshold and abs(above) > threshold, (slopes[k].value, x)
         expect = -1 if below < 0 else (1 if above > 0 else 0)
         assert slopes[k].side(x) == expect, (slopes[k].value, x)

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 import planecone.bridgeland as bridgeland
+import planecone.resolution as resolution
 from planecone.bridgeland import (
     KIND_SEMICIRCLE,
     KIND_VERTICAL,
     Wall,
     bridgeland_from_mori,
-    collapsing_wall,
     exceptional_pair_wall,
     kernel_cokernel_slopes,
     nested,
@@ -21,6 +21,7 @@ from planecone.bridgeland import (
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle
 from planecone.exactnum import QuadSurd
 from planecone.exceptional import dot, enumerate_slopes, epsilon, hilbert_poly
+from planecone.resolution import collapsing_wall
 from planecone.stability import delta
 
 import counting
@@ -313,8 +314,8 @@ def test_delta_consistency_of_collapsing_radius():
 def test_collapsing_wall_radius_failure_raises_arithmetic_error(monkeypatch, n):
     # once an assert, so an AssertionError that vanished under python -O
     counting.empty_memos(monkeypatch.setattr)
-    true_delta = bridgeland._delta
-    monkeypatch.setattr(bridgeland, "_delta", lambda mu, a: true_delta(mu, a) + 1)
+    true_delta = resolution._delta
+    monkeypatch.setattr(resolution, "_delta", lambda mu, a: true_delta(mu, a) + 1)
     with pytest.raises(ArithmeticError, match="radius"):
         collapsing_wall(n)
 

@@ -19,13 +19,14 @@ import pytest
 
 import planecone.resolution as resolution
 import planecone.stability as stability
-from planecone.bridgeland import collapsing_wall, wall_between
+from planecone.bridgeland import wall_between
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
 from planecone.resolution import (
     CASE_ABOVE_DOT,
     CASE_AT_DOT,
     CASE_BELOW_DOT,
     KroneckerNotApplicableError,
+    collapsing_wall,
     gaeta_resolution,
     kronecker_data,
 )

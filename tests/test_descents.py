@@ -46,11 +46,12 @@ import pytest
 
 import planecone.exceptional as exceptional
 import planecone.resolution as resolution
-from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
+from planecone.bridgeland import exceptional_pair_wall
 from planecone.chern import exceptional_character
 from planecone.cli import main
 from planecone.resolution import (
     KroneckerNotApplicableError,
+    collapsing_wall,
     gaeta_resolution,
     kronecker_data,
 )

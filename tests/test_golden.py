@@ -25,10 +25,10 @@ from fractions import Fraction
 
 import pytest
 
-from planecone.bridgeland import collapsing_wall, exceptional_pair_wall
+from planecone.bridgeland import exceptional_pair_wall
 from planecone.cli import main
 from planecone.exceptional import CantorPointError, associated_slope
-from planecone.resolution import gaeta_resolution, kronecker_data
+from planecone.resolution import collapsing_wall, gaeta_resolution, kronecker_data
 from planecone.stability import delta, min_slope
 from planecone.verify import format_report, run_suite
 

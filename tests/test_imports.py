@@ -8,7 +8,8 @@ added or dropped in one place, next to its definition.
 
 Every name a package module imports is used in that module.  The scan reads
 each module's AST: an imported name counts as used when it appears as a name
-anywhere in the module.
+anywhere in the module.  And the modules are layered: each imports from the
+package only modules before it in LAYERS, so no import runs upward.
 """
 
 import ast
@@ -24,6 +25,20 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 INIT = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
 # the modules whose names the package exports: those __init__.py imports from
 EXPORTING = sorted({n.module for n in ast.walk(INIT) if isinstance(n, ast.ImportFrom) and n.module})
+# every module but __init__.py, lowest first: the number readers, the slopes, their
+# characters and continued fractions, then the minimal slope, wall geometry, the
+# resolution with its wall, and the checks and the CLI on top
+LAYERS = [
+    "exactnum",
+    "exceptional",
+    "chern",
+    "contfrac",
+    "stability",
+    "bridgeland",
+    "resolution",
+    "verify",
+    "cli",
+]
 
 
 def parse(module: str) -> ast.Module:
@@ -105,3 +120,14 @@ def test_init_imports_its_modules_and_their_lists_only():
     ]
     # the package's list holds no name of its own, only the modules' lists
     assert all(isinstance(elt, ast.Starred) for elt in declared(INIT).elts)
+
+
+def test_each_module_imports_only_modules_below_it():
+    assert sorted(LAYERS) == MODULES
+    upward = [
+        "%s imports .%s" % (module, node.module)
+        for i, module in enumerate(LAYERS)
+        for node in ast.walk(parse(module))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module not in LAYERS[:i]
+    ]
+    assert not upward, upward

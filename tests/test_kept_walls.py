@@ -4,8 +4,8 @@ A pair wall of a triad, a slope c with its parents lo < hi, lives on one
 slope: W(a, b) of a slope and one of its parents on the child, and W(k - 1,
 k + 1) and W(k, k + 1) of two integers on k and k + 1/2, whose parents they
 are.  So a slope keeps at most three walls, in ExceptionalSlope._walls.  A
-collapsing wall lives on the resolution record of its n, in
-ResolutionData._wall.  These tests pin the carry: what a warm round builds,
+collapsing wall lives on the resolution record of its n, as
+ResolutionData.wall.  These tests pin the carry: what a warm round builds,
 that a repeat returns the same object, where each wall lives and that a kept
 wall is the wall a fresh wall_between gives.
 """
@@ -14,10 +14,15 @@ import pytest
 
 import planecone.exceptional as exceptional
 import planecone.verify as verify
-from planecone.bridgeland import collapsing_wall, exceptional_pair_wall, wall_between
+from planecone.bridgeland import exceptional_pair_wall, wall_between
 from planecone.chern import exceptional_character
 from planecone.exceptional import enumerate_slopes, epsilon, parent_pair
-from planecone.resolution import KroneckerNotApplicableError, gaeta_resolution, kronecker_data
+from planecone.resolution import (
+    KroneckerNotApplicableError,
+    collapsing_wall,
+    gaeta_resolution,
+    kronecker_data,
+)
 from planecone.verify import run_suite
 
 import counting
@@ -46,7 +51,7 @@ def test_a_collapsing_wall_is_carried_by_its_record(monkeypatch):
     built = counting.walls(monkeypatch.setattr)
     for n in (2, 11, 12, 25, 1000):  # BelowDot, AboveDot, AtDot and two more
         wall = collapsing_wall(n)
-        assert collapsing_wall(n) is wall is gaeta_resolution(n)._wall
+        assert collapsing_wall(n) is wall is gaeta_resolution(n).wall
     assert len(built) == 5
 
 

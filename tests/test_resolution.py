@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import planecone.resolution as resolution
-from planecone.bridgeland import collapsing_wall
 from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
 from planecone.exactnum import QuadSurd
 from planecone.resolution import (
@@ -15,6 +14,7 @@ from planecone.resolution import (
     CASE_TWO_S_GEQ,
     CASE_TWO_S_LEQ,
     classical_gaeta,
+    collapsing_wall,
     gaeta_resolution,
     kronecker_data,
     kronecker_euler,

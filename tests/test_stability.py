@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planecone.exceptional as exceptional
-from planecone.bridgeland import (
-    Wall,
-    bridgeland_from_mori,
-    collapsing_wall,
-    nested,
-)
+from planecone.bridgeland import Wall, bridgeland_from_mori, nested
 from planecone.chern import ChernCharacter, exceptional_character, line_bundle, twist
 from planecone.exactnum import QuadSurd, fraction_str
 from planecone.exceptional import (
@@ -31,6 +26,7 @@ from planecone.exceptional import (
 )
 from planecone.resolution import (
     classical_gaeta,
+    collapsing_wall,
     gaeta_resolution,
     kronecker_data,
 )
@@ -339,8 +335,6 @@ def test_gamma_inv_of_euler_slope_is_interval_value():
 
 def test_min_slope_rejects_non_int_before_any_arithmetic(monkeypatch):
     import planecone.stability as stability
-    from planecone.bridgeland import collapsing_wall
-    from planecone.resolution import gaeta_resolution, kronecker_data
 
     def refuse(q):
         raise AssertionError("gamma_inv ran on a non-int n")

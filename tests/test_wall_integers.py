@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import planecone.bridgeland as bridgeland
+import planecone.resolution as resolution
 import planecone.verify as verify
 from planecone.bridgeland import KIND_SEMICIRCLE, Wall, exceptional_pair_wall, nested
 from planecone.exactnum import _as_rational
@@ -193,7 +194,7 @@ def test_the_collapse_bound_to_n_2000_decides_as_its_fraction_form(monkeypatch, 
     # come within 1/m of the bound from below and from above instead
     depth = 2000
     lams = seeded_lambdas(how, depth)
-    wall = bridgeland.collapsing_wall(2)
+    wall = resolution.collapsing_wall(2)
     monkeypatch.setattr(verify, "collapsing_wall", lambda n: wall)
     monkeypatch.setattr(verify, "gaeta_resolution", lambda n: SimpleNamespace(lam=lams[n]))
     failures = [

@@ -1,9 +1,9 @@
 """Count the objects one warm round of each verify suite builds.
 
 For each suite it prints the Fractions, DyadicAddresses, ChernCharacters and
-walls (calls of bridgeland.wall_between) that one run_suite(suite, depth)
-builds after a first round has warmed every memo, counted by the tests'
-harness, tests/counting.py.  The depths are SUITE_DEPTHS of the benchmark's
+walls (calls of wall_between, in every module that binds it) that one
+run_suite(suite, depth) builds after a first round has warmed every memo,
+counted by the tests' harness, tests/counting.py.  The depths are SUITE_DEPTHS of the benchmark's
 bench/workloads.py, read with ast.  The counts depend on no machine, so they
 can be compared across commits.  Stdlib only; run from anywhere:
 
