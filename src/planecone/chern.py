@@ -2,17 +2,16 @@
 
 Characters are triples (r, c1, ch2) of exact rationals, and everything here is
 polynomial arithmetic in them.  The Euler pairing is Riemann-Roch,
-chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1', and
-chi(E) = r + 3 c1/2 + ch2 is its value against O; both answer at rank zero.
-Slope and discriminant, twisting by line bundles, duals, and the characters of
-exceptional bundles, (r, c, (c^2 - r^2 + 1)/(2r)) for the slope c/r, also live
-here.
+chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1', and it
+answers at rank zero too.  Line bundles, duals, and the characters of
+exceptional bundles, (r, c, (c^2 - r^2 + 1)/(2r)) for the slope c/r, also
+live here.
 
 A character is held as three ints over one common denominator,
 (r, c1, ch2) = (R, C, D)/N with N > 0 and gcd(R, C, D, N) = 1, so sums,
-differences, scalar multiples, twists and pairings are integer formulas that
-end in one gcd, and two characters are equal exactly when their four ints
-are.  r, c1 and ch2 are read-only Fraction properties, built when asked for.
+differences, scalar multiples and pairings are integer formulas that end in
+one gcd, and two characters are equal exactly when their four ints are.
+r, c1 and ch2 are read-only Fraction properties, built when asked for.
 """
 
 from __future__ import annotations
@@ -25,20 +24,11 @@ from .exceptional import _as_slope
 
 __all__ = [
     "ChernCharacter",
-    "ZeroRankError",
-    "discriminant",
     "dual",
-    "euler_char",
     "euler_pairing",
     "exceptional_character",
     "line_bundle",
-    "slope",
-    "twist",
 ]
-
-
-class ZeroRankError(ValueError):
-    """Raised when slope or discriminant is requested at rank zero."""
 
 
 class ChernCharacter:
@@ -125,30 +115,6 @@ def line_bundle(k) -> ChernCharacter:
     return ChernCharacter._of(2 * q * q, 2 * p * q, p * p, 2 * q * q)
 
 
-def slope(ch: ChernCharacter) -> Fraction:
-    r, c, _, _ = ch._ints
-    if r == 0:
-        raise ZeroRankError("slope is undefined at rank zero")
-    return Fraction(c, r)
-
-
-def discriminant(ch: ChernCharacter) -> Fraction:
-    """Delta = mu^2/2 - ch2/r, normalized to be rank and twist invariant.
-
-    For (R, C, D)/N it is (C^2 - 2RD)/(2R^2); N cancels.
-    """
-    r, c, d, _ = ch._ints
-    if r == 0:
-        raise ZeroRankError("discriminant is undefined at rank zero")
-    return Fraction(c * c - 2 * r * d, 2 * r * r)
-
-
-def euler_char(ch: ChernCharacter) -> Fraction:
-    """chi(E) = r + 3 c1/2 + ch2 by Riemann-Roch; at nonzero rank it is r(P(mu) - Delta)."""
-    r, c, d, n = ch._ints
-    return Fraction(2 * r + 3 * c + 2 * d, 2 * n)
-
-
 def euler_pairing(ch_e: ChernCharacter, ch_f: ChernCharacter) -> Fraction:
     """chi(E, F) = r r' + 3(r c1' - r' c1)/2 + r ch2' + r' ch2 - c1 c1' by Riemann-Roch.
 
@@ -159,18 +125,6 @@ def euler_pairing(ch_e: ChernCharacter, ch_f: ChernCharacter) -> Fraction:
     rp, cp, dp, m = ch_f._ints
     num = 2 * r * rp + 3 * (r * cp - rp * c) + 2 * (r * dp + rp * d) - 2 * c * cp
     return Fraction(num, 2 * n * m)
-
-
-def twist(ch: ChernCharacter, k) -> ChernCharacter:
-    """Character of E(k), i.e. the tensor with the degree-k line bundle.
-
-    (r, c1 + k r, ch2 + k c1 + k^2 r/2), over the denominator 2 q^2 N for k = p/q.
-    """
-    p, q = _as_ratio(k)
-    r, c, d, n = ch._ints
-    return ChernCharacter._of(
-        2 * q * q * r, 2 * q * (q * c + p * r), 2 * q * (q * d + p * c) + p * p * r, 2 * q * q * n
-    )
 
 
 def dual(ch: ChernCharacter) -> ChernCharacter:

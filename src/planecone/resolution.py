@@ -365,7 +365,7 @@ def classical_gaeta(n: int) -> ClassicalGaeta:
         sub = ((Fraction(-r - 2), s),)
         quot = ((Fraction(-r), r - s + 1), (Fraction(-r - 1), 2 * s - r))
     out = ClassicalGaeta(n, r, s, case, sub, quot)
-    if out.character().astuple() != (1, 0, -n):
+    if out.character()._ints != (1, 0, -n, 1):
         raise ArithmeticError("classical resolution for n=%d does not assemble to I_Z" % n)
     return out
 

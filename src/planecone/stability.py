@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernCharacter, discriminant
-from .chern import slope as character_slope
 from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
@@ -41,9 +39,7 @@ __all__ = [
     "delta",
     "gamma",
     "gamma_inv",
-    "height",
     "min_slope",
-    "moduli_nonempty",
 ]
 
 CASE_NON_EXCEPTIONAL = "NonExceptional"
@@ -176,34 +172,6 @@ def _gamma_inv(q) -> tuple[Fraction, ExceptionalSlope]:
     if v * (r2 * (x * x + 3 * x * y + 2 * y * y) - _delta_numerator(x, y, a)) != 2 * y * y * r2 * u:
         raise ArithmeticError("gamma_inv(%s) = %s fails the round trip" % (q, mu))
     return mu, a
-
-
-def moduli_nonempty(r: int, mu, Delta) -> bool:
-    """Decide nonemptiness of the moduli space with the given invariants."""
-    r = _as_int(r, "rank")
-    mu, Delta = _as_rational(mu), _as_rational(Delta)
-    if r < 1:
-        raise ValueError("rank must be a positive integer")
-    if (r * mu).denominator != 1:
-        raise ValueError("c1 = r*mu fails to be an integer")
-    if (r * (hilbert_poly(mu) - Delta)).denominator != 1:
-        raise ValueError("the Euler characteristic fails to be an integer")
-    a = associated_slope(mu)
-    if Delta >= _delta(mu, a):
-        return True
-    return a.value == mu and Delta == a.discriminant and r % a.rank == 0
-
-
-def height(ch: ChernCharacter) -> int:
-    """r * r_alpha * (Delta - delta(mu)), an integer for integral characters."""
-    if ch.r <= 0:
-        raise ValueError("height needs positive rank")
-    mu = character_slope(ch)
-    a = associated_slope(mu)
-    h = ch.r * a.rank * (discriminant(ch) - _delta(mu, a))
-    if h.denominator != 1:
-        raise ValueError("height of %r is not an integer" % (ch,))
-    return int(h)
 
 
 def _as_n(n) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import planecone.resolution as resolution
-from planecone.chern import ChernCharacter, euler_pairing, exceptional_character, twist
+from planecone.chern import ChernCharacter, euler_pairing, exceptional_character
 from planecone.exactnum import QuadSurd
 from planecone.resolution import (
     CASE_ABOVE_DOT,
@@ -217,7 +217,7 @@ def test_a_term_that_does_not_assemble_to_i_z_raises_by_both_paths(monkeypatch, 
 
     def character(slope):
         ch = true_character(slope)
-        return twist(ch, 1) if slope == faulty else ch
+        return 2 * ch if slope == faulty else ch
 
     monkeypatch.setattr(resolution, "exceptional_character", character)
     # the resolution of n memoized above holds the true characters, so n is built again

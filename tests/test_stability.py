@@ -1,4 +1,4 @@
-"""The delta and gamma functions, nonemptiness, heights, and minimal slopes."""
+"""The delta and gamma functions and minimal slopes."""
 
 import math
 import operator
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import planecone.exceptional as exceptional
 from planecone.bridgeland import Wall, bridgeland_from_mori, nested
-from planecone.chern import ChernCharacter, exceptional_character, line_bundle, twist
+from planecone.chern import ChernCharacter, line_bundle
 from planecone.exactnum import QuadSurd, fraction_str
 from planecone.exceptional import (
     MAX_DEPTH,
@@ -39,9 +39,7 @@ from planecone.stability import (
     delta,
     gamma,
     gamma_inv,
-    height,
     min_slope,
-    moduli_nonempty,
 )
 
 import counting
@@ -62,14 +60,12 @@ small_rationals = st.fractions(
         (gamma, (0.5,)),
         (gamma_inv, (2.5,)),
         (dot, (0.5, 1)),
-        (moduli_nonempty, (1, 0.0, 0.0)),
         (exceptional_slope_of, (0.5,)),
         (enumerate_slopes, (2, 0.0, 1)),
         # once each of these answered for the float or the string as for 1/2
         (ChernCharacter, (0.5, 0, 0)),
         (ChernCharacter, ("1/2", 0, 0)),
         (line_bundle, (0.5,)),
-        (twist, (ChernCharacter(1, 0, 0), 0.5)),
         (operator.mul, (ChernCharacter(1, 0, 0), 0.5)),
         (Wall.semicircle, (0.5, 1)),
         (Wall.vertical, (0.5,)),
@@ -97,14 +93,6 @@ small_rationals = st.fractions(
 def test_a_rational_argument_is_an_int_or_a_fraction(fn, args):
     with pytest.raises(TypeError, match="as a rational"):
         fn(*args)
-
-
-@pytest.mark.parametrize("r", [1.5, 2.0, Fraction(2), "2", True], ids=repr)
-def test_moduli_nonempty_rank_is_an_int(r):
-    # once AttributeError: 'float' object has no attribute 'denominator' for 1.5,
-    # and True answered for rank 1
-    with pytest.raises(TypeError, match="^rank must be an int, not %s$" % type(r).__name__):
-        moduli_nonempty(r, Fraction(0), Fraction(0))
 
 
 def test_delta_examples():
@@ -193,44 +181,6 @@ def test_gamma_at_interval_endpoint_against_euler_bound():
         sq = times(right, right, d)
         bound = ((sq[0] + 3 * right[0] + 2) / 2 - Fraction(1, 2), (sq[1] + 3 * right[1]) / 2)
         assert oracle_cmp(Fraction(slope.euler, slope.rank), QuadSurd(*bound, d)) < 0
-
-
-def test_moduli_nonempty_basic():
-    # comfortably above the delta curve
-    assert moduli_nonempty(2, Fraction(1, 2), Fraction(11, 8))
-    # exactly on the curve still counts
-    assert moduli_nonempty(8, Fraction(1, 2), Fraction(5, 8))
-    # the exceptional point itself: semi-exceptional series
-    assert moduli_nonempty(2, Fraction(1, 2), Fraction(3, 8))
-    assert moduli_nonempty(6, Fraction(1, 2), Fraction(3, 8))
-    # between the exceptional discriminant and the curve: empty
-    assert not moduli_nonempty(8, Fraction(1, 2), Fraction(1, 2))
-    assert not moduli_nonempty(2, Fraction(0), Fraction(1, 2))
-    assert not moduli_nonempty(1, Fraction(0), Fraction(-1))
-
-
-def test_moduli_nonempty_integrality_guards():
-    with pytest.raises(ValueError):
-        moduli_nonempty(2, Fraction(1, 3), Fraction(1))  # c1 = 2/3 not integral
-    with pytest.raises(ValueError):
-        moduli_nonempty(2, Fraction(1, 2), Fraction(1, 3))  # ch2 not half-integral
-    with pytest.raises(ValueError):
-        moduli_nonempty(0, Fraction(1, 2), Fraction(1))
-
-
-def test_height_examples():
-    assert height(exceptional_character(Fraction(1, 2))) == -1
-    assert height(ChernCharacter(1, 0, -1)) == 0
-    assert height(ChernCharacter(6, 34, 93)) == 0
-    assert height(ChernCharacter(1, 0, -2)) > 0
-
-
-def test_height_scales_with_rank_multiples():
-    base = ChernCharacter(1, 0, -1)
-    doubled = 2 * base
-    assert height(doubled) == 2 * height(base) + 0  # same delta gap, twice r
-    with pytest.raises(ValueError):
-        height(ChernCharacter(-1, 0, 0))
 
 
 def test_min_slope_small_cases():
