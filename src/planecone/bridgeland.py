@@ -32,13 +32,12 @@ import this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
-from .chern import ChernCharacter, _sum_ints, euler_pairing, exceptional_character
-from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
-from .exceptional import ExceptionalSlope, _as_slope, _epsilon_at, dot, epsilon, is_adjacent_pair
+from .chern import ChernCharacter, _euler_ratio, _sum_ints, exceptional_character
+from .exactnum import Record, _as_int, _as_ratio, _as_rational, fraction_str
+from .exceptional import ExceptionalSlope, _as_slope, _dot_ratio, _epsilon_at, epsilon, is_adjacent_pair
 
 __all__ = [
     "KIND_SEMICIRCLE",
@@ -57,8 +56,7 @@ KIND_SEMICIRCLE = "Semicircle"
 KIND_VERTICAL = "Vertical"
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     kind: str
     center_s: Fraction | None = None
     radius_sq: Fraction | None = None
@@ -70,7 +68,7 @@ class Wall:
 
     @classmethod
     def vertical(cls, s) -> "Wall":
-        return cls(KIND_VERTICAL, vertical_s=_as_rational(s))
+        return cls(KIND_VERTICAL, None, None, _as_rational(s))
 
     def is_empty(self) -> bool:
         """A semicircle whose radius^2 is not positive, read off its numerator's sign."""
@@ -225,8 +223,7 @@ def _pair_wall(a: ExceptionalSlope, b: ExceptionalSlope) -> Wall:
     return wall
 
 
-@dataclass(frozen=True)
-class TriadSlopes:
+class TriadSlopes(Record):
     """Slopes of the kernel and cokernel bundles around a triad.
 
     zeta and omega are the kernel/cokernel slopes selected by p mod 4; the
@@ -250,14 +247,19 @@ class TriadSlopes:
 
 
 def _integer_pairing(ch1, ch2) -> int:
-    value = euler_pairing(ch1, ch2)
-    if value.denominator != 1:
-        raise ArithmeticError("euler pairing %s of %r, %r is not an integer" % (value, ch1, ch2))
-    return int(value)
+    """chi(ch1, ch2), decided an integer on euler_pairing's integer pair, with no Fraction."""
+    num, den = _euler_ratio(ch1, ch2)
+    if num % den:
+        raise ArithmeticError("pairing %d/%d of %r, %r is not an integer" % (num, den, ch1, ch2))
+    return num // den
 
 
 def kernel_cokernel_slopes(p: int, q: int) -> TriadSlopes:
-    """Kernel and cokernel slopes of the canonical triad maps at p/2^q."""
+    """Kernel and cokernel slopes of the canonical triad maps at p/2^q.
+
+    The product check on beta and the two Euler pairings are integer forms,
+    so a triad whose slopes are in the memo builds no Fraction.
+    """
     p, q = _as_int(p, "p"), _as_int(q, "q")
     if p % 2:
         raise ValueError("p must be even")
@@ -267,7 +269,9 @@ def kernel_cokernel_slopes(p: int, q: int) -> TriadSlopes:
     alpha = epsilon((p, q))
     beta = epsilon((p + 1, q))
     eta = epsilon((p + 2, q))
-    if beta.value != dot(alpha, eta):
+    # beta = alpha.eta, decided by one cross product on the product's unreduced pair
+    u, v = _dot_ratio(alpha, eta)
+    if beta.value.numerator * v != u * beta.value.denominator:
         raise ArithmeticError("slope at (%d, %d) is not its neighbours' product" % (p + 1, q))
     branch = p % 4
     if branch == 0:

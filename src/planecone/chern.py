@@ -121,10 +121,15 @@ def euler_pairing(ch_e: ChernCharacter, ch_f: ChernCharacter) -> Fraction:
     At nonzero ranks it is r r' (P(mu_F - mu_E) - Delta_E - Delta_F).  Over the
     denominators N and N' it is one Fraction with denominator 2NN'.
     """
+    return Fraction(*_euler_ratio(ch_e, ch_f))
+
+
+def _euler_ratio(ch_e: ChernCharacter, ch_f: ChernCharacter) -> tuple[int, int]:
+    """euler_pairing(ch_e, ch_f) as its unreduced integer pair, over 2NN' > 0."""
     r, c, d, n = ch_e._ints
     rp, cp, dp, m = ch_f._ints
     num = 2 * r * rp + 3 * (r * cp - rp * c) + 2 * (r * dp + rp * d) - 2 * c * cp
-    return Fraction(num, 2 * n * m)
+    return num, 2 * n * m
 
 
 def dual(ch: ChernCharacter) -> ChernCharacter:

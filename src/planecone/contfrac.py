@@ -11,10 +11,9 @@ carries the full convergent list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import RationalLike, _as_rational
+from .exactnum import RationalLike, Record, _as_rational
 from .exceptional import _slope_value
 
 __all__ = [
@@ -24,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Even-length expansion [a0; a1, ..., ak] with convergents (p_i, q_i)."""
 
     integer_part: int

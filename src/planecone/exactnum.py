@@ -14,13 +14,17 @@ its float, repr and JSON, and an exact == and hash for the tests and callers
 that keep surds in sets.  A QuadSurd pulls the small square factors out of
 its radicand when it is built, with no memo: no walk or decision builds one.
 No floating point is used anywhere in a correctness path.
+
+Record is the base of the package's eleven plain records, from CheckResult
+to MinSlopeResult: fields declared once, equality, hash, repr and no
+assignment, with no import beyond this module's.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from operator import attrgetter
 
 __all__ = [
     "QuadSurd",
@@ -28,7 +32,7 @@ __all__ = [
     "parse_fraction",
 ]
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 def _as_rational(x: RationalLike) -> Fraction:
@@ -53,6 +57,66 @@ def _as_int(x: int, name: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError("%s must be an int, not %s" % (name, type(x).__name__))
     return x
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Named fields, frozen: the base of the package's plain records.
+
+    A subclass declares its fields as annotations, in order; a field given a
+    value in the class body is optional, with that value as its default, and
+    follows every field without one.  A record is built positionally, and a
+    subclass's __post_init__, if it has one, runs last on every construction.
+    Two records are equal when they are of one class with equal fields, a
+    record hashes as the tuple of its fields, prints as Cls(field=value, ...)
+    and refuses assignment; object.__setattr__ and cached_property write its
+    __dict__ and still work.  The methods live here and not on each subclass,
+    so a subclass's own attributes are its own code.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        required = sum(name not in vars(cls) for name in cls._fields)
+        # one class attribute for __init__ to read: each read through an
+        # instance is a slow, unspecialized lookup
+        cls._shape = cls._fields, required, hasattr(cls, "__post_init__")
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        fields, required, post = self._shape
+        # object.__setattr__ and not __dict__.update, which would make the
+        # instance's attribute reads slower from then on; an index, not zip,
+        # is the faster loop on CPython 3.11, and a try costs nothing there
+        i = 0
+        try:
+            for value in values:
+                _set(self, fields[i], value)
+                i += 1
+        except IndexError:
+            raise TypeError("%s takes at most %d fields" % (type(self).__name__, len(fields))) from None
+        if i < required:
+            raise TypeError("%s takes at least %d fields, not %d" % (type(self).__name__, required, i))
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError("cannot set or delete %s.%s" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        values = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, values)
 
 
 def _extract_square(d: int) -> tuple[int, int]:

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .exactnum import QuadSurd, RationalLike, _as_int, _as_ratio, _as_rational, fraction_str
+from .exactnum import QuadSurd, RationalLike, Record, _as_int, _as_ratio, _as_rational, fraction_str
 
 __all__ = [
     "CantorPointError",
@@ -72,8 +71,7 @@ def hilbert_poly(x):
     return Fraction(u * u + 3 * u * v + 2 * v * v, 2 * v * v)
 
 
-@dataclass(frozen=True)
-class DyadicAddress:
+class DyadicAddress(Record):
     """Canonical dyadic fraction p/2^q: q = 0, or p odd; a bool p or q raises TypeError."""
 
     p: int
@@ -111,8 +109,7 @@ class DyadicAddress:
         return {"p": self.p, "q": self.q}
 
 
-@dataclass(frozen=True)
-class ExceptionalSlope:
+class ExceptionalSlope(Record):
     """An exceptional slope with its derived invariants.
 
     rank is the denominator of the slope, discriminant is (1 - 1/rank^2)/2,
@@ -219,6 +216,11 @@ def dot(alpha, beta) -> Fraction:
     beta = d/s, den = 3rs + cs - dr is rs(3 + alpha - beta) and the product is
     ((cs + dr) den + s^2 - r^2) / (2rs den), reduced once.
     """
+    return Fraction(*_dot_ratio(alpha, beta))
+
+
+def _dot_ratio(alpha, beta) -> tuple[int, int]:
+    """dot(alpha, beta) as its unreduced integer pair; the denominator is nonzero, of any sign."""
     a = _slope_value(alpha)
     b = _slope_value(beta)
     c, r = a.numerator, a.denominator
@@ -226,7 +228,7 @@ def dot(alpha, beta) -> Fraction:
     den = 3 * r * s + c * s - d * r
     if den == 0:
         raise ValueError("degenerate slope product: 3 + alpha - beta = 0")
-    return Fraction((c * s + d * r) * den + s * s - r * r, 2 * r * s * den)
+    return (c * s + d * r) * den + s * s - r * r, 2 * r * s * den
 
 
 _MEMO: dict[tuple[int, int], ExceptionalSlope] = {}

@@ -37,14 +37,13 @@ Kronecker rank of V is the numerator of D, plus 3 r_D when s <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
 from .bridgeland import KIND_SEMICIRCLE, Wall, bridgeland_from_mori, wall_between
 from .chern import ChernCharacter, _sum_ints, exceptional_character, line_bundle
-from .exactnum import _as_int, fraction_str
+from .exactnum import Record, _as_int, fraction_str
 from .exceptional import ExceptionalSlope, parent_pair
 from .stability import _as_n, _delta, min_slope
 
@@ -75,8 +74,7 @@ CASE_AT_DOT = "AtDot"
 CASE_ABOVE_DOT = "AboveDot"
 
 
-@dataclass(frozen=True)
-class SeqTerm:
+class SeqTerm(Record):
     """One slot of an exact sequence: a bundle power or a named sheaf."""
 
     label: str
@@ -97,8 +95,7 @@ def _normalize_terms(negatives, positives):
     return tuple(tuple(sorted(t for t in side if t[1])) for side in (negatives, positives))
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(Record):
     """The generalized Gaeta resolution of I_Z for n general points.
 
     lam = gamma_inv(n) lies in I_D for D = dot_slope, and mu = lam except at
@@ -329,8 +326,7 @@ def collapsing_wall(n: int) -> Wall:
     return _core(n, "collapsing wall").wall
 
 
-@dataclass(frozen=True)
-class ClassicalGaeta:
+class ClassicalGaeta(Record):
     """Line-bundle resolution of n general points, split by the sign of 2s - r."""
 
     n: int
@@ -374,8 +370,7 @@ class KroneckerNotApplicableError(ValueError):
     """No stable Kronecker module is attached to this n."""
 
 
-@dataclass(frozen=True)
-class KroneckerData:
+class KroneckerData(Record):
     """Kronecker numerics of W: N arrows, dimension vector e = (b, a), rank of V.
 
     slope_in_window says b/a lies strictly inside the stability window

@@ -25,10 +25,9 @@ identity, so the answer is the only Fraction it builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _as_int, _as_ratio, _as_rational, fraction_str
+from .exactnum import Record, _as_int, _as_ratio, _as_rational, fraction_str
 from .exceptional import MAX_DEPTH, ExceptionalSlope, _walk, associated_slope, hilbert_poly
 
 __all__ = [
@@ -47,8 +46,7 @@ CASE_EXCEPTIONAL_BUNDLE = "ExceptionalBundle"
 CASE_TRIANGULAR_MINUS_ONE = "TriangularMinusOne"
 
 
-@dataclass(frozen=True)
-class MinSlopeResult:
+class MinSlopeResult(Record):
     """The minimal slope mu for n points, with lambda = gamma_inv(n) and D = associated.
 
     lambda lies in I_D, and s = chi(E_D) - n r_D = chi(E_D (x) I_Z) places mu

@@ -7,13 +7,12 @@ failure spelled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bridgeland import exceptional_pair_wall, kernel_cokernel_slopes, nested
 from .chern import dual, euler_pairing, exceptional_character
 from .contfrac import check_exceptional_cf
-from .exactnum import _as_int, fraction_str
+from .exactnum import Record, _as_int, fraction_str
 from .exceptional import enumerate_slopes, epsilon
 from .resolution import classical_gaeta, collapsing_wall, gaeta_resolution, kronecker_data
 from .resolution import KroneckerNotApplicableError
@@ -29,8 +28,7 @@ PAIR_DEPTH = 8
 CHAIN_LENGTH = 6
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

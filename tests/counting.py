@@ -8,6 +8,7 @@ takes the setattr and returns the list it records in.  Stdlib only.
 
 import ast
 import contextlib
+import inspect
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -29,9 +30,11 @@ def wrap(setattr, owner, name, record=None, *, call=None, into=None, everywhere=
     arguments args (a method's self first) when record is None.  call answers
     in place of the binding, so a test swaps a binding for a broken one here
     too; into is a list to share; everywhere wraps each planecone module that
-    binds the same object.
+    binds the same object.  A class's binding may be inherited, as a record's
+    __init__ is from exactnum.Record: the wrapper then goes on the class itself,
+    so only its own constructions count, and goes away when it is put back.
     """
-    binding = vars(owner)[name]
+    binding = inspect.getattr_static(owner, name)
     kind = type(binding) if isinstance(binding, (classmethod, staticmethod)) else None
     answer = call or (binding.__func__ if kind else binding)
     records = [] if into is None else into
@@ -51,10 +54,13 @@ def wrap(setattr, owner, name, record=None, *, call=None, into=None, everywhere=
 
 
 class Patcher(contextlib.ExitStack):
-    """A setattr that puts each binding it replaces back when its with-block exits."""
+    """A setattr that puts each binding it replaces back, or deletes it, when its with-block exits."""
 
     def __call__(self, owner, name, value):
-        self.callback(setattr, owner, name, vars(owner)[name])
+        if name in vars(owner):
+            self.callback(setattr, owner, name, vars(owner)[name])
+        else:
+            self.callback(delattr, owner, name)
         setattr(owner, name, value)
 
 

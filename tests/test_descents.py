@@ -14,7 +14,7 @@ builds a surd.
 The verify suites name every slope they build by its dyadic address, as a
 pair of ints that epsilon reads from the memo without building a
 DyadicAddress, and the walls suite decides its walls in integers, so a warm
-round of it builds 2 Fractions a pair wall and few others.  Each
+round of it builds no Fraction.  Each
 count is taken on a warm memo, because an epsilon that misses the memo walks
 too.  The surd count of a walk steered by a rational is also taken cold: it
 decides every level in integers and builds no slope's radius.  gamma_inv's
@@ -475,12 +475,13 @@ def test_warm_slope_suites_build_no_address(monkeypatch, suite, depth):
     assert built == []
 
 
-def test_a_warm_walls_suite_builds_at_most_250_fractions(monkeypatch):
+def test_a_warm_walls_suite_builds_no_fraction(monkeypatch):
     # once 6,152: nesting subtracted and squared Fractions, and every bound was a
     # Fraction expression; then 2,079, 2 per distinct pair wall, each wall's center
-    # and radius^2, rebuilt each round; now each wall is kept, on its slope or on
-    # the resolution record of its n, and only kernel_cokernel_slopes builds (189)
+    # and radius^2, rebuilt each round; then 189, once each wall was kept, on its
+    # slope or on the resolution record of its n, all built by kernel_cokernel_slopes;
+    # now its product check and its pairings are integer forms too
     run_suite("walls", 50)
     built = counting.fractions(monkeypatch.setattr)
     assert all(r.passed for r in run_suite("walls", 50))
-    assert len(built) <= 250, len(built)
+    assert built == []

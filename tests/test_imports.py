@@ -10,10 +10,17 @@ Every name a package module imports is used in that module.  The scan reads
 each module's AST: an imported name counts as used when it appears as a name
 anywhere in the module.  And the modules are layered: each imports from the
 package only modules before it in LAYERS, so no import runs upward.
+
+Importing the package is most of a CLI command's time, so it loads no module
+it does not use: its records stand on exactnum.Record rather than
+dataclasses, which would pull in inspect, and its one type alias is written
+with |, not typing.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +138,13 @@ def test_each_module_imports_only_modules_below_it():
         if isinstance(node, ast.ImportFrom) and node.level and node.module not in LAYERS[:i]
     ]
     assert not upward, upward
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site, whose .pth files may import typing before the package does
+    code = "import sys; sys.path.insert(0, %r); import planecone; print(*sys.modules)"
+    argv = [sys.executable, "-S", "-c", code % str(PACKAGE.parent)]
+    loaded = set(subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split())
+    assert "planecone.verify" in loaded
+    unused = loaded & {"dataclasses", "inspect", "typing"}
+    assert not unused, sorted(unused)

@@ -9,13 +9,14 @@ and `slope`, `resolution` and `walls` for n = 2, 5 and 25, each in text and
 Python function that is called.
 
 A function counts as reached when its code ran.  A class counts as reached
-when code written in its own body ran (a method, a property, a cached
-property, or the __init__ a dataclass generates), or, for a class with no code
-of its own, an exception, when one was constructed, which a recording
-__init__ sees for the length of the runs.  String constants hold no code and
-are not checked.  A KEPT name is a name of planecone.__all__ or a method
-"Class.name" of one of its classes, and each must still be unreached, so an
-entry leaves the list when a caller appears.
+when code written in its own body ran (a method, a property or a cached
+property), or when one was constructed, which a recording __init__ on each
+class sees for the length of the runs.  The records' __init__ and the rest of
+their methods are shared, on exactnum.Record, and never in a record's own
+body, so one record's construction or comparison reaches no other record.
+String constants hold no code and are not checked.  A KEPT name is a name of
+planecone.__all__ or a method "Class.name" of one of its classes, and each
+must still be unreached, so an entry leaves the list when a caller appears.
 """
 
 import contextlib
@@ -77,9 +78,8 @@ def exported(kind):
 
 @pytest.fixture(scope="module")
 def ran(tmp_path_factory):
-    """The code objects that ran and the bodiless classes constructed over the fixed runs."""
+    """The code objects that ran and the classes constructed over the fixed runs."""
     seen, made = set(), set()
-    bodiless = [cls for cls in exported(inspect.isclass).values() if not own_codes(cls)]
 
     def profile(frame, event, arg):
         if event == "call":
@@ -95,7 +95,7 @@ def ran(tmp_path_factory):
     svg = tmp_path_factory.mktemp("reachability") / "walls.svg"
     with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
         counting.empty_memos(m.setattr)
-        for cls in bodiless:
+        for cls in exported(inspect.isclass).values():
             m.setattr(cls, "__init__", recording(cls.__init__))
         before = sys.getprofile()
         sys.setprofile(profile)
@@ -113,8 +113,7 @@ def reached(name, seen, made):
     if attr:
         return any(code in seen for code in codes(vars(obj)[attr]))
     if inspect.isclass(obj):
-        own = own_codes(obj)
-        return any(code in seen for code in own) if own else obj in made
+        return obj in made or any(code in seen for code in own_codes(obj))
     return obj.__code__ in seen
 
 

@@ -1,12 +1,10 @@
 """The self-check suites: dispatch, reporting, and small-depth runs."""
 
-import dataclasses
-
 import pytest
 
 import planecone.exceptional as exceptional
 import planecone.verify as verify
-from planecone.bridgeland import Wall, exceptional_pair_wall
+from planecone.bridgeland import TriadSlopes, Wall, exceptional_pair_wall
 from planecone.cli import main
 from planecone.exceptional import epsilon
 from planecone.verify import CheckResult, format_report, run_suite
@@ -138,8 +136,13 @@ def test_walls_failures_report_in_triad_order(monkeypatch):
         return Wall.semicircle(wall.center_s, 2) if beta.value in last_links else wall
 
     def broken_triad(p, q):
-        out = triad(p, q)
-        return dataclasses.replace(out, balance_first=False) if (p, q) in ((2, 4), (0, 2)) else out
+        o = triad(p, q)
+        if (p, q) not in ((2, 4), (0, 2)):
+            return o
+        return TriadSlopes(
+            o.p, o.q, o.branch, o.zeta, o.alpha, o.beta, o.eta, o.omega,
+            o.hom_alpha_beta, o.hom_beta_eta, False, o.balance_second,
+        )
 
     counting.nestings(monkeypatch.setattr, call=broken_nested)
     monkeypatch.setattr(verify, "exceptional_pair_wall", broken_wall)
